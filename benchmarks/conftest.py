@@ -7,6 +7,9 @@ those files (or run with ``-s``) to see the series.  When the benchmark
 passes its numbers via ``metrics=``, a machine-readable
 ``benchmarks/results/<name>.json`` is written next to the text report so
 dashboards and regression tooling never have to parse the tables.
+
+``results/`` is untracked scratch.  The references some benchmarks gate
+on are committed in ``benchmarks/baselines/`` and are only ever read.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ per *group*, not per NF.
 
 The latency table is pure simulated time, so it is deterministic across
 machines; the committed baseline
-(``results/ablation_auto_parallel_baseline.json``) pins it exactly.
+(``baselines/ablation_auto_parallel_baseline.json``) pins it exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.workloads import FlowSpec, PktGen
 LENGTHS = [2, 3, 4, 5, 6, 7, 8]
 COMPUTE_NS = 20_000
 
-BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
+BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "ablation_auto_parallel_baseline.json")
 
 

@@ -7,7 +7,7 @@ Two measurements:
    regime where RX bursts actually fill).  The columnar path must
    produce *identical* model outputs (throughput, conservation totals)
    while cutting wall-clock time by >= 1.3x.  A committed object-path
-   baseline (``results/ablation_columnar_baseline.json``) pins the
+   baseline (``baselines/ablation_columnar_baseline.json``) pins the
    deterministic totals across machines; the wall-clock ratio against
    that file is reported but only the in-run ratio gates (absolute
    wall time is machine-dependent).
@@ -43,7 +43,7 @@ OFFERED_MBPS = 16_000.0  # past line rate: burst-32 RX batches fill
 BURST_SIZE = 32
 MIN_SPEEDUP = 1.3
 
-BASELINE_PATH = (pathlib.Path(__file__).parent / "results"
+BASELINE_PATH = (pathlib.Path(__file__).parent / "baselines"
                  / "ablation_columnar_baseline.json")
 
 #: The model outputs that must not move between the two data paths (and

@@ -22,7 +22,8 @@ shards actually coupled by the fast link and advances the other ten in
   benchmarks).
 
 The JSON artifact (``results/micro_adaptive.json``) records window
-counts, transport counters, and wall-clock per variant.
+counts, transport counters, and wall-clock per variant; one such record
+is committed as ``baselines/micro_adaptive.json``.
 """
 
 import os

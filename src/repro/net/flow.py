@@ -8,6 +8,7 @@ be a prefix — the paper's DDoS detector aggregates traffic by IP prefix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.net.headers import ip_to_int
 
@@ -16,24 +17,25 @@ class FiveTuple:
     """Exact flow identity: (src_ip, dst_ip, protocol, src_port, dst_port).
 
     Immutable and hashable — flows key every table on the hot path (flow
-    rules, per-flow stats, burst classification), so the hash and the
-    packed integer key used by :meth:`hash_bucket` are computed once and
-    cached (a frozen dataclass would rebuild both on every lookup).
+    rules, per-flow stats, burst classification), so the hash, the
+    integer source address prefix matches compare and the packed integer
+    key used by :meth:`hash_bucket` are computed once and cached (a
+    frozen dataclass would rebuild them on every lookup).
     """
 
     __slots__ = ("src_ip", "dst_ip", "protocol", "src_port", "dst_port",
-                 "_hash", "_int_key")
+                 "_hash", "_src_int", "_int_key")
 
     def __init__(self, src_ip: str, dst_ip: str, protocol: int,
                  src_port: int, dst_port: int) -> None:
-        set_ = object.__setattr__
-        set_(self, "src_ip", src_ip)
-        set_(self, "dst_ip", dst_ip)
-        set_(self, "protocol", protocol)
-        set_(self, "src_port", src_port)
-        set_(self, "dst_port", dst_port)
-        set_(self, "_hash", None)
-        set_(self, "_int_key", None)
+        _set_src_ip(self, src_ip)
+        _set_dst_ip(self, dst_ip)
+        _set_protocol(self, protocol)
+        _set_src_port(self, src_port)
+        _set_dst_port(self, dst_port)
+        _set_hash(self, None)
+        _set_src_int(self, None)
+        _set_int_key(self, None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("FiveTuple is immutable")
@@ -43,8 +45,8 @@ class FiveTuple:
 
     def __reduce__(self):
         # Slot-state pickling would go through __setattr__ (which raises);
-        # rebuild through __init__ instead.  The cached hash/int-key are
-        # recomputed lazily on the other side.
+        # rebuild through __init__ instead.  The cached hash and integer
+        # keys are recomputed lazily on the other side.
         return (FiveTuple, (self.src_ip, self.dst_ip, self.protocol,
                             self.src_port, self.dst_port))
 
@@ -62,16 +64,24 @@ class FiveTuple:
         if cached is None:
             cached = hash((self.src_ip, self.dst_ip, self.protocol,
                            self.src_port, self.dst_port))
-            object.__setattr__(self, "_hash", cached)
+            _set_hash(self, cached)
         return cached
+
+    def _src_addr(self) -> int:
+        """The source address as an int (via ``ip_to_int``), cached."""
+        addr = self._src_int
+        if addr is None:
+            addr = ip_to_int(self.src_ip)
+            _set_src_int(self, addr)
+        return addr
 
     def _packed_key(self) -> tuple[int, int, int, int, int]:
         """All-integer key (IPs packed via ``ip_to_int``), cached."""
         key = self._int_key
         if key is None:
-            key = (ip_to_int(self.src_ip), ip_to_int(self.dst_ip),
+            key = (self._src_addr(), ip_to_int(self.dst_ip),
                    self.protocol, self.src_port, self.dst_port)
-            object.__setattr__(self, "_int_key", key)
+            _set_int_key(self, key)
         return key
 
     def reversed(self) -> FiveTuple:
@@ -100,12 +110,28 @@ class FiveTuple:
                 f"{self.dst_ip}:{self.dst_port}/{self.protocol}")
 
 
+# FiveTuple's slot setters, bound once.  A member descriptor's __set__
+# writes the slot directly, bypassing the class's mutation guard without
+# the per-call attribute lookup of object.__setattr__ (flows are built
+# per packet on shard boundaries, so construction cost shows).
+(_set_src_ip, _set_dst_ip, _set_protocol, _set_src_port, _set_dst_port,
+ _set_hash, _set_src_int, _set_int_key) = (
+    vars(FiveTuple)[name].__set__ for name in FiveTuple.__slots__)
+
+
 @dataclasses.dataclass(frozen=True)
 class FlowMatch:
     """Wildcard-capable match over a 5-tuple.
 
     ``None`` fields match anything.  ``src_prefix_bits`` restricts the
     source-IP comparison to the top N bits (requires ``src_ip``).
+
+    Matching compares integers: the prefix network and the
+    ``specificity`` are computed on first use and cached on the instance
+    (outside the dataclass fields, so equality, hashing and ``repr``
+    ignore them), and a flow caches its own integer source address.  A
+    malformed ``src_ip`` raises ``ValueError`` from the first
+    ``matches``/``subsumes`` call that needs it, as parsing is lazy.
     """
 
     src_ip: str | None = None
@@ -139,19 +165,38 @@ class FlowMatch:
                              self.src_port, self.dst_port)
                 and self.src_prefix_bits == 32)
 
-    @property
+    @functools.cached_property
     def specificity(self) -> int:
         """How many fields are constrained (for priority tie-breaks)."""
         fields = (self.src_ip, self.dst_ip, self.protocol,
                   self.src_port, self.dst_port)
         return sum(1 for field in fields if field is not None)
 
+    @functools.cached_property
+    def _src_addr(self) -> int:
+        """``src_ip`` as an int, parsed once."""
+        return ip_to_int(self.src_ip)
+
+    @functools.cached_property
+    def _src_net(self) -> tuple[int, int]:
+        """``(shift, network)``: a source address ``a`` lies inside the
+        prefix when ``a >> shift == network``.  A /0 prefix (shift 32)
+        contains every address, so its ``src_ip`` is never parsed."""
+        shift = 32 - self.src_prefix_bits
+        if shift == 32:
+            return shift, 0
+        return shift, self._src_addr >> shift
+
     def matches(self, flow: FiveTuple) -> bool:
         """True when ``flow`` falls inside this match."""
         if self.src_ip is not None:
-            if not _prefix_equal(self.src_ip, flow.src_ip,
-                                 self.src_prefix_bits):
-                return False
+            shift, network = self._src_net
+            if shift != 32:
+                addr = flow._src_int
+                if addr is None:
+                    addr = flow._src_addr()
+                if addr >> shift != network:
+                    return False
         if self.dst_ip is not None and self.dst_ip != flow.dst_ip:
             return False
         if self.protocol is not None and self.protocol != flow.protocol:
@@ -179,8 +224,8 @@ class FlowMatch:
                 return False
             if other.src_prefix_bits < self.src_prefix_bits:
                 return False
-            if not _prefix_equal(self.src_ip, other.src_ip,
-                                 self.src_prefix_bits):
+            shift, network = self._src_net
+            if shift != 32 and other._src_addr >> shift != network:
                 return False
         return True
 
@@ -191,10 +236,3 @@ class FlowMatch:
         return FiveTuple(src_ip=self.src_ip, dst_ip=self.dst_ip,
                          protocol=self.protocol, src_port=self.src_port,
                          dst_port=self.dst_port)
-
-
-def _prefix_equal(pattern_ip: str, flow_ip: str, bits: int) -> bool:
-    if bits == 0:
-        return True
-    shift = 32 - bits
-    return (ip_to_int(pattern_ip) >> shift) == (ip_to_int(flow_ip) >> shift)

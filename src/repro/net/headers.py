@@ -9,6 +9,7 @@ its wire length so packet sizes stay honest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
@@ -17,8 +18,15 @@ PROTO_UDP = 17
 _PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
 
+@functools.lru_cache(maxsize=4096)
 def ip_to_int(address: str) -> int:
-    """Parse dotted-quad IPv4 into an int (validates each octet)."""
+    """Parse dotted-quad IPv4 into an int (validates each octet).
+
+    Memoised for the most recent 4096 addresses: every lazily built
+    ``Ipv4Header`` (and every ``dataclasses.replace`` of one) re-validates
+    its addresses, which are almost always ones already seen.  Failures
+    are not cached, so a malformed address raises on every call.
+    """
     parts = address.split(".")
     if len(parts) != 4:
         raise ValueError(f"malformed IPv4 address: {address!r}")

@@ -1,6 +1,10 @@
-"""The benchmark-trend collator: every ``benchmarks/results/*.json``
-artifact lands in the trajectory table with its headline numbers, and
-the CLI fails loudly when pointed at nothing (a misconfigured CI job).
+"""The benchmark-trend collator: every benchmark JSON artifact lands in
+the trajectory table with its headline numbers, and the CLI fails loudly
+when pointed at nothing (a misconfigured CI job).
+
+``tests/data/bench_trend/`` holds fixture artifacts (one run record, one
+run, one baseline), so these tests never depend on a benchmark having
+run in the checkout.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "tools" / "bench_trend.py"
+FIXTURES = REPO / "tests" / "data" / "bench_trend"
 
 spec = importlib.util.spec_from_file_location("bench_trend", SCRIPT)
 bench_trend = importlib.util.module_from_spec(spec)
@@ -21,9 +26,9 @@ spec.loader.exec_module(bench_trend)
 
 class TestCollect:
     def test_repo_results_all_collated(self):
-        rows = bench_trend.collect(REPO / "benchmarks" / "results")
+        rows = bench_trend.collect(FIXTURES)
         by_name = {row["name"]: row for row in rows}
-        # Every committed artifact shows up; baselines are tagged.
+        # Every artifact shows up; baselines are tagged.
         assert "micro_adaptive" in by_name
         assert "micro_multihost" in by_name
         assert by_name["micro_multihost_baseline"]["baseline"]
@@ -89,7 +94,17 @@ class TestCli:
                              capture_output=True, text=True)
         assert bad.returncode == 1
         assert "no benchmark results" in bad.stderr
+        # The default directories include the committed baselines, so a
+        # clean checkout with no benchmark run still has rows.
         ok = subprocess.run([sys.executable, str(SCRIPT)],
                             capture_output=True, text=True)
         assert ok.returncode == 0
         assert "micro_adaptive" in ok.stdout
+
+    def test_directories_are_merged(self, tmp_path):
+        self.write_results(tmp_path)
+        names = [row["name"] for row in
+                 bench_trend.collect(FIXTURES, tmp_path,
+                                     tmp_path / "missing")]
+        assert {"micro_adaptive", "fast", "slow_baseline"} <= set(names)
+        assert names == sorted(names)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import make_dpdk_forwarder
 from repro.dataplane import NfvHost
 from repro.nfs import MemcachedProxy, NoOpNf, VideoFlowDetector
-from repro.sim import MS, S
+from repro.sim import MS, S, Simulator
 from repro.workloads import (
     DdosRampWorkload,
     FlowChurnWorkload,
@@ -89,6 +89,25 @@ class TestPktGen:
         assert gen.sent <= count + 1
 
 
+def injected_flows(build) -> list:
+    """Five-tuples of every packet a workload injects in 50 ms."""
+    sim = Simulator()
+    host = NfvHost(sim, name="flows-host")
+    host.add_nf(NoOpNf("vd"))
+    install_chain(host, ["vd"])
+    flows = []
+    inject = host.inject
+
+    def recording_inject(port, packet):
+        flows.append(packet.flow)
+        inject(port, packet)
+
+    host.inject = recording_inject
+    build(sim, host)
+    sim.run(until=50 * MS)
+    return flows
+
+
 class TestFlowChurn:
     def test_two_packets_per_flow_and_completion_count(self, sim):
         host = NfvHost(sim, name="churn-host")
@@ -104,6 +123,13 @@ class TestFlowChurn:
     def test_rate_validation(self, sim, host):
         with pytest.raises(ValueError):
             FlowChurnWorkload(sim, host, new_flows_per_second=0)
+
+    def test_same_seed_workloads_in_one_process_emit_same_flows(self):
+        runs = [injected_flows(lambda sim, host: FlowChurnWorkload(
+                    sim, host, new_flows_per_second=5000, seed=3))
+                for _ in range(2)]
+        assert len(set(runs[0])) > 100
+        assert runs[0] == runs[1]
 
 
 class TestVideoSessions:
@@ -127,6 +153,14 @@ class TestVideoSessions:
                              mean_lifetime_ns=S, per_flow_mbps=1.0)
         sim.run(until=100 * MS)
         assert detector.video_flows >= 5
+
+    def test_same_seed_workloads_in_one_process_emit_same_flows(self):
+        runs = [injected_flows(lambda sim, host: VideoSessionWorkload(
+                    sim, host, concurrent_flows=10, mean_lifetime_ns=5 * MS,
+                    per_flow_mbps=2.0, seed=4))
+                for _ in range(2)]
+        assert len(set(runs[0])) > 10  # sessions were replaced
+        assert runs[0] == runs[1]
 
 
 class TestDdosRamp:
