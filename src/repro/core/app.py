@@ -59,7 +59,7 @@ class GraphDeployment:
     ingress_port: str
     exit_port: str
     placement: dict[str, str] | None = None  # service -> host name
-    inter_host_ports: dict[tuple[str, str], str] | None = None
+    inter_host_ports: typing.Mapping[tuple[str, str], str] | None = None
     priority: int = 0
     # Routed deployments (deploy(network=...)) remember the topology and
     # the full host universe, so on-demand rules_for can recompile the
@@ -139,7 +139,8 @@ class SdnfvApp:
                ingress_port: str = "eth0", exit_port: str = "eth1",
                match: FlowMatch | None = None,
                placement: dict[str, str] | None = None,
-               inter_host_ports: dict[tuple[str, str], str] | None = None,
+               inter_host_ports: typing.Mapping[
+                   tuple[str, str], str] | None = None,
                proactive: bool = True,
                priority: int = 0,
                auto_parallel: bool = False,
@@ -299,7 +300,7 @@ class SdnfvApp:
         deployment = GraphDeployment(
             graph=graph, match=match, ingress_port=ingress_port,
             exit_port=exit_port, placement=dict(placement),
-            inter_host_ports=dict(network.inter_host_ports),
+            inter_host_ports=network.inter_host_ports,
             priority=priority, topology=network.topology,
             host_names=tuple(host_names))
         self.deployments.append(deployment)

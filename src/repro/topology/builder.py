@@ -16,6 +16,7 @@ boundary events between shards.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import typing
 
@@ -45,13 +46,46 @@ class BoundaryWire:
     delay_ns: int
 
 
+class InterHostPorts(collections.abc.Mapping):
+    """Read-only ``(src, dst) -> "to-<next hop>"`` over every ordered
+    pair of distinct NFV hosts, in src-major node order.
+
+    Each port comes from :meth:`Topology.shortest_path` when it is first
+    looked up, so a deployment pays only for the pairs its rules cross;
+    keys, length and equality are those of the fully computed dict.
+    """
+
+    def __init__(self, topology: Topology, hosts: tuple[str, ...]) -> None:
+        self._topology = topology
+        self._hosts = hosts
+        self._known = frozenset(hosts)
+
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        if (not isinstance(key, tuple) or len(key) != 2
+                or key[0] == key[1] or key[0] not in self._known
+                or key[1] not in self._known):
+            raise KeyError(key)
+        return f"to-{self._topology.shortest_path(*key)[1]}"
+
+    def __iter__(self) -> typing.Iterator[tuple[str, str]]:
+        return ((src, dst) for src in self._hosts for dst in self._hosts
+                if src != dst)
+
+    def __len__(self) -> int:
+        return len(self._hosts) * (len(self._hosts) - 1)
+
+
 @dataclasses.dataclass
 class BuiltNetwork:
-    """The realized network: hosts, wiring, and the port map."""
+    """The realized network: hosts, wiring, and the port map.
+
+    The network reflects its topology as it was at build time: nothing
+    mutates a :class:`Topology` after :func:`build_network`.
+    """
 
     hosts: dict[str, NfvHost]
     fabric: Fabric
-    inter_host_ports: dict[tuple[str, str], str]
+    inter_host_ports: typing.Mapping[tuple[str, str], str]
     topology: Topology
     #: Every NFV host name in the topology, in node order — the full
     #: network even when this build realized only a subset.
@@ -114,7 +148,6 @@ def build_network(sim: Simulator, topology: Topology,
     """
     fabric = Fabric(sim)
     hosts: dict[str, NfvHost] = {}
-    inter_host_ports: dict[tuple[str, str], str] = {}
     boundary_wires: list[BoundaryWire] = []
 
     nfv_names = [name for name in topology.node_names
@@ -154,20 +187,13 @@ def build_network(sim: Simulator, topology: Topology,
                     dst_host=dst, dst_port=f"to-{src}",
                     delay_ns=link.delay_ns))
 
-    # Next-hop port toward every other host (shortest path), computed
-    # over the FULL topology: rules compiled on a realized host may point
-    # at trunks toward unrealized hosts.  Multi-hop pairs additionally
-    # need transit rules on the intermediate hosts — see
-    # BuiltNetwork.install_transit.
-    for src in nfv_names:
-        for dst in nfv_names:
-            if src == dst:
-                continue
-            path = topology.shortest_path(src, dst)
-            inter_host_ports[(src, dst)] = f"to-{path[1]}"
-
+    # Next-hop ports span the FULL topology: rules compiled on a
+    # realized host may point at trunks toward unrealized hosts.
+    # Multi-hop pairs additionally need transit rules on the
+    # intermediate hosts — see BuiltNetwork.install_transit.
+    all_hosts = tuple(nfv_names)
     return BuiltNetwork(hosts=hosts, fabric=fabric,
-                        inter_host_ports=inter_host_ports,
+                        inter_host_ports=InterHostPorts(topology, all_hosts),
                         topology=topology,
-                        all_hosts=tuple(nfv_names),
+                        all_hosts=all_hosts,
                         boundary_wires=boundary_wires)

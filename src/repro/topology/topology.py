@@ -21,6 +21,10 @@ class Topology:
         self._graph = nx.Graph()
         self._nodes: dict[str, NodeSpec] = {}
         self._links: dict[frozenset[str], Link] = {}
+        # networkx's shortest paths, keyed by (src, dst, weight).  Every
+        # value is a pure function of the graph, so the memo pickles
+        # with the topology and any change to the graph clears it.
+        self._paths: dict[tuple[str, str, str | None], list[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -30,6 +34,7 @@ class Topology:
             raise ValueError(f"duplicate node {spec.name!r}")
         self._nodes[spec.name] = spec
         self._graph.add_node(spec.name)
+        self._paths.clear()
 
     def add_link(self, link: Link) -> None:
         for end in (link.a, link.b):
@@ -40,6 +45,7 @@ class Topology:
         self._links[link.endpoints] = link
         self._graph.add_edge(link.a, link.b, delay_ns=link.delay_ns,
                              capacity_gbps=link.capacity_gbps)
+        self._paths.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -71,11 +77,6 @@ class Topology:
         return [name for name, spec in self._nodes.items()
                 if spec.kind is NodeKind.NFV_HOST]
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._graph
-
     def is_connected(self) -> bool:
         return (len(self._nodes) > 0
                 and nx.is_connected(self._graph))
@@ -85,8 +86,18 @@ class Topology:
     # ------------------------------------------------------------------
     def shortest_path(self, src: str, dst: str,
                       weight: str | None = "delay_ns") -> list[str]:
-        """Node sequence of the minimum-delay path from src to dst."""
-        return nx.shortest_path(self._graph, src, dst, weight=weight)
+        """Node sequence of the minimum-delay path from src to dst.
+
+        networkx's own answer (so its tie-breaks between equal-cost
+        paths hold), computed once per pair and weight; callers get a
+        fresh list.
+        """
+        key = (src, dst, weight)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = nx.shortest_path(
+                self._graph, src, dst, weight=weight)
+        return list(path)
 
     def path_delay_ns(self, path: typing.Sequence[str]) -> int:
         """Sum of link delays along a node path."""

@@ -1,11 +1,22 @@
 """Topology substrate tests: nodes, links, paths, Rocketfuel generator."""
 
+import pickle
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import Simulator
 from repro.sim.units import US
-from repro.topology import Link, NodeKind, NodeSpec, Topology, rocketfuel_like
+from repro.topology import (
+    Link,
+    NodeKind,
+    NodeSpec,
+    Topology,
+    build_network,
+    rocketfuel_like,
+)
 
 
 def line_topology(n=4, capacity=10.0):
@@ -94,6 +105,123 @@ class TestTopology:
         topology, names = line_topology(3)
         links = topology.path_links(names)
         assert len(links) == 2
+
+
+def reference_graph(topology):
+    """A fresh networkx graph built in the topology's own insertion
+    order, so networkx breaks ties between equal-cost paths alike."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.node_names)
+    for link in topology.links:
+        graph.add_edge(link.a, link.b, delay_ns=link.delay_ns)
+    return graph
+
+
+def all_paths(topology):
+    names = topology.node_names
+    return {(src, dst): topology.shortest_path(src, dst)
+            for src in names for dst in names}
+
+
+@st.composite
+def tied_topologies(draw):
+    """Random connected graphs with delays in 1..3 ns (ties are common);
+    some nodes are switches, which route but are not NFV hosts."""
+    count = draw(st.integers(min_value=2, max_value=8))
+    topology = Topology()
+    for index in range(count):
+        switch = index > 0 and draw(st.booleans()) and draw(st.booleans())
+        topology.add_node(NodeSpec(
+            name=f"v{index}",
+            kind=NodeKind.SWITCH if switch else NodeKind.NFV_HOST,
+            cores=0 if switch else 2))
+    names = topology.node_names
+    delay = st.integers(min_value=1, max_value=3)
+    for index in range(1, count):
+        parent = draw(st.integers(min_value=0, max_value=index - 1))
+        topology.add_link(Link(a=names[parent], b=names[index],
+                               delay_ns=draw(delay)))
+    extras = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                     st.integers(0, count - 1)),
+                           max_size=12))
+    for a, b in extras:
+        if a != b and not topology.has_link(names[a], names[b]):
+            topology.add_link(Link(a=names[a], b=names[b],
+                                   delay_ns=draw(delay)))
+    return topology
+
+
+class TestRouting:
+    @given(topology=tied_topologies())
+    @settings(max_examples=60, deadline=None)
+    def test_inter_host_ports_match_eager_reference(self, topology):
+        graph = reference_graph(topology)
+        hosts = topology.nfv_hosts()
+        reference = {}
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    path = nx.shortest_path(graph, src, dst,
+                                            weight="delay_ns")
+                    reference[(src, dst)] = f"to-{path[1]}"
+        ports = build_network(Simulator(), topology).inter_host_ports
+        assert list(ports) == list(reference)
+        assert len(ports) == len(reference)
+        assert bool(ports) == bool(reference)
+        assert ports == reference
+        assert reference == ports
+        assert list(ports.items()) == list(reference.items())
+        for name in topology.node_names:
+            with pytest.raises(KeyError):
+                ports[(name, name)]
+        switches = [name for name in topology.node_names
+                    if name not in hosts]
+        for stranger in ["ghost", *switches]:
+            with pytest.raises(KeyError):
+                ports[(hosts[0], stranger)]
+            with pytest.raises(KeyError):
+                ports[(stranger, hosts[0])]
+            assert (hosts[0], stranger) not in ports
+
+    def test_added_link_invalidates_memo(self):
+        topology, names = line_topology(4)
+        assert topology.shortest_path(names[0], names[3]) == names
+        topology.add_link(Link(a=names[0], b=names[3], delay_ns=100 * US))
+        fresh = nx.shortest_path(reference_graph(topology), names[0],
+                                 names[3], weight="delay_ns")
+        assert topology.shortest_path(names[0], names[3]) == fresh
+        assert fresh == [names[0], names[3]]
+
+    def test_added_node_invalidates_memo(self):
+        topology, names = line_topology(3)
+        before = all_paths(topology)
+        topology.add_node(NodeSpec(name="hub", cores=2))
+        for name in names:
+            topology.add_link(Link(a="hub", b=name, delay_ns=1))
+        graph = reference_graph(topology)
+        assert before[(names[0], names[2])] == names
+        for (src, dst), path in all_paths(topology).items():
+            assert path == nx.shortest_path(graph, src, dst,
+                                            weight="delay_ns")
+        assert topology.shortest_path(names[0], names[2]) == [
+            names[0], "hub", names[2]]
+
+    def test_returned_path_is_a_private_copy(self):
+        topology, names = line_topology(4)
+        path = topology.shortest_path(names[0], names[3])
+        path.append("ghost")
+        path[0] = "tampered"
+        assert topology.shortest_path(names[0], names[3]) == names
+
+    def test_pickled_topology_with_filled_memo_answers_identically(self):
+        topology = rocketfuel_like(seed=3)
+        before = all_paths(topology)
+        clone = pickle.loads(pickle.dumps(topology))
+        assert all_paths(clone) == before
+        graph = reference_graph(topology)
+        assert all(path == nx.shortest_path(graph, src, dst,
+                                            weight="delay_ns")
+                   for (src, dst), path in before.items())
 
 
 class TestRocketfuel:
