@@ -61,11 +61,10 @@ class InterHostPorts(collections.abc.Mapping):
         self._known = frozenset(hosts)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
-        if (not isinstance(key, tuple) or len(key) != 2
-                or key[0] == key[1] or key[0] not in self._known
-                or key[1] not in self._known):
+        src, dst = key
+        if src == dst or src not in self._known or dst not in self._known:
             raise KeyError(key)
-        return f"to-{self._topology.shortest_path(*key)[1]}"
+        return f"to-{self._topology.shortest_path(src, dst)[1]}"
 
     def __iter__(self) -> typing.Iterator[tuple[str, str]]:
         return ((src, dst) for src in self._hosts for dst in self._hosts

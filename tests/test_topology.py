@@ -173,14 +173,14 @@ class TestRouting:
         assert list(ports.items()) == list(reference.items())
         for name in topology.node_names:
             with pytest.raises(KeyError):
-                ports[(name, name)]
+                _ = ports[(name, name)]
         switches = [name for name in topology.node_names
                     if name not in hosts]
         for stranger in ["ghost", *switches]:
             with pytest.raises(KeyError):
-                ports[(hosts[0], stranger)]
+                _ = ports[(hosts[0], stranger)]
             with pytest.raises(KeyError):
-                ports[(stranger, hosts[0])]
+                _ = ports[(stranger, hosts[0])]
             assert (hosts[0], stranger) not in ports
 
     def test_added_link_invalidates_memo(self):
