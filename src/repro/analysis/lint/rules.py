@@ -19,10 +19,6 @@ cheap to write and expensive to debug:
   per-event ``pipe.send``/``pickle.dumps`` inside a boundary hot loop
   reintroduces the one-message-per-packet transport the batched codec
   (``repro.net.batch.BoundaryBatch``) replaced.
-- **SIM006** — functions marked ``@columnar_kernel`` promise to work on
-  batch columns and scalars; per-packet object allocation or per-row
-  iteration inside one silently reintroduces the object-path costs the
-  columnar refactor removed.
 - **OWN001** — every pool-allocated buffer must be handed off exactly
   once per path (to a ring, port, caller, or ``free``/``release``);
   unbalanced paths are leaks or double-releases.
@@ -293,7 +289,7 @@ def _args_with_defaults(node: ast.FunctionDef | ast.AsyncFunctionDef):
 #: (the ownership verifier wraps their bound methods).
 HOT_PATH_CLASSES = frozenset({
     "Packet", "PacketDescriptor", "FiveTuple", "Event", "Timeout",
-    "Process", "_Condition", "AnyOf", "AllOf", "Store", "PacketBatch",
+    "Process", "_Condition", "AnyOf", "AllOf", "Store",
 })
 
 
@@ -493,88 +489,6 @@ class _Sim005:
                         f"(BoundaryBatch / the transport codec) and "
                         f"send the batch"))
         return violations
-
-
-# ----------------------------------------------------------------------
-# SIM006 — columnar kernels touch columns and scalars only
-# ----------------------------------------------------------------------
-
-_COLUMNAR_MARKER = "columnar_kernel"
-
-#: Per-packet escape hatches: constructing row objects or rematerializing
-#: the row store defeats the whole point of a columnar kernel.
-_ROW_OBJECT_CALLS = frozenset({
-    "Packet", "PacketDescriptor", "_desc_alloc", "materialize",
-})
-
-
-def _is_columnar_kernel(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for decorator in node.decorator_list:
-        target = (decorator.func if isinstance(decorator, ast.Call)
-                  else decorator)
-        name = _qualname(target)
-        if name and name.rsplit(".", 1)[-1] == _COLUMNAR_MARKER:
-            return True
-    return False
-
-
-def _iterates_row_store(iter_node: ast.AST) -> bool:
-    """Whether this iterable walks the per-packet row store
-    (``something.packets``, possibly through enumerate/zip/reversed or a
-    slice)."""
-    if isinstance(iter_node, ast.Attribute):
-        return iter_node.attr == "packets"
-    if isinstance(iter_node, ast.Subscript):
-        return _iterates_row_store(iter_node.value)
-    if isinstance(iter_node, ast.Call):
-        return any(_iterates_row_store(arg) for arg in iter_node.args)
-    return False
-
-
-class _Sim006:
-    rule_id = "SIM006"
-    summary = ("columnar kernels (@columnar_kernel) work on columns and "
-               "scalars only — no per-packet objects, no per-row iteration")
-
-    def __call__(self, tree: ast.Module, path: str) -> list[LintViolation]:
-        violations: list[LintViolation] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _is_columnar_kernel(node):
-                continue
-            self._check_kernel(node, path, violations)
-        return violations
-
-    def _check_kernel(self, kernel, path: str,
-                      violations: list[LintViolation]) -> None:
-        for inner in ast.walk(kernel):
-            if isinstance(inner, ast.Call):
-                name = _qualname(inner.func)
-                tail = name.rsplit(".", 1)[-1] if name else ""
-                if tail in _ROW_OBJECT_CALLS:
-                    violations.append(_violation(
-                        path, inner, self.rule_id,
-                        f"per-packet object call {tail}() inside columnar "
-                        f"kernel {kernel.name}(); kernels operate on batch "
-                        f"columns — move row materialization to the "
-                        f"object-path fallback"))
-            elif isinstance(inner, (ast.For, ast.AsyncFor)):
-                if _iterates_row_store(inner.iter):
-                    violations.append(_violation(
-                        path, inner, self.rule_id,
-                        f"per-row iteration over the packet store inside "
-                        f"columnar kernel {kernel.name}(); use the batch "
-                        f"columns (sizes/packed_keys/flags) instead"))
-            elif isinstance(inner, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                    ast.GeneratorExp)):
-                for generator in inner.generators:
-                    if _iterates_row_store(generator.iter):
-                        violations.append(_violation(
-                            path, inner, self.rule_id,
-                            f"per-row comprehension over the packet store "
-                            f"inside columnar kernel {kernel.name}(); use "
-                            f"the batch columns instead"))
 
 
 # ----------------------------------------------------------------------
@@ -1100,7 +1014,6 @@ SIM002 = register(_Sim002())
 SIM003 = register(_Sim003())
 SIM004 = register(_Sim004())
 SIM005 = register(_Sim005())
-SIM006 = register(_Sim006())
 OWN001 = register(_Own001())
 FLOW001 = register(_Flow001())
 NF001 = register(_Nf001())

@@ -274,20 +274,8 @@ class HostVerifier:
                     ledger.on_transfer(packet.packet_id, owner, sim.now)
             return accepted
 
-        inner_batch = ring.enqueue_batch
-
-        def enqueue_batch(batch):
-            # Snapshot before the call: a partial accept splits the
-            # accepted prefix *out* of ``batch``, leaving only the tail.
-            packets = list(batch.packets)
-            accepted = inner_batch(batch)
-            for packet in packets[:accepted]:
-                ledger.on_transfer(packet.packet_id, owner, sim.now)
-            return accepted
-
         self._shadow(ring, "try_enqueue", try_enqueue)
         self._shadow(ring, "enqueue_burst", enqueue_burst)
-        self._shadow(ring, "enqueue_batch", enqueue_batch)
 
     def _wrap_manager(self, manager) -> None:
         sim = self.sim

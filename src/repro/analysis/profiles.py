@@ -5,8 +5,8 @@ member *declared* ``read_only=True`` (§3.3) — one coarse bit.  Following
 "SDN based Network Function Parallelism in Cloud" (arXiv:1811.00653),
 this module derives parallelizability automatically: it statically
 analyzes each :class:`~repro.nfs.base.NetworkFunction` subclass's packet
-handlers (``process`` / ``process_batch`` / ``processing_cost_ns``,
-following ``self.method(...)`` calls) and produces an
+handlers (``process`` / ``processing_cost_ns``, following
+``self.method(...)`` calls) and produces an
 :class:`ActionProfile` — which header fields the NF reads vs. writes
 (five-tuple, DSCP, TTL, payload), which annotation keys it touches, and
 whether it can DROP, emit SEND, or message the manager.
@@ -72,8 +72,7 @@ ANN_WILDCARD = "*"
 #: Handler methods analyzed per NF class (the packet path).  The
 #: ``handle_*`` wrappers are included for subclasses that override them;
 #: the base-class wrappers themselves are pure bookkeeping.
-HANDLER_METHODS = ("process", "handle_packet", "process_batch",
-                   "handle_batch", "processing_cost_ns")
+HANDLER_METHODS = ("process", "handle_packet", "processing_cost_ns")
 
 #: Packet attributes that carry no data-plane-visible state.
 _PACKET_METADATA_ATTRS = frozenset(
@@ -283,31 +282,27 @@ def _qualname_tail(node: ast.AST) -> str:
 class _HandlerAnalyzer(ast.NodeVisitor):
     """Walks one handler body, tracking what happens to the packet.
 
-    ``packet_names`` / ``batch_names`` hold every variable currently
-    known to alias the packet / the batch.  Patterns that fully account
-    for a subtree do not recurse into it; a *bare* packet name reaching
-    the generic :meth:`visit_Name` therefore means the packet escaped
-    into code the analyzer cannot follow → the profile goes opaque.
+    ``packet_names`` holds every variable currently known to alias the
+    packet.  Patterns that fully account for a subtree do not recurse
+    into it; a *bare* packet name reaching the generic
+    :meth:`visit_Name` therefore means the packet escaped into code the
+    analyzer cannot follow → the profile goes opaque.
     """
 
     def __init__(self, effects: _Effects,
                  method_table: typing.Mapping[str, ast.AST],
                  constants: typing.Mapping[str, str],
-                 packet_names: set[str], batch_names: set[str],
+                 packet_names: set[str],
                  call_stack: frozenset[str]) -> None:
         self.effects = effects
         self.method_table = method_table
         self.constants = constants
         self.packet_names = packet_names
-        self.batch_names = batch_names
         self.call_stack = call_stack
 
     # -- small helpers -------------------------------------------------
     def _is_packet(self, node: ast.AST) -> bool:
         return isinstance(node, ast.Name) and node.id in self.packet_names
-
-    def _is_batch(self, node: ast.AST) -> bool:
-        return isinstance(node, ast.Name) and node.id in self.batch_names
 
     def _is_packet_annotations(self, node: ast.AST) -> bool:
         return (isinstance(node, ast.Attribute)
@@ -352,19 +347,11 @@ class _HandlerAnalyzer(ast.NodeVisitor):
                 # method object escaping without a call).
                 self.effects.escape()
             return
-        if self._is_batch(inner):
-            if node.attr == "uniform_flow":
-                self.effects.reads.update(FIVE_TUPLE_FIELDS)
-            elif node.attr in ("total_bytes", "sizes"):
-                self.effects.reads.add("size")
-            # count/packets/scope/verdict etc.: structural, not header
-            # state; iteration over .packets is handled in visit_For.
-            return
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if node.id in self.packet_names or node.id in self.batch_names:
-            # A bare packet/batch reference no pattern accounted for.
+        if node.id in self.packet_names:
+            # A bare packet reference no pattern accounted for.
             self.effects.escape()
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -467,32 +454,26 @@ class _HandlerAnalyzer(ast.NodeVisitor):
     # -- calls ---------------------------------------------------------
     def _bind_and_follow(self, method: ast.AST,
                          node: ast.Call) -> None:
-        """Analyze a ``self.method(...)`` call with packet/batch args
-        bound to the callee's parameter names."""
+        """Analyze a ``self.method(...)`` call with packet args bound
+        to the callee's parameter names."""
         assert isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
         params = [arg.arg for arg in method.args.args]
         if params and params[0] == "self":
             params = params[1:]
         sub_packets: set[str] = set()
-        sub_batches: set[str] = set()
         for index, arg in enumerate(node.args):
             if index >= len(params):
                 break
             if self._is_packet(arg):
                 sub_packets.add(params[index])
-            elif self._is_batch(arg):
-                sub_batches.add(params[index])
         for keyword in node.keywords:
             if keyword.arg is None:
                 continue
             if self._is_packet(keyword.value):
                 sub_packets.add(keyword.arg)
-            elif self._is_batch(keyword.value):
-                sub_batches.add(keyword.arg)
         sub = _HandlerAnalyzer(
             self.effects, self.method_table, self.constants,
-            sub_packets, sub_batches,
-            self.call_stack | {method.name})
+            sub_packets, self.call_stack | {method.name})
         for statement in method.body:
             sub.visit(statement)
 
@@ -501,15 +482,14 @@ class _HandlerAnalyzer(ast.NodeVisitor):
         for arg in node.args:
             if arg in skip:
                 continue
-            if self._is_packet(arg) or self._is_batch(arg):
+            if self._is_packet(arg):
                 self.effects.escape()   # packet handed to opaque code
             else:
                 self.visit(arg)
         for keyword in node.keywords:
             if keyword.value in skip:
                 continue
-            if self._is_packet(keyword.value) or self._is_batch(
-                    keyword.value):
+            if self._is_packet(keyword.value):
                 self.effects.escape()
             else:
                 self.visit(keyword.value)
@@ -547,13 +527,11 @@ class _HandlerAnalyzer(ast.NodeVisitor):
                 # Args already bound (or recursion cut); still walk
                 # non-packet args for reads like packet.flow.
                 for arg in node.args:
-                    if not (self._is_packet(arg) or self._is_batch(arg)):
+                    if not self._is_packet(arg):
                         self.visit(arg)
                 for keyword in node.keywords:
-                    value = keyword.value
-                    if not (self._is_packet(value)
-                            or self._is_batch(value)):
-                        self.visit(value)
+                    if not self._is_packet(keyword.value):
+                        self.visit(keyword.value)
                 return
             self._visit_call_operands(node)
             return
@@ -594,21 +572,14 @@ class _HandlerAnalyzer(ast.NodeVisitor):
 
     # -- control flow --------------------------------------------------
     def visit_For(self, node: ast.For) -> None:
-        # `for pkt in batch.packets:` binds a packet alias.
-        iterator = node.iter
-        if (isinstance(iterator, ast.Attribute)
-                and iterator.attr == "packets"
-                and self._is_batch(iterator.value)
-                and isinstance(node.target, ast.Name)):
-            self.packet_names.add(node.target.id)
-        else:
-            self.visit(iterator)
+        # The loop target is a binding, not a read: walk only the iterable.
+        self.visit(node.iter)
         self._visit_all(node.body)
         self._visit_all(node.orelse)
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is not None:
-            if self._is_packet(node.value) or self._is_batch(node.value):
+            if self._is_packet(node.value):
                 self.effects.escape()
             else:
                 self.visit(node.value)
@@ -630,16 +601,9 @@ def _analyze_entry(method: ast.FunctionDef, effects: _Effects,
     params = [arg.arg for arg in method.args.args]
     if params and params[0] == "self":
         params = params[1:]
-    packet_names: set[str] = set()
-    batch_names: set[str] = set()
-    if params:
-        if method.name in ("process_batch", "handle_batch"):
-            batch_names.add(params[0])
-        else:
-            packet_names.add(params[0])
+    packet_names = {params[0]} if params else set()
     analyzer = _HandlerAnalyzer(effects, method_table, constants,
-                                packet_names, batch_names,
-                                frozenset({method.name}))
+                                packet_names, frozenset({method.name}))
     for statement in method.body:
         analyzer.visit(statement)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.net.batch import columnar_kernel
 from repro.sim.units import MS, NS
 
 
@@ -98,28 +97,3 @@ class HostCosts:
         """RX-side work for a packet whose flow needs a fresh lookup."""
         return (self.rx_service_ns + self.header_extract_ns
                 + self.flow_lookup_ns)
-
-    # ------------------------------------------------------------------
-    # Columnar per-batch accounting: one integer multiply replaces the
-    # object pipeline's per-packet accumulation, with identical totals
-    # (all costs are integers, so n * c == c summed n times).
-    # ------------------------------------------------------------------
-
-    @columnar_kernel
-    def rx_burst_work_ns(self, count: int) -> int:
-        """RX thread occupancy for a burst of ``count`` packets,
-        excluding flow-lookup charges (added per distinct flow)."""
-        return self.rx_batch_poll_ns + self.rx_service_ns * count
-
-    @columnar_kernel
-    def tx_burst_work_ns(self, count: int) -> int:
-        """TX thread occupancy for draining ``count`` packets."""
-        return self.tx_batch_poll_ns + self.tx_service_ns * count
-
-    @columnar_kernel
-    def vm_burst_work_ns(self, count: int, per_packet_cost_ns: int = 0
-                         ) -> int:
-        """VM thread occupancy for a burst of ``count`` packets of an NF
-        with a flat per-packet processing cost."""
-        return (self.vm_batch_poll_ns
-                + (self.vm_service_ns + per_packet_cost_ns) * count)

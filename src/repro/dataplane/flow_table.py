@@ -23,7 +23,6 @@ import itertools
 import typing
 
 from repro.dataplane.actions import Destination, Drop, ToService
-from repro.net.batch import columnar_kernel
 from repro.net.flow import FiveTuple, FlowMatch
 
 _entry_ids = itertools.count()
@@ -159,52 +158,6 @@ class FlowTable:
             self.misses += 1
         elif now_ns is not None:
             entry.last_hit_ns = now_ns
-        return entry
-
-    @columnar_kernel
-    def lookup_batch(self, scope: str,
-                     flows: typing.Sequence[FiveTuple],
-                     now_ns: int | None = None
-                     ) -> list[FlowTableEntry | None]:
-        """Resolve a burst's worth of flows against one scope.
-
-        Per-flow side effects (``lookups``/``misses`` odometers, idle
-        refresh) are identical to ``len(flows)`` sequential
-        :meth:`lookup` calls in order, but the wildcard scan — the
-        expensive plan resolution — runs at most once per *distinct*
-        flow in the burst: duplicate keys reuse the burst-local result
-        (the PR 3 cached five-tuple hash makes the dedup dictionary
-        cheap).
-        """
-        self.lookups += len(flows)
-        exact = self._exact
-        resolved: dict[FiveTuple, FlowTableEntry | None] = {}
-        results: list[FlowTableEntry | None] = []
-        for flow in flows:
-            if flow in resolved:
-                entry = resolved[flow]
-            else:
-                entry = exact.get((scope, flow))
-                if entry is None:
-                    entry = self._wildcard_scan(scope, flow)
-                resolved[flow] = entry
-            if entry is None:
-                self.misses += 1
-            elif now_ns is not None:
-                entry.last_hit_ns = now_ns
-            results.append(entry)
-        return results
-
-    def _wildcard_scan(self, scope: str,
-                       flow: FiveTuple) -> FlowTableEntry | None:
-        entry: FlowTableEntry | None = None
-        best_key: tuple[int, int, int] | None = None
-        for rule in self._wildcards.get(scope, ()):
-            if rule.match.matches(flow):
-                key = (rule.priority, rule.match.specificity,
-                       self._wildcard_order[rule.entry_id])
-                if best_key is None or key > best_key:
-                    entry, best_key = rule, key
         return entry
 
     # ------------------------------------------------------------------

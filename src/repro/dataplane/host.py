@@ -47,7 +47,6 @@ class NfvHost:
                  miss_fallback: Destination | None = None,
                  burst_size: int = DEFAULT_BURST_SIZE,
                  pool_size: int = DEFAULT_POOL_SIZE,
-                 columnar: bool = False,
                  seed: int = 0,
                  verify: bool = False) -> None:
         self.sim = sim
@@ -67,7 +66,7 @@ class NfvHost:
             tx_threads=tx_threads, load_balance=load_balance,
             lookup_cache=lookup_cache, conflict_policy=conflict_policy,
             control_policy=control_policy, miss_fallback=miss_fallback,
-            burst_size=burst_size, pool_size=pool_size, columnar=columnar,
+            burst_size=burst_size, pool_size=pool_size,
             streams=RandomStreams(seed=seed))
         for port_name in ports:
             self.manager.add_port(port_name, line_rate_gbps=line_rate_gbps)

@@ -43,10 +43,9 @@ from repro.dataplane.messages import (
     SkipMe,
     UserMessage,
 )
-from repro.dataplane.rings import RingBuffer, batch_weight
+from repro.dataplane.rings import RingBuffer
 from repro.dataplane.stats import HostStats
 from repro.dataplane.vm import NfVm
-from repro.net.batch import PacketBatch
 from repro.net.flow import FiveTuple, FlowMatch
 from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
 from repro.net.packet import Packet, transmission_ns
@@ -226,16 +225,6 @@ class NicPort:
             frames.append(packet)
         return frames
 
-    def rx_burst_into(self, batch: PacketBatch, max_n: int) -> None:
-        """Columnar variant of :meth:`rx_burst`: sweep waiting frames
-        straight into ``batch`` without building an intermediate list."""
-        store = self.ingress
-        for _ in range(max_n):
-            frame = store.try_get()
-            if frame is None:
-                break
-            batch.append(frame)
-
 
 #: Sentinel for "this field/annotation key was absent at fan-out time".
 _UNSET = object()
@@ -370,8 +359,7 @@ class NfManager:
                  control_policy: ControlPlanePolicy | None = None,
                  miss_fallback: Destination | None = None,
                  burst_size: int = DEFAULT_BURST_SIZE,
-                 pool_size: int = DEFAULT_POOL_SIZE,
-                 columnar: bool = False) -> None:
+                 pool_size: int = DEFAULT_POOL_SIZE) -> None:
         if tx_threads < 1:
             raise ValueError("need at least one TX thread")
         if burst_size < 1:
@@ -385,12 +373,6 @@ class NfManager:
         # once (§4.1's DPDK burst model).  1 degenerates to the strict
         # one-descriptor-per-event pipeline.
         self.burst_size = burst_size
-        # Columnar burst kernel: bursts move as struct-of-arrays
-        # PacketBatch items (packet-weighted rings, per-batch cost
-        # accounting, burst flow lookups) with per-packet descriptor
-        # fallback on slow paths.  Observables are byte-identical to the
-        # object pipeline; False keeps the legacy loops untouched.
-        self.columnar = columnar
         self.controller = controller
         self.conflict_policy = conflict_policy
         self.lookup_cache = lookup_cache
@@ -419,8 +401,7 @@ class NfManager:
         self.vms_by_service: dict[str, list[NfVm]] = {}
         self._balancers: dict[str, ServiceLoadBalancer] = {}
         self._lb_policy = load_balance
-        self._tx_queues = [RingBuffer(sim, name=f"{name}/tx{i}", slots=4096,
-                                      columnar=columnar, stats=self.stats)
+        self._tx_queues = [RingBuffer(sim, name=f"{name}/tx{i}", slots=4096)
                            for i in range(tx_threads)]
         self._vm_tx_assignment: dict[str, RingBuffer] = {}
         self._next_tx = 0
@@ -452,9 +433,8 @@ class NfManager:
         self.rejected_messages = 0
         # Optional structured observability (repro.metrics.eventlog).
         self.event_log: typing.Any | None = None
-        tx_loop = self._tx_loop_columnar if columnar else self._tx_loop
         for queue in self._tx_queues:
-            sim.process(tx_loop(queue))
+            sim.process(self._tx_loop(queue))
         sim.process(self._fc_loop())
         sim.process(self._mgmt_loop())
 
@@ -467,8 +447,7 @@ class NfManager:
             raise ValueError(f"duplicate port {name!r}")
         port = NicPort(self.sim, name, line_rate_gbps, stats=self.stats)
         self.ports[name] = port
-        rx_loop = self._rx_loop_columnar if self.columnar else self._rx_loop
-        self.sim.process(rx_loop(port))
+        self.sim.process(self._rx_loop(port))
         return port
 
     def register_vm(self, nf: NetworkFunction, ring_slots: int = 512,
@@ -513,18 +492,6 @@ class NfManager:
         # Salvage order matters: the batch the VM already dequeued (but
         # had not processed) is older than anything still in its ring.
         drained = vm.take_pending_batch() + vm.rx_ring.drain()
-        if self.columnar:
-            # Batches salvage as rematerialized descriptors so the
-            # requeue/degrade/drop accounting below stays per-packet.
-            flattened: list[PacketDescriptor] = []
-            for item in drained:
-                if isinstance(item, PacketBatch):
-                    flattened.extend(
-                        descriptor for descriptor, _entry
-                        in self._explode_batch(item))
-                else:
-                    flattened.append(item)
-            drained = flattened
         vm.crash(cause)
         self.stats.failed_vms += 1
         survivors = self.vms_by_service.get(service, ())
@@ -892,97 +859,6 @@ class NfManager:
             self.stats.reactive_hits += 1
 
     # ------------------------------------------------------------------
-    # RX path, columnar variant
-    # ------------------------------------------------------------------
-    def _rx_loop_columnar(self, port: NicPort):
-        """Columnar RX thread: identical event structure to
-        :meth:`_rx_loop` — block for the head frame, sweep the burst,
-        one work sleep, one conditional dispatch sleep — but the burst
-        travels as a single :class:`PacketBatch` and flow plans resolve
-        once per distinct flow via :meth:`FlowTable.lookup_batch`.
-        """
-        costs = self.costs
-        while True:
-            packet: Packet = yield port.ingress.get()
-            batch = PacketBatch(port.name, self.sim.now)
-            batch.append(packet)
-            if self.burst_size > 1:
-                port.rx_burst_into(batch, self.burst_size - 1)
-            count = batch.count
-            self.stats.record_rx_batch(count)
-            self.stats.record_rx_bulk(count, batch.total_bytes)
-            burst_plans: dict = {}
-            entries, lookup_cost = self._classify_flows(
-                port.name, batch.distinct_flows(), burst_plans)
-            yield self.sim.sleep(costs.rx_burst_work_ns(count) + lookup_cost)
-            extra = self._dispatch_batch(batch, entries)
-            if extra:
-                yield self.sim.sleep(extra)
-
-    def _classify_flows(self, scope: str,
-                        flows: typing.Sequence[FiveTuple],
-                        burst_plans: dict
-                        ) -> tuple[dict, int]:
-        """Resolve a batch's distinct flows against one scope in bulk.
-
-        The columnar analogue of per-descriptor :meth:`_classify_in_burst`
-        calls: burst-plan and per-flow plan-cache hits are free, the
-        remaining flows go through :meth:`FlowTable.lookup_batch` in one
-        round, and every cache side effect (stale-plan invalidation,
-        first-contact classification, plan fill with FIFO eviction)
-        happens per flow in arrival order — exactly the object
-        pipeline's mutation sequence.  Returns ``(entries, cost_ns)``.
-        """
-        entries: dict = {}
-        generation = self.flow_table.generation
-        need: list[FiveTuple] = []
-        hits = 0
-        for flow in flows:
-            key = (scope, flow)
-            if key in burst_plans:
-                entries[flow] = burst_plans[key]
-                hits += 1
-                continue
-            if self.lookup_cache:
-                plan = self._plans.get(flow)
-                if plan is not None and plan["generation"] == generation:
-                    cached = plan["entries"].get(scope)
-                    if cached is not None:
-                        burst_plans[key] = cached
-                        entries[flow] = cached
-                        hits += 1
-                        continue
-            need.append(flow)
-        cost = 0
-        if need:
-            self.stats.lookup_batches += 1
-            cost = ((self.costs.header_extract_ns
-                     + self.costs.flow_lookup_ns) * len(need))
-            results = self.flow_table.lookup_batch(scope, need,
-                                                   now_ns=self.sim.now)
-            for flow, entry in zip(need, results):
-                if self.lookup_cache:
-                    plan = self._plans.get(flow)
-                    if plan is not None and plan["generation"] != generation:
-                        del self._plans[flow]
-                if entry is not None:
-                    if flow not in self._classified:
-                        self._classify_first_contact(flow, entry)
-                    if self.lookup_cache:
-                        if len(self._plans) >= _PLAN_CACHE_LIMIT:
-                            self._plans.pop(next(iter(self._plans)))
-                        plan = self._plans.setdefault(
-                            flow, {"generation": generation, "entries": {}})
-                        if plan["generation"] != generation:
-                            plan["generation"] = generation
-                            plan["entries"] = {}
-                        plan["entries"][scope] = entry
-                burst_plans[(scope, flow)] = entry
-                entries[flow] = entry
-        self.stats.lookup_batch_hits += hits
-        return entries, cost
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def _follow_entry(self, descriptor: PacketDescriptor,
@@ -1015,19 +891,13 @@ class NfManager:
                         destination.service_id))
         replicas = self.vms_by_service.get(destination.service_id, ())
         if not replicas:
-            self.stats.dropped_no_vm += 1
-            if not self._group_member_lost(descriptor):
-                self._release(descriptor.packet)
-            self._desc_free(descriptor)
+            self._drop(descriptor, "dropped_no_vm")
             return 0
         balancer = self._balancers[destination.service_id]
         vm, scan_cost = balancer.choose(replicas, descriptor.packet.flow)
         self.stats.record_service(destination.service_id)
         if not vm.rx_ring.try_enqueue(descriptor):
-            self.stats.dropped_ring_full += 1
-            if not self._group_member_lost(descriptor):
-                self._release(descriptor.packet)
-            self._desc_free(descriptor)
+            self._drop(descriptor, "dropped_ring_full")
         return scan_cost
 
     def _fan_out(self, descriptor: PacketDescriptor,
@@ -1081,134 +951,15 @@ class NfManager:
         return cost
 
     # ------------------------------------------------------------------
-    # Dispatch, columnar variant
-    # ------------------------------------------------------------------
-    def _dispatch_batch(self, batch: PacketBatch, entries: dict) -> int:
-        """Dispatch an RX batch along its flows' default actions.
-
-        When every flow resolves to the same single-replica non-parallel
-        service, the batch stays columnar and moves in one ring enqueue;
-        anything else (miss, parallel rule, multi-replica balancing,
-        port/drop default, mixed destinations) rematerializes descriptors
-        and walks the object path per packet.  Returns extra service cost
-        to charge, exactly as the object dispatch loop would.
-        """
-        target: str | None = None
-        bulk = True
-        for entry in entries.values():
-            if entry is None or entry.parallel:
-                bulk = False
-                break
-            destination = entry.default_action
-            if not isinstance(destination, ToService):
-                bulk = False
-                break
-            if target is None:
-                target = destination.service_id
-            elif destination.service_id != target:
-                bulk = False
-                break
-        if bulk and target is not None and self._bulk_service_ok(target):
-            return self._dispatch_batch_to_service(batch, target)
-        extra = 0
-        for descriptor, entry in self._explode_batch(batch, entries):
-            if entry is None:
-                self._fc_queue.try_put(descriptor)
-                continue
-            extra += self._follow_entry(descriptor, entry,
-                                        entry.default_action)
-        return extra
-
-    def _bulk_service_ok(self, service_id: str) -> bool:
-        """A batch may move to this service without per-packet decisions:
-        exactly one replica (the balancer is then a constant) and no
-        parallel chain registered for it."""
-        if self._parallel_chains and service_id in self._parallel_chains:
-            return False
-        return len(self.vms_by_service.get(service_id, ())) == 1
-
-    def _dispatch_batch_to_service(self, batch: PacketBatch,
-                                   service_id: str) -> int:
-        """Move a whole batch to a single-replica service's RX ring.
-
-        Accounting is identical to ``batch.count`` object dispatches:
-        one balancer decision and one service count per packet, ring
-        overflow drops the FIFO tail packet-by-packet.
-        """
-        vm = self.vms_by_service[service_id][0]
-        n = batch.count
-        # choose() with one replica is decisions += 1, scan cost 0.
-        self._balancers[service_id].decisions += n
-        self.stats.per_service_packets[service_id] += n
-        accepted = vm.rx_ring.enqueue_batch(batch)
-        if accepted < n:
-            # enqueue_batch left the rejected tail in ``batch``.
-            self.stats.dropped_ring_full += n - accepted
-            for packet in batch.packets:
-                self._release(packet)
-        return 0
-
-    def _explode_batch(self, batch: PacketBatch, entries: dict | None = None
-                       ) -> list[tuple[PacketDescriptor,
-                                       FlowTableEntry | None]]:
-        """Rematerialize a batch into per-packet descriptors (slow path).
-
-        The fallback boundary of the columnar kernel: every packet gets a
-        descriptor carrying the batch's scalar verdict/priority plus its
-        flow's cached lookup, and ``object_fallbacks`` counts the
-        rematerializations.
-        """
-        self.stats.object_fallbacks += batch.count
-        generation = self.flow_table.generation
-        scope = batch.scope
-        verdict = batch.verdict
-        ingress_at = batch.ingress_at
-        vm_priority = batch.vm_priority
-        out: list[tuple[PacketDescriptor, FlowTableEntry | None]] = []
-        for packet in batch.packets:
-            descriptor = self._desc_alloc(packet, scope, ingress_at)
-            descriptor.verdict = verdict
-            descriptor.vm_priority = vm_priority
-            entry = entries.get(packet.flow) if entries is not None else None
-            if entry is not None:
-                descriptor.cache_lookup(entry, generation)
-            out.append((descriptor, entry))
-        return out
-
-    # ------------------------------------------------------------------
     # TX path
     # ------------------------------------------------------------------
-    def tx_submit(self, descriptor: PacketDescriptor, vm: NfVm) -> None:
-        """Called by a VM when its NF finished with a packet."""
-        self.tx_submit_burst([descriptor], vm)
-
     def tx_submit_burst(self, descriptors: typing.Sequence[PacketDescriptor],
                         vm: NfVm) -> None:
         """Hand a VM's completed batch to its TX thread in one shot."""
         queue = self._vm_tx_assignment[vm.vm_id]
-        if self.columnar:
-            # Items may be PacketBatch or descriptors; the queue accounts
-            # capacity in packets either way.
-            for item in descriptors:
-                if isinstance(item, PacketBatch):
-                    n = item.count
-                    accepted = queue.enqueue_batch(item)
-                    if accepted < n:
-                        self.stats.dropped_ring_full += n - accepted
-                        for packet in item.packets:
-                            self._release(packet)
-                elif not queue.try_enqueue(item):
-                    self.stats.dropped_ring_full += 1
-                    if not self._group_member_lost(item):
-                        self._release(item.packet)
-                    self._desc_free(item)
-            return
         accepted = queue.enqueue_burst(descriptors)
         for descriptor in descriptors[accepted:]:
-            self.stats.dropped_ring_full += 1
-            if not self._group_member_lost(descriptor):
-                self._release(descriptor.packet)
-            self._desc_free(descriptor)
+            self._drop(descriptor, "dropped_ring_full")
 
     def _tx_loop(self, queue: RingBuffer):
         """One TX thread: burst-drain completed descriptors, resolve.
@@ -1261,139 +1012,6 @@ class NfManager:
                 extra += self._resolve_verdict(descriptor, entry)
             if extra:
                 yield self.sim.sleep(extra)
-
-    def _tx_loop_columnar(self, queue: RingBuffer):
-        """Columnar TX thread: same event structure as :meth:`_tx_loop`
-        (head get, burst sweep, work sleep, conditional merge / lookup /
-        dispatch sleeps) with the drain budget counted in packets and
-        uniform batches resolved in bulk."""
-        costs = self.costs
-        while True:
-            head = yield queue.get()
-            items = [head]
-            weight = batch_weight(head)
-            if weight < self.burst_size:
-                more = queue.dequeue_packets(self.burst_size - weight)
-                items.extend(more)
-                for item in more:
-                    weight += batch_weight(item)
-            self.stats.record_tx_batch(weight)
-            columnar_items = sum(1 for item in items
-                                 if isinstance(item, PacketBatch))
-            if columnar_items > 1:
-                # One drain charge covered several batches' packets.
-                self.stats.batch_merges += columnar_items - 1
-            yield self.sim.sleep(costs.tx_burst_work_ns(weight))
-            merged_any = False
-            merge_cost = 0
-            survivors: list = []
-            for item in items:
-                # Batches never carry parallel-group members; only
-                # descriptors can need absorbing.
-                if (not isinstance(item, PacketBatch)
-                        and item.group_id is not None):
-                    merged = self._absorb_group_member(item)
-                    if merged is None:
-                        continue
-                    item, member_count = merged
-                    merged_any = True
-                    merge_cost += (costs.parallel_merge_ns
-                                   * max(0, member_count - 1))
-                survivors.append(item)
-            if merged_any:
-                yield self.sim.sleep(merge_cost)
-            burst_plans: dict = {}
-            lookup_total = 0
-            resolved: list = []
-            for item in survivors:
-                if isinstance(item, PacketBatch):
-                    entries, lookup_cost = self._classify_flows(
-                        item.scope, item.distinct_flows(), burst_plans)
-                    lookup_total += lookup_cost
-                    resolved.append((item, entries))
-                else:
-                    assert item.verdict is not None
-                    entry, lookup_cost = self._classify_in_burst(item,
-                                                                 burst_plans)
-                    lookup_total += lookup_cost
-                    resolved.append((item, entry))
-            if lookup_total:
-                yield self.sim.sleep(lookup_total)
-            extra = 0
-            for item, entry in resolved:
-                if isinstance(item, PacketBatch):
-                    extra += self._resolve_batch(item, entry)
-                else:
-                    extra += self._resolve_verdict(item, entry)
-            if extra:
-                yield self.sim.sleep(extra)
-
-    def _resolve_batch(self, batch: PacketBatch, entries: dict) -> int:
-        """Resolve a whole batch's scalar verdict against its flows' rules.
-
-        Bulk paths: a discard verdict, or every flow agreeing on one
-        destination that is a known port, a bulk-eligible service, or a
-        drop.  A Send-to that any flow's rule disallows falls back to the
-        object path so per-packet policy accounting runs unchanged.
-        """
-        verdict = batch.verdict
-        assert verdict is not None
-        if verdict.kind is NfVerdict.DISCARD:
-            self.stats.dropped_by_nf += batch.count
-            for packet in batch.packets:
-                self._release(packet)
-            return 0
-        destination: Destination | None = None
-        bulk = True
-        for entry in entries.values():
-            if entry is None:
-                bulk = False
-                break
-            if verdict.kind is NfVerdict.SEND:
-                flow_dest = verdict.destination
-                assert flow_dest is not None
-                if not entry.allows(flow_dest):
-                    bulk = False
-                    break
-            else:
-                flow_dest = entry.default_action
-            if entry.parallel and flow_dest == entry.default_action:
-                bulk = False
-                break
-            if destination is None:
-                destination = flow_dest
-            elif flow_dest != destination:
-                bulk = False
-                break
-        if bulk and destination is not None:
-            if isinstance(destination, ToPort):
-                port = self.ports.get(destination.port)
-                if port is not None:
-                    self._egress_batch(batch, destination.port, port)
-                    return 0
-            elif isinstance(destination, Drop):
-                self.stats.dropped_by_nf += batch.count
-                for packet in batch.packets:
-                    self._release(packet)
-                return 0
-            elif (isinstance(destination, ToService)
-                  and self._bulk_service_ok(destination.service_id)):
-                return self._dispatch_batch_to_service(
-                    batch, destination.service_id)
-        extra = 0
-        for descriptor, entry in self._explode_batch(batch, entries):
-            extra += self._resolve_verdict(descriptor, entry)
-        return extra
-
-    def _egress_batch(self, batch: PacketBatch, port_name: str,
-                      port: NicPort) -> None:
-        """Transmit a whole batch out one port: one stats update, then
-        the per-packet release/transmit interleaving the wire's timer
-        cascade depends on."""
-        self.stats.record_tx_bulk(port_name, batch.count, batch.total_bytes)
-        for packet in batch.packets:
-            packet.release()
-            port.transmit(packet)
 
     def _capture_group_writes(self, descriptor: PacketDescriptor) -> None:
         """Journal a parallel member's packet writes (merge stage).
@@ -1727,11 +1345,9 @@ class NfManager:
         entries = self.flow_table.entries(scope)
         # Rules entirely inside F (including per-flow specializations) are
         # rewritten in place.
-        rewritten = False
         for entry in entries:
             if flows.subsumes(entry.match):
                 self.install_rule(entry.with_default(new_default))
-                rewritten = True
         # Broader rules that merely overlap F get a higher-priority
         # override carved out for the F region.
         broader = [entry for entry in entries
@@ -1746,8 +1362,6 @@ class NfManager:
                 parallel=template.parallel,
                 priority=template.priority + 1)
             self.install_rule(override)
-        elif not rewritten:
-            return
 
     # ------------------------------------------------------------------
     # Terminal actions

@@ -12,49 +12,27 @@ from __future__ import annotations
 
 import typing
 
-from repro.net.batch import PacketBatch
 from repro.sim.events import Event
 from repro.sim.store import Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.dataplane.stats import HostStats
     from repro.sim.simulator import Simulator
 
 DEFAULT_RING_SLOTS = 512
 
 
-def batch_weight(item: typing.Any) -> int:
-    """Slots an item occupies: a batch weighs its packet count."""
-    return item.count if isinstance(item, PacketBatch) else 1
-
-
 class RingBuffer:
-    """A bounded descriptor queue with drop-on-full producer semantics.
-
-    In ``columnar`` mode the ring moves :class:`PacketBatch` items
-    alongside plain descriptors and accounts capacity in *packets*, not
-    items: a 32-packet batch occupies 32 slots, so drop behaviour is
-    identical to the object pipeline enqueueing 32 descriptors.  Batches
-    split FIFO-prefix-wise at the capacity boundary and at consumer
-    dequeue budgets; splits are reported to ``stats.batch_splits``.
-    """
+    """A bounded descriptor queue with drop-on-full producer semantics."""
 
     def __init__(self, sim: Simulator, name: str,
-                 slots: int = DEFAULT_RING_SLOTS,
-                 columnar: bool = False,
-                 stats: HostStats | None = None) -> None:
+                 slots: int = DEFAULT_RING_SLOTS) -> None:
         if slots <= 0:
             raise ValueError("ring must have at least one slot")
         self.name = name
         self.slots = slots
-        self.columnar = columnar
-        self.stats = stats
         # Ring poll events are only ever yielded by the consumer loop, so
         # they recycle through the simulator's kernel free list.
         self._store = Store(sim, capacity=slots, recycle=True)
-        # Deque-resident packet count (items handed straight to a parked
-        # consumer never transit the deque, mirroring Store occupancy).
-        self._packets = 0
         self.enqueued = 0
         self.dropped = 0
 
@@ -64,107 +42,19 @@ class RingBuffer:
     @property
     def occupancy(self) -> int:
         """Occupied slots — what queue-length load balancing inspects."""
-        if self.columnar:
-            return self._packets
         return len(self._store)
 
     @property
     def is_full(self) -> bool:
-        if self.columnar:
-            return self._packets >= self.slots
         return self._store.is_full
-
-    def _put_one(self, item: typing.Any) -> bool:
-        """Single-slot put with packet-weighted capacity in columnar
-        mode (same handoff-then-append discipline as ``Store.try_put``)."""
-        if not self.columnar:
-            return self._store.try_put(item)
-        store = self._store
-        items = store.items
-        if store._getters and not items:
-            getter = store._pop_live_getter()
-            if getter is not None:
-                getter.succeed(item)
-                return True
-        if self._packets >= self.slots:
-            return False
-        items.append(item)
-        self._packets += 1
-        return True
 
     def try_enqueue(self, item: typing.Any) -> bool:
         """Producer side: non-blocking put; False means the packet dropped."""
-        if self._put_one(item):
+        if self._store.try_put(item):
             self.enqueued += 1
             return True
         self.dropped += 1
         return False
-
-    def enqueue_batch(self, batch: PacketBatch) -> int:
-        """Producer side: enqueue a whole batch without per-item boxing.
-
-        Accepts the longest FIFO prefix that fits the packet-weighted
-        capacity (splitting the batch at the boundary) and returns the
-        number of packets accepted — the same count ``len(batch)``
-        descriptor enqueues would have accepted.  On partial accept the
-        caller keeps the rejected tail *in* ``batch``; a fully accepted
-        batch is owned by the ring afterwards.
-        """
-        n = batch.count
-        if n == 0:
-            return 0
-        store = self._store
-        items = store.items
-        if store._getters and not items:
-            getter = store._pop_live_getter()
-            if getter is not None:
-                # A parked consumer takes the head straight off the wire
-                # (object parity: one descriptor hands off, the rest
-                # append subject to capacity — min(n, slots + 1) total).
-                accepted = min(n, self.slots + 1)
-                handed = batch if accepted == n else self._split(
-                    batch, accepted)
-                getter.succeed(handed)
-                self.enqueued += accepted
-                self.dropped += n - accepted
-                return accepted
-        accepted = min(n, self.slots - self._packets)
-        if accepted > 0:
-            handed = batch if accepted == n else self._split(batch, accepted)
-            items.append(handed)
-            self._packets += accepted
-            self.enqueued += accepted
-        else:
-            accepted = 0
-        self.dropped += n - accepted
-        return accepted
-
-    def _split(self, batch: PacketBatch, k: int) -> PacketBatch:
-        if self.stats is not None:
-            self.stats.batch_splits += 1
-        return batch.split(k)
-
-    def dequeue_packets(self, budget: int) -> list[typing.Any]:
-        """Consumer side: remove whole items worth up to ``budget``
-        packets, splitting the deque head when it straddles the budget.
-
-        The columnar analogue of ``dequeue_burst`` — the consumer drains
-        exactly the packets the object pipeline would have dequeued as
-        individual descriptors.
-        """
-        items: list[typing.Any] = []
-        store_items = self._store.items
-        while budget > 0 and store_items:
-            head = store_items[0]
-            weight = batch_weight(head)
-            if weight <= budget:
-                items.append(self.try_get())
-                budget -= weight
-            else:
-                items.append(self._split(head, budget))
-                self._packets -= budget
-                break
-        return items
 
     def enqueue_burst(self, items: typing.Sequence[typing.Any]) -> int:
         """Producer side: enqueue a burst, dropping the tail when full.
@@ -174,9 +64,10 @@ class RingBuffer:
         every rejected item counts as one drop (per-slot accounting is
         identical to ``len(items)`` calls to :meth:`try_enqueue`).
         """
+        put = self._store.try_put
         accepted = 0
         for item in items:
-            if not self._put_one(item):
+            if not put(item):
                 break
             self.enqueued += 1
             accepted += 1
@@ -200,21 +91,10 @@ class RingBuffer:
 
     def get(self) -> Event:
         """Consumer side: event yielding the next descriptor."""
-        if self.columnar:
-            items = self._store.items
-            head = items[0] if items else None
-            event = self._store.get()
-            if head is not None:
-                # A non-empty store satisfies the get synchronously.
-                self._packets -= batch_weight(head)
-            return event
         return self._store.get()
 
     def try_get(self) -> typing.Any | None:
-        item = self._store.try_get()
-        if item is not None and self.columnar:
-            self._packets -= batch_weight(item)
-        return item
+        return self._store.try_get()
 
     def drain(self) -> list[typing.Any]:
         """Remove and return every queued item (failover salvage path)."""

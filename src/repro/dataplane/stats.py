@@ -10,8 +10,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 
-from repro.net.batch import columnar_kernel
-
 
 @dataclasses.dataclass
 class HostStats:
@@ -60,11 +58,8 @@ class HostStats:
     rx_batches: int = 0
     tx_batches: int = 0
     vm_batches: int = 0
-    # Columnar kernel: batches built at RX, packets rematerialized to
-    # descriptors for slow paths (the fallback rate), burst flow-lookup
-    # rounds and their dedup hits, and batch split/merge structure
-    # audits (splits at ring/budget boundaries, merges when one service
-    # charge covers several batches).  All zero when columnar=False.
+    # Counters of a retired second data path.  Nothing increments them;
+    # they stay at 0 so summary() keeps its keys and their order.
     columnar_batches: int = 0
     object_fallbacks: int = 0
     lookup_batches: int = 0
@@ -105,22 +100,6 @@ class HostStats:
     def record_vm_batch(self, size: int) -> None:
         self.vm_batches += 1
         self.vm_batch_occupancy[size] += 1
-
-    @columnar_kernel
-    def record_rx_bulk(self, count: int, nbytes: int) -> None:
-        """Batch-wide RX accounting — one update per burst, identical
-        totals to ``count`` :meth:`record_rx` calls."""
-        self.rx_packets += count
-        self.rx_bytes += nbytes
-        self.columnar_batches += 1
-
-    @columnar_kernel
-    def record_tx_bulk(self, port: str, count: int, nbytes: int) -> None:
-        """Batch-wide TX accounting — identical totals to ``count``
-        :meth:`record_tx` calls."""
-        self.tx_packets += count
-        self.tx_bytes += nbytes
-        self.per_port_tx_bytes[port] += nbytes
 
     def flow_setups(self) -> int:
         """Flows whose first contact has been classified."""

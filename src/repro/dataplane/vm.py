@@ -21,9 +21,7 @@ import typing
 
 from repro.dataplane.costs import HostCosts
 from repro.dataplane.descriptors import PacketDescriptor
-from repro.dataplane.rings import (DEFAULT_RING_SLOTS, RingBuffer,
-                                   batch_weight)
-from repro.net.batch import PacketBatch
+from repro.dataplane.rings import DEFAULT_RING_SLOTS, RingBuffer
 from repro.nfs.base import NetworkFunction, NfContext
 from repro.sim.events import Interrupt
 
@@ -48,9 +46,7 @@ class NfVm:
         self.vm_id = f"vm{next(manager._vm_ids)}-{nf.service_id}"
         self.priority = priority
         self.rx_ring = RingBuffer(self.sim, name=f"{self.vm_id}/rx",
-                                  slots=ring_slots,
-                                  columnar=manager.columnar,
-                                  stats=manager.stats)
+                                  slots=ring_slots)
         self.packets_processed = 0
         self.packets_lost = 0
         self.busy_ns = 0
@@ -120,8 +116,7 @@ class NfVm:
         if self._process is not None:
             raise RuntimeError(f"{self.vm_id} already started")
         self.nf.on_register(self.ctx)
-        loop = self._run_columnar if self.manager.columnar else self._run
-        self._process = self.sim.process(loop())
+        self._process = self.sim.process(self._run())
 
     # ------------------------------------------------------------------
     # Fault surface (driven by repro.faults)
@@ -217,95 +212,6 @@ class NfVm:
         except Interrupt as interrupt:
             self._on_killed(str(interrupt.cause or "crash"))
 
-    def _run_columnar(self):
-        """The columnar packet loop: same event structure as :meth:`_run`
-        (head get, packet-budget sweep, one work sleep, one handoff timer
-        per distinct delay), but uniform batches of an NF that implements
-        :meth:`~repro.nfs.base.NetworkFunction.process_batch` are served
-        with a single call and never rematerialized.  NFs without batch
-        support (or with data-dependent costs) get their batches exploded
-        to descriptors before the work sleep — correct, just counted in
-        ``object_fallbacks``.  On a crash the whole in-flight head item
-        dies: for a batch that is every packet in it, the columnar
-        analogue of losing the head descriptor.
-        """
-        costs: HostCosts = self.manager.costs
-        nf_type = type(self.nf)
-        batch_ok = (
-            nf_type.process_batch is not NetworkFunction.process_batch
-            and nf_type.processing_cost_ns
-            is NetworkFunction.processing_cost_ns)
-        try:
-            while True:
-                head = yield self.rx_ring.get()
-                items = [head]
-                weight = batch_weight(head)
-                if weight < self.manager.burst_size:
-                    more = self.rx_ring.dequeue_packets(
-                        self.manager.burst_size - weight)
-                    items.extend(more)
-                    for item in more:
-                        weight += batch_weight(item)
-                self.manager.stats.record_vm_batch(weight)
-                # Explode batches the NF can't take whole *before* the
-                # work sleep, so per-packet costs and crash accounting
-                # see descriptors, exactly like the object loop.
-                work_items: list = []
-                for item in items:
-                    if isinstance(item, PacketBatch) and not batch_ok:
-                        work_items.extend(
-                            descriptor for descriptor, _entry
-                            in self.manager._explode_batch(item))
-                    else:
-                        work_items.append(item)
-                self.inflight = work_items[0]
-                self._pending = work_items[1:]
-                self.last_progress_ns = self.sim.now
-                if self._hung:
-                    yield self.sim.event()
-                jobs = []
-                work = costs.vm_batch_poll_ns
-                for item in work_items:
-                    if isinstance(item, PacketBatch):
-                        cost = ((costs.vm_service_ns
-                                 + self.nf.per_packet_cost_ns) * item.count)
-                    else:
-                        cost = (costs.vm_service_ns
-                                + self.nf.processing_cost_ns(item.packet,
-                                                             self.ctx))
-                    jobs.append((item, cost))
-                    work += cost
-                self._busy_until_ns = self.sim.now + work
-                yield self.sim.sleep(work)
-                self.busy_ns += work
-                handoff: dict[int, list] = {}
-                for item, _cost in jobs:
-                    if isinstance(item, PacketBatch):
-                        self.packets_processed += item.count
-                        item.verdict = self.nf.handle_batch(item, self.ctx)
-                        item.scope = self.service_id
-                        item.vm_priority = self.priority
-                        delay = costs.vm_pipeline_latency_ns
-                    else:
-                        self.packets_processed += 1
-                        item.verdict = self.nf.handle_packet(item.packet,
-                                                             self.ctx)
-                        item.scope = self.service_id
-                        item.vm_priority = self.priority
-                        delay = costs.vm_pipeline_latency_ns
-                        if item.group_id is not None:
-                            self.manager._capture_group_writes(item)
-                            delay += (costs.parallel_stagger_ns
-                                      * item.group_index)
-                    handoff.setdefault(delay, []).append(item)
-                self._pending = []
-                self.inflight = None
-                self.last_progress_ns = self.sim.now
-                for delay, done in handoff.items():
-                    self.sim.call_later(delay, self._submit_batch, done)
-        except Interrupt as interrupt:
-            self._on_killed(str(interrupt.cause or "crash"))
-
     def _submit_batch(self, descriptors: list[PacketDescriptor]) -> None:
         self.manager.tx_submit_burst(descriptors, self)
 
@@ -313,15 +219,6 @@ class NfVm:
         self.failed = True
         self.failure_cause = cause
         self._hung = False
-        if isinstance(self.inflight, PacketBatch):
-            # Columnar head item: the whole batch was in the NF's hands.
-            batch, self.inflight = self.inflight, None
-            count = batch.count
-            self.packets_lost += count
-            self.manager.stats.lost_in_nf += count
-            for packet in batch.packets:
-                packet.free()
-            return
         if self.inflight is not None:
             # The packet the NF was holding dies with it.  A parallel-
             # group member must run group bookkeeping first: when every

@@ -5,7 +5,6 @@ Models the parts of the network stack that SDNFV's data plane inspects:
 (HTTP, memcached) that the application-aware NFs parse.
 """
 
-from repro.net.batch import PacketBatch, columnar_kernel
 from repro.net.flow import FiveTuple, FlowMatch
 from repro.net.headers import (
     PROTO_ICMP,
@@ -37,12 +36,10 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "Packet",
-    "PacketBatch",
     "PacketPool",
     "TcpHeader",
     "UdpHeader",
     "classify_content_type",
-    "columnar_kernel",
     "ip_to_int",
     "ip_to_str",
     "wire_bits",

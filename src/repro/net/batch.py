@@ -1,32 +1,11 @@
-"""Struct-of-arrays packet batches for the columnar burst kernel.
+"""Columnar boundary transport: the sharded kernel's wire format.
 
-The object pipeline (PR 2/3) moves one ``PacketDescriptor`` per packet
-through the rings; every hot-loop touch is a Python attribute access.
-A :class:`PacketBatch` instead represents one burst-sized run of packets
-that share a scope and (after an NF pass) a verdict, keeping the
-per-packet facts as parallel *columns*:
-
-- packed five-tuple keys (the PR 3 cached ``FiveTuple._packed_key``),
-- FNV hash buckets,
-- wire lengths,
-- arrival timestamps (one scalar broadcast — a batch is born from a
-  single RX burst and never merges across bursts),
-- per-packet flags (bit 0: pool-backed).
-
-Columns are built lazily from the row store (``batch.packets``) on
-first access — numpy arrays when available, stdlib ``array`` otherwise,
-with identical element values either way.  Rich ``Packet`` objects are
-only rematerialized (``materialize()``) when an NF or a slow path
-declares it needs them; the SIM006 lint rule polices that boundary for
-functions marked with :func:`columnar_kernel`.
-
-Batch discipline that keeps golden parity exact:
-
-- a batch holds at most one RX burst (``burst_size`` packets);
-- batches split FIFO-prefix-wise (ring capacity, dequeue budgets) and
-  never merge or reorder;
-- scalar fields (``scope``, ``verdict``, ``vm_priority``,
-  ``ingress_at``) apply to every row.
+Worker-mode shards exchange each window's boundary events (packets
+crossing a fabric link between shards) as a :class:`BoundaryBatch`:
+a handful of packed int64 columns plus small dictionary tables instead
+of one pickled tuple per packet.  Columns are numpy arrays when numpy
+is available and stdlib ``array`` objects otherwise, with identical
+element values either way.
 """
 
 from __future__ import annotations
@@ -35,250 +14,6 @@ import typing
 from array import array
 
 from repro._compat import HAVE_NUMPY, numpy as np
-from repro.net.flow import FiveTuple
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.net.packet import Packet
-
-FLAG_POOLED = 0x01
-
-_T = typing.TypeVar("_T", bound=typing.Callable)
-
-
-def columnar_kernel(func: _T) -> _T:
-    """Mark ``func`` as a columnar kernel.
-
-    Kernels promise to work on batch columns and scalars only — no
-    per-packet Python-object allocation and no per-row iteration of the
-    packet store.  The marker is what the SIM006 lint rule keys on.
-    """
-    func.__columnar_kernel__ = True  # type: ignore[attr-defined]
-    return func
-
-
-class PacketBatch:
-    """One contiguous run of packets moving through the columnar path."""
-
-    __slots__ = ("packets", "scope", "ingress_at", "verdict", "vm_priority",
-                 "total_bytes", "_first_flow", "_uniform",
-                 "_sizes", "_keys", "_buckets", "_flags")
-
-    def __init__(self, scope: str, ingress_at: int = 0) -> None:
-        self.packets: list[Packet] = []
-        self.scope = scope
-        self.ingress_at = ingress_at
-        self.verdict = None
-        self.vm_priority = 0
-        self.total_bytes = 0
-        self._first_flow: FiveTuple | None = None
-        self._uniform = True
-        self._sizes = None
-        self._keys = None
-        self._buckets = None
-        self._flags = None
-
-    # ------------------------------------------------------------------
-    # row store
-    # ------------------------------------------------------------------
-
-    def append(self, packet: Packet) -> None:
-        """Add one packet (RX build loop — inherently per-row)."""
-        self.packets.append(packet)
-        self.total_bytes += packet.size
-        flow = packet.flow
-        if self._first_flow is None:
-            self._first_flow = flow
-        elif self._uniform and flow is not self._first_flow \
-                and flow != self._first_flow:
-            self._uniform = False
-        self._sizes = self._keys = self._buckets = self._flags = None
-
-    @property
-    def count(self) -> int:
-        return len(self.packets)
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PacketBatch(scope={self.scope!r} n={len(self.packets)} "
-                f"bytes={self.total_bytes} uniform={self._uniform})")
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when every row belongs to one flow."""
-        return self._uniform
-
-    @property
-    def uniform_flow(self) -> FiveTuple | None:
-        """The single flow of a uniform batch (``None`` when mixed)."""
-        return self._first_flow if self._uniform else None
-
-    def distinct_flows(self) -> list[FiveTuple]:
-        """Distinct flows in first-seen arrival order.
-
-        This is the burst-level dedup behind "one plan resolution per
-        distinct flow per burst": classification walks this list, not
-        the row store.
-        """
-        if self._uniform:
-            return [] if self._first_flow is None else [self._first_flow]
-        seen: dict[FiveTuple, None] = {}
-        for packet in self.packets:
-            seen.setdefault(packet.flow, None)
-        return list(seen)
-
-    def flow_runs(self) -> list[tuple[FiveTuple, int]]:
-        """``(flow, run_length)`` for consecutive same-flow runs."""
-        runs: list[tuple[FiveTuple, int]] = []
-        if self._uniform:
-            if self._first_flow is not None:
-                runs.append((self._first_flow, len(self.packets)))
-            return runs
-        current: FiveTuple | None = None
-        length = 0
-        for packet in self.packets:
-            flow = packet.flow
-            if current is not None and (flow is current or flow == current):
-                length += 1
-                continue
-            if current is not None:
-                runs.append((current, length))
-            current, length = flow, 1
-        if current is not None:
-            runs.append((current, length))
-        return runs
-
-    def materialize(self) -> list[Packet]:
-        """Hand back the rich per-packet objects (the slow-path escape
-        hatch — calling this inside a columnar kernel is a SIM006
-        violation)."""
-        return self.packets
-
-    # ------------------------------------------------------------------
-    # columns (lazy; numpy when available, stdlib ``array`` otherwise)
-    # ------------------------------------------------------------------
-
-    def _build_columns(self) -> None:
-        sizes = array("q")
-        keys: list[tuple[int, int, int, int, int]] = []
-        flags = array("B")
-        for packet in self.packets:
-            sizes.append(packet.size)
-            keys.append(packet.flow._packed_key())
-            flags.append(FLAG_POOLED if packet.pool is not None else 0)
-        if HAVE_NUMPY:
-            self._sizes = np.asarray(sizes, dtype=np.int64)
-            self._keys = np.asarray(keys, dtype=np.int64).reshape(-1, 5)
-            self._flags = np.asarray(flags, dtype=np.uint8)
-        else:
-            self._sizes = sizes
-            self._keys = keys
-            self._flags = flags
-
-    def sizes(self):
-        """Wire lengths column (int64)."""
-        if self._sizes is None:
-            self._build_columns()
-        return self._sizes
-
-    def packed_keys(self):
-        """Packed five-tuple column: rows of
-        ``(src_ip, dst_ip, protocol, src_port, dst_port)`` as ints."""
-        if self._keys is None:
-            self._build_columns()
-        return self._keys
-
-    def flags(self):
-        """Per-packet flag bits column (uint8)."""
-        if self._flags is None:
-            self._build_columns()
-        return self._flags
-
-    def arrivals(self):
-        """Arrival-timestamp column — the scalar ``ingress_at``
-        broadcast (a batch is born from one RX burst)."""
-        n = len(self.packets)
-        if HAVE_NUMPY:
-            return np.full(n, self.ingress_at, dtype=np.int64)
-        return array("q", [self.ingress_at]) * n
-
-    @columnar_kernel
-    def hash_buckets(self, buckets: int):
-        """FNV-1a hash-bucket column over the packed keys, identical to
-        per-packet ``FiveTuple.hash_bucket`` either way."""
-        if self._buckets is None or self._buckets[1] != buckets:
-            column = self._hash_column(buckets)
-            self._buckets = (column, buckets)
-        return self._buckets[0]
-
-    def _hash_column(self, buckets: int):
-        keys = self.packed_keys()
-        if HAVE_NUMPY:
-            mask = (1 << 63) - 1
-            value = np.full(len(self.packets), 1469598103934665603,
-                            dtype=np.uint64)
-            prime = np.uint64(1099511628211)
-            rows = keys.astype(np.uint64)
-            for column in range(rows.shape[1]):
-                value = ((value ^ rows[:, column]) * prime) & np.uint64(mask)
-            return (value % np.uint64(buckets)).astype(np.int64)
-        column = array("q")
-        for key in keys:
-            value = 1469598103934665603
-            for part in key:
-                value = ((value ^ part) * 1099511628211) % (1 << 63)
-            column.append(value % buckets)
-        return column
-
-    # ------------------------------------------------------------------
-    # structural ops
-    # ------------------------------------------------------------------
-
-    @columnar_kernel
-    def split(self, k: int) -> PacketBatch:
-        """FIFO split: return a new batch holding the first ``k`` rows;
-        this batch keeps the tail.  Columns are dropped and rebuilt
-        lazily on the halves."""
-        head = PacketBatch(self.scope, self.ingress_at)
-        head.verdict = self.verdict
-        head.vm_priority = self.vm_priority
-        moved = self.packets[:k]
-        head.packets = moved
-        self.packets = self.packets[k:]
-        if self._sizes is not None:
-            moved_bytes = int(sum(self._sizes[:k]))
-        else:
-            moved_bytes = sum(packet.size for packet in moved)
-        head.total_bytes = moved_bytes
-        self.total_bytes -= moved_bytes
-        head._first_flow = moved[0].flow if moved else None
-        if self._uniform:
-            head._uniform = True
-            self._first_flow = (self.packets[0].flow
-                                if self.packets else None)
-        else:
-            head._uniform = head._scan_uniform()
-            self._first_flow = (self.packets[0].flow
-                                if self.packets else None)
-            self._uniform = self._scan_uniform()
-        self._sizes = self._keys = self._buckets = self._flags = None
-        return head
-
-    def _scan_uniform(self) -> bool:
-        first = self._first_flow
-        if first is None:
-            return True
-        for packet in self.packets:
-            flow = packet.flow
-            if flow is not first and flow != first:
-                return False
-        return True
-
-
-# ----------------------------------------------------------------------
-# Columnar boundary transport (the sharded kernel's wire format)
-# ----------------------------------------------------------------------
 
 #: Field layout of one boundary event as captured by
 #: ``repro.sim.sharded.ShardRuntime._capture`` — the row format that

@@ -23,7 +23,6 @@ from repro.net.packet import Packet
 if typing.TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from repro.net.batch import PacketBatch
     from repro.sim.simulator import Simulator
 
 
@@ -137,31 +136,6 @@ class NetworkFunction:
         if not isinstance(verdict, Verdict):
             raise TypeError(
                 f"{type(self).__name__}.process returned "
-                f"{type(verdict).__name__}, expected Verdict")
-        return verdict
-
-    def process_batch(self, batch: PacketBatch, ctx: NfContext) -> Verdict:
-        """Handle a whole columnar batch with one verdict.
-
-        Opt-in: NFs that can decide from the batch columns (or one pass
-        over uniform-flow metadata) override this, and the columnar VM
-        loop then skips per-packet materialization entirely.  NFs that
-        leave it unimplemented get rematerialized ``Packet`` objects via
-        :meth:`process` — correct, just slower (counted in
-        ``HostStats.object_fallbacks``).  Only called when
-        :meth:`processing_cost_ns` is not overridden either, so flat
-        per-packet costs stay a single multiply.
-        """
-        raise NotImplementedError
-
-    def handle_batch(self, batch: PacketBatch, ctx: NfContext) -> Verdict:
-        """Wrapper the columnar VM loop calls — bookkeeping identical
-        to ``batch.count`` :meth:`handle_packet` calls."""
-        self.packets_seen += batch.count
-        verdict = self.process_batch(batch, ctx)
-        if not isinstance(verdict, Verdict):
-            raise TypeError(
-                f"{type(self).__name__}.process_batch returned "
                 f"{type(verdict).__name__}, expected Verdict")
         return verdict
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import collections
 
 from repro.dataplane.actions import Verdict
-from repro.net.batch import PacketBatch, columnar_kernel
 from repro.net.packet import Packet
 from repro.nfs.base import NetworkFunction, NfContext
 
@@ -16,10 +15,6 @@ class NoOpNf(NetworkFunction):
     read_only = True
 
     def process(self, packet: Packet, ctx: NfContext) -> Verdict:
-        return Verdict.default()
-
-    @columnar_kernel
-    def process_batch(self, batch: PacketBatch, ctx: NfContext) -> Verdict:
         return Verdict.default()
 
 
@@ -40,17 +35,6 @@ class CounterNf(NetworkFunction):
     def process(self, packet: Packet, ctx: NfContext) -> Verdict:
         self.packets[packet.flow] += 1
         self.bytes[packet.flow] += packet.size
-        return Verdict.default()
-
-    def process_batch(self, batch: PacketBatch, ctx: NfContext) -> Verdict:
-        flow = batch.uniform_flow
-        if flow is not None:
-            self.packets[flow] += batch.count
-            self.bytes[flow] += batch.total_bytes
-            return Verdict.default()
-        for packet in batch.packets:
-            self.packets[packet.flow] += 1
-            self.bytes[packet.flow] += packet.size
         return Verdict.default()
 
     def totals(self) -> tuple[int, int]:

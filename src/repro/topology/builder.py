@@ -128,7 +128,6 @@ def build_network(sim: Simulator, topology: Topology,
                   line_rate_gbps: float = 10.0,
                   burst_size: int = DEFAULT_BURST_SIZE,
                   pool_size: int = DEFAULT_POOL_SIZE,
-                  columnar: bool = False,
                   seed: int = 0,
                   verify: bool = False,
                   only_hosts: typing.Iterable[str] | None = None
@@ -138,8 +137,8 @@ def build_network(sim: Simulator, topology: Topology,
     Each host gets ``ingress_port`` and ``exit_port`` plus one trunk port
     per attached link, named ``to-<neighbor>``.  Link delays carry over
     to the fabric wires; link capacities to the trunk line rates.
-    ``burst_size`` / ``pool_size`` / ``columnar`` / ``seed`` / ``verify``
-    pass through to every :class:`NfvHost` (same names, same defaults).
+    ``burst_size`` / ``pool_size`` / ``seed`` / ``verify`` pass
+    through to every :class:`NfvHost` (same names, same defaults).
 
     ``only_hosts`` realizes a subset of the NFV hosts (one shard's
     share); links to unrealized neighbors are returned as
@@ -167,7 +166,7 @@ def build_network(sim: Simulator, topology: Topology,
                        extra_ports=trunk_ports,
                        line_rate_gbps=line_rate_gbps,
                        burst_size=burst_size, pool_size=pool_size,
-                       columnar=columnar, seed=seed, verify=verify)
+                       seed=seed, verify=verify)
         hosts[name] = host
         fabric.add_host(host)
 

@@ -218,45 +218,6 @@ class TestSim005CrossShardSharing:
         assert self.sharded_violations(good) == []
 
 
-class TestSim006ColumnarKernelPurity:
-    def test_rejects_row_objects_and_per_row_iteration(self):
-        bad = """
-            from repro.net.batch import columnar_kernel
-
-            class Kernel:
-                @columnar_kernel
-                def lookup(self, batch):
-                    total = 0
-                    for packet in batch.packets:
-                        total += packet.size
-                    rows = batch.materialize()
-                    shadow = [packet.flow for packet in batch.packets]
-                    descriptor = PacketDescriptor(rows[0])
-                    return total, shadow, descriptor
-        """
-        found = violations(bad, "SIM006")
-        assert len(found) == 4
-        assert "per-row iteration" in found[0].message
-        assert "materialize()" in found[1].message
-        assert "comprehension" in found[2].message
-        assert "PacketDescriptor()" in found[3].message
-
-    def test_accepts_column_math_and_undecorated_row_access(self):
-        good = """
-            from repro.net.batch import columnar_kernel
-
-            class Kernel:
-                @columnar_kernel
-                def lookup(self, batch):
-                    sizes = batch.sizes()
-                    return batch.count, int(sum(sizes))
-
-                def slow_path(self, batch):  # undecorated: rows are fine
-                    return [packet.size for packet in batch.packets]
-        """
-        assert violations(good, "SIM006") == []
-
-
 class TestOwn001BufferBalance:
     def test_rejects_leaky_branch(self):
         bad = """
@@ -565,7 +526,7 @@ class TestEngine:
 
     def test_all_rules_registered(self):
         assert set(RULES) == {"SIM001", "SIM002", "SIM003", "SIM004",
-                              "SIM005", "SIM006", "OWN001", "FLOW001",
+                              "SIM005", "OWN001", "FLOW001",
                               "NF001", "NF002", "NF003"}
 
 
