@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import typing
 
 from repro.dataplane.actions import Destination, Drop, ToService
 from repro.net.flow import FiveTuple, FlowMatch
