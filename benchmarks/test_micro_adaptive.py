@@ -1,32 +1,29 @@
-"""Micro-benchmark: adaptive per-pair lookahead + columnar transport.
+"""Micro-benchmark: adaptive per-pair lookahead on a WAN chain.
 
 The worst case for a global-minimum lookahead is one fast link in an
 otherwise slow topology: a 12-host WAN chain whose crossing links are
 all 5 ms except a single 50 us intra-DC hop in the middle.  At
-``shards=12`` the uniform schedule barriers *every* shard every 50 us;
-the adaptive schedule confines the microsecond cadence to the two
-shards actually coupled by the fast link and advances the other ten in
-5 ms WAN strides.  Three gates:
+``shards=12`` a global barrier would stop *every* shard every 50 us;
+the schedule confines the microsecond cadence to the two shards
+actually coupled by the fast link and advances the other ten in 5 ms
+WAN strides.  Three gates, all deterministic:
 
-- **Correctness (always):** uniform/adaptive and pickle/columnar runs
-  all report identical network totals, equal to the monolithic
-  ``shards=1`` run.
-- **Window reduction (always, deterministic):** the adaptive schedule
-  advances >= 5x fewer shard-windows than the uniform one.
-- **Transport (always, deterministic):** at the same schedule, the
-  columnar codec ships >= 10x fewer pipe messages per window than
-  per-event pickling.
-- **Wall clock (multi-core machines only):** adaptive beats uniform by
-  >= 1.3x with worker processes; on boxes with fewer than 4 CPUs the
-  ratio is recorded but not gated (same pattern as the other
-  benchmarks).
+- **Correctness:** the sharded run over worker processes reports the
+  same network totals as the monolithic ``shards=1`` run.
+- **Window reduction:** the schedule advances >= 5x fewer
+  shard-windows than the analytic global-barrier count,
+  ``HOSTS * (DURATION // FAST_DELAY)``.
+- **Boundary bytes:** the pickled boundary traffic stays at or below
+  ``MAX_BOUNDARY_BYTES``, the size of the per-event tuple lists this
+  workload shipped when that was first recorded, so the wire format
+  cannot grow silently.
 
-The JSON artifact (``results/micro_adaptive.json``) records window
-counts, transport counters, and wall-clock per variant; one such record
-is committed as ``baselines/micro_adaptive.json``.
+Wall-clock time is recorded but not gated.  The JSON artifact
+(``results/micro_adaptive.json``) records window counts, transport
+counters and wall-clock per run; one such record is committed as
+``baselines/micro_adaptive.json``.
 """
 
-import os
 import time
 
 from repro.core import EXIT, ServiceGraph
@@ -43,9 +40,10 @@ RATE_MBPS = 1000.0
 STOP_NS = 16 * MS
 WORKERS = 4
 
+#: Shard-windows a global barrier at the fastest crossing link needs.
+GLOBAL_BARRIER_WINDOWS = HOSTS * (DURATION // FAST_DELAY)
 MIN_WINDOW_REDUCTION = 5.0
-MIN_MESSAGE_REDUCTION = 10.0
-MIN_SPEEDUP = 1.3
+MAX_BOUNDARY_BYTES = 1_553_769
 
 
 def make_scenario() -> Scenario:
@@ -75,96 +73,62 @@ def make_scenario() -> Scenario:
     )
 
 
-def run_once(shards: int, workers: int, adaptive: bool,
-             transport: str) -> dict:
+def run_once(shards: int, workers: int) -> dict:
     started = time.perf_counter()
     result = ShardedSimulator(make_scenario(), shards=shards,
-                              workers=workers,
-                              adaptive_windows=adaptive,
-                              transport=transport).run()
+                              workers=workers).run()
     wall_s = time.perf_counter() - started
-    summary = result.transport_summary()
     return {
         "shards": shards,
         "workers": workers,
-        "adaptive": adaptive,
-        "transport": transport,
         "wall_s": wall_s,
-        "windows": summary["windows"] if summary else None,
-        "batches": summary["batches"] if summary else None,
-        "messages": summary["messages"] if summary else None,
-        "bytes": summary["bytes"] if summary else None,
+        **result.transport_summary(),
         "totals": result.totals(),
     }
 
 
-def test_adaptive_schedule_and_columnar_transport(report):
-    mono = run_once(1, 0, True, "columnar")
-    uniform = run_once(HOSTS, WORKERS, False, "columnar")
-    adaptive = run_once(HOSTS, WORKERS, True, "columnar")
-    pickled = run_once(HOSTS, WORKERS, True, "pickle")
+def test_adaptive_schedule_and_boundary_bytes(report):
+    mono = run_once(1, 0)
+    sharded = run_once(HOSTS, WORKERS)
 
-    # Correctness: the schedule and the wire encoding are performance
-    # knobs, not model changes.
-    for run in (uniform, adaptive, pickled):
-        assert run["totals"] == mono["totals"], run["transport"]
+    # Correctness: sharding is not a model change.
+    assert sharded["totals"] == mono["totals"]
     assert mono["totals"]["received"] > 10_000  # the workload is real
 
-    # Deterministic gate 1: the adaptive schedule confines the 50 us
-    # cadence to the two fast-coupled shards.
-    window_reduction = uniform["windows"] / adaptive["windows"]
+    # Gate 1: the schedule confines the 50 us cadence to the two
+    # fast-coupled shards.
+    window_reduction = GLOBAL_BARRIER_WINDOWS / sharded["windows"]
     assert window_reduction >= MIN_WINDOW_REDUCTION, (
-        f"adaptive advanced {adaptive['windows']} windows vs uniform "
-        f"{uniform['windows']} — only {window_reduction:.2f}x fewer "
+        f"advanced {sharded['windows']} windows vs a global barrier's "
+        f"{GLOBAL_BARRIER_WINDOWS} — only {window_reduction:.2f}x fewer "
         f"(need {MIN_WINDOW_REDUCTION}x)")
 
-    # Deterministic gate 2: same schedule, same batches — the columnar
-    # codec collapses per-event pickles into a few buffers per window.
-    assert pickled["batches"] == adaptive["batches"]
-    message_reduction = pickled["messages"] / adaptive["messages"]
-    assert message_reduction >= MIN_MESSAGE_REDUCTION, (
-        f"columnar ships {adaptive['messages']} messages vs pickle "
-        f"{pickled['messages']} — only {message_reduction:.2f}x fewer "
-        f"(need {MIN_MESSAGE_REDUCTION}x)")
-
-    speedup = uniform["wall_s"] / adaptive["wall_s"]
-    parallel_capable = (os.cpu_count() or 1) >= 4
+    # Gate 2: the boundary traffic does not grow.
+    assert 0 < sharded["bytes"] <= MAX_BOUNDARY_BYTES, (
+        f"shipped {sharded['bytes']} boundary bytes "
+        f"(ceiling {MAX_BOUNDARY_BYTES})")
 
     lines = [
         f"adaptive lookahead on a {HOSTS}-host WAN chain "
         f"(one {FAST_DELAY // US} us hop among {SLOW_DELAY // MS} ms "
         f"links, shards={HOSTS}, workers={WORKERS})",
-        f"{'variant':>18} {'wall_s':>8} {'windows':>8} {'batches':>8} "
-        f"{'messages':>9}",
+        f"{'run':>8} {'wall_s':>8} {'windows':>8} {'batches':>8} "
+        f"{'bytes':>9}",
     ]
-    for name, run in (("uniform/columnar", uniform),
-                      ("adaptive/columnar", adaptive),
-                      ("adaptive/pickle", pickled)):
-        lines.append(f"{name:>18} {run['wall_s']:>8.3f} "
+    for name, run in (("mono", mono), ("sharded", sharded)):
+        lines.append(f"{name:>8} {run['wall_s']:>8.3f} "
                      f"{run['windows']:>8} {run['batches']:>8} "
-                     f"{run['messages']:>9}")
-    lines.append(f"window reduction {window_reduction:.2f}x, "
-                 f"message reduction {message_reduction:.2f}x, "
-                 f"wall speedup {speedup:.2f}x "
-                 f"(cpus={os.cpu_count()}, "
-                 f"gate {'on' if parallel_capable else 'off'})")
+                     f"{run['bytes']:>9}")
+    lines.append(f"window reduction {window_reduction:.2f}x vs "
+                 f"{GLOBAL_BARRIER_WINDOWS} global-barrier windows, "
+                 f"{sharded['bytes']} of {MAX_BOUNDARY_BYTES} bytes")
     report("micro_adaptive", "\n".join(lines),
-           metrics={"mono": mono, "uniform": uniform,
-                    "adaptive": adaptive, "pickle": pickled,
-                    "window_reduction": window_reduction,
-                    "message_reduction": message_reduction,
-                    "speedup": speedup},
+           metrics={"mono": mono, "sharded": sharded,
+                    "window_reduction": window_reduction},
            config={"hosts": HOSTS, "fast_delay_ns": FAST_DELAY,
                    "slow_delay_ns": SLOW_DELAY,
                    "duration_ns": DURATION, "rate_mbps": RATE_MBPS,
                    "stop_ns": STOP_NS, "workers": WORKERS,
-                   "cpu_count": os.cpu_count(),
+                   "global_barrier_windows": GLOBAL_BARRIER_WINDOWS,
                    "min_window_reduction": MIN_WINDOW_REDUCTION,
-                   "min_message_reduction": MIN_MESSAGE_REDUCTION,
-                   "min_speedup": MIN_SPEEDUP,
-                   "speedup_gate_active": parallel_capable})
-
-    if parallel_capable:
-        assert speedup >= MIN_SPEEDUP, (
-            f"adaptive only {speedup:.2f}x faster than uniform "
-            f"(need {MIN_SPEEDUP}x)")
+                   "max_boundary_bytes": MAX_BOUNDARY_BYTES})

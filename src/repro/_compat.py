@@ -1,17 +1,16 @@
 """Optional-dependency detection.
 
-numpy accelerates the seeded random streams, the latency percentile
-math and the sharded kernel's boundary-transport columns, but none of
-those need it for correctness: each keeps a stdlib fallback that
-produces the same *kinds* of results (and, for the boundary columns,
-bit-identical ones).  Only the Rocketfuel-like topology generator
-requires numpy and raises ``ImportError`` without it.  Import
+numpy accelerates the seeded random streams and the latency percentile
+math, but neither needs it for correctness: each keeps a stdlib
+fallback that produces the same *kinds* of results.  Only the
+Rocketfuel-like topology generator requires numpy and raises
+``ImportError`` without it.  Import
 ``HAVE_NUMPY`` from here instead of try/excepting numpy locally so the
 whole tree flips together.
 
 Setting ``SDNFV_NO_NUMPY=1`` in the environment forces the fallback
-paths even when numpy is importable — that is how the sharded parity
-suite pins the stdlib ``array`` codec without a second virtualenv.
+paths even when numpy is importable, so they can be exercised without
+a second virtualenv.
 """
 
 from __future__ import annotations

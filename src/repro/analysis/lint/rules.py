@@ -17,8 +17,8 @@ cheap to write and expensive to debug:
   another shard's live objects (hosts, pools, managers) silently breaks
   worker-mode parity and determinism.  The same rule polices the wire:
   per-event ``pipe.send``/``pickle.dumps`` inside a boundary hot loop
-  reintroduces the one-message-per-packet transport the batched codec
-  (``repro.net.batch.BoundaryBatch``) replaced.
+  ships one pipe message per packet, where the conductor sends each
+  window's events as one list per destination shard.
 - **OWN001** — every pool-allocated buffer must be handed off exactly
   once per path (to a ring, port, caller, or ``free``/``release``);
   unbalanced paths are leaks or double-releases.
@@ -405,9 +405,9 @@ _SHARD_PROTOCOL = frozenset({
 
 #: Loop variables/iterables that mark a *per-event* boundary hot loop.
 #: A ``.send``/``pickle.dumps`` call inside such a loop ships one pipe
-#: message per packet — the unbatched transport the columnar boundary
-#: codec exists to prevent.  Loops over workers, shards, or destination
-#: buckets (one payload per peer) are fine.
+#: message per packet instead of one list per destination shard and
+#: window.  Loops over workers, shards, or destination buckets (one
+#: payload per peer) are fine.
 _PER_EVENT_NAMES = frozenset({
     "event", "events", "packet", "packets", "row", "rows",
     "frame", "frames", "outbox", "tagged", "boundary_events",
@@ -484,10 +484,9 @@ class _Sim005:
                     violations.append(_violation(
                         path, node, self.rule_id,
                         f"per-event {name}() inside a boundary hot "
-                        f"loop ships one pipe message per packet; "
-                        f"encode the window's events once "
-                        f"(BoundaryBatch / the transport codec) and "
-                        f"send the batch"))
+                        "loop ships one pipe message per packet; "
+                        "send the window's events as one list per "
+                        "destination shard"))
         return violations
 
 

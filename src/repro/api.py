@@ -73,7 +73,6 @@ from repro.core import (
     SdnfvApp,
     ServiceGraph,
     compile_proactive_rules,
-    deploy_distributed,
 )
 
 # Faults and resilience
@@ -174,7 +173,6 @@ __all__ = [
     "SdnfvApp",
     "ServiceGraph",
     "compile_proactive_rules",
-    "deploy_distributed",
     # faults and resilience
     "ControllerOutage",
     "FaultInjector",

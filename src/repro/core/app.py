@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-import warnings
 
 from repro.control.controller import SdnController
 from repro.control.orchestrator import NfvOrchestrator
@@ -35,19 +34,6 @@ from repro.sim.simulator import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.watchdog import NfWatchdog
-
-
-def _canonical_mode(mode: str | None,
-                    launch_mode: str | None) -> str | None:
-    """Resolve the ``mode=`` / deprecated ``launch_mode=`` kwarg pair."""
-    if launch_mode is None:
-        return mode
-    if mode is not None:
-        raise TypeError("pass mode= only (launch_mode= is a deprecated "
-                        "alias)")
-    warnings.warn("launch_mode= is deprecated; use mode=",
-                  DeprecationWarning, stacklevel=3)
-    return launch_mode
 
 
 @dataclasses.dataclass
@@ -165,8 +151,7 @@ class SdnfvApp:
         With ``network=`` (a :class:`repro.topology.BuiltNetwork`), the
         deployment is *routed*: transit and arrival rules for non-adjacent
         placements compile from the network's topology, and ``placement``
-        is required.  This is the unified successor of the old
-        ``deploy_distributed`` helper.
+        is required.
         """
         if network is not None:
             if auto_parallel:
@@ -344,16 +329,14 @@ class SdnfvApp:
 
     def launch_nf(self, host: NfvHost | str,
                   nf_factory: typing.Callable[[], typing.Any],
-                  mode: str | None = None,
-                  launch_mode: str | None = None) -> Event:
+                  mode: str | None = None) -> Event:
         """Start a new NF VM via the orchestrator (Fig. 2 step 4).
 
         ``mode`` is one of ``"boot"`` / ``"standby_process"`` /
-        ``"restore"``; ``launch_mode=`` is a deprecated alias.
+        ``"restore"``.
         """
         if self.orchestrator is None:
             raise RuntimeError("no orchestrator attached")
-        mode = _canonical_mode(mode, launch_mode)
         return self.orchestrator.launch_nf(host, nf_factory, mode=mode)
 
     # ------------------------------------------------------------------
@@ -447,20 +430,17 @@ class SdnfvApp:
             interval_ns: int = 100_000_000,
             threshold_slots: int = 256,
             max_replicas: int = 4,
-            mode: str | None = None,
-            launch_mode: str | None = None) -> None:
+            mode: str = "standby_process") -> None:
         """Boot extra replicas of overloaded services automatically.
 
         Wires the NF Manager's overload monitor (host tier) to the NFV
         orchestrator (global tier): sustained queue pressure on a service
         in ``nf_factories`` launches one more replica, up to
         ``max_replicas``, using a fast launch mode by default
-        (``mode="standby_process"``; ``launch_mode=`` is a deprecated
-        alias).
+        (``mode="standby_process"``).
         """
         if self.orchestrator is None:
             raise RuntimeError("autoscaling needs an orchestrator")
-        mode = _canonical_mode(mode, launch_mode) or "standby_process"
         self.orchestrator.launch_time_ns(mode)  # reject bad modes up front
         if isinstance(host, str):
             host = self.hosts[host]

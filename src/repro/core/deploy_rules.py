@@ -1,6 +1,6 @@
 """Pure compilation of a placed service graph into per-host flow rules.
 
-The deployment *planning* half of the old ``deploy_distributed``: given
+The deployment *planning* half of a routed :meth:`SdnfvApp.deploy`: given
 a graph, a service→host placement, and the topology's routing maps, emit
 the ordered ``(host_name, FlowTableEntry)`` install sequence —
 
@@ -49,7 +49,7 @@ def compile_distributed_rules(
     ``host_names`` is the full set of hosts the placement may target
     (every NFV host in the topology, not just the realized subset).
     The returned order — transit rules in path-walk order first, then
-    each host's batch — matches what ``deploy_distributed`` historically
+    each host's batch — is the order routed deployments have always
     installed, so existing deployments see byte-identical flow tables.
     """
     graph.validate()

@@ -130,41 +130,11 @@ class HostStats:
         }
 
     def summary(self) -> dict[str, int]:
-        """Scalar counters as a plain dict (for reports and tests)."""
-        return {
-            "rx_packets": self.rx_packets,
-            "rx_bytes": self.rx_bytes,
-            "tx_packets": self.tx_packets,
-            "tx_bytes": self.tx_bytes,
-            "dropped_ring_full": self.dropped_ring_full,
-            "dropped_by_nf": self.dropped_by_nf,
-            "dropped_no_rule": self.dropped_no_rule,
-            "dropped_no_vm": self.dropped_no_vm,
-            "policy_violations": self.policy_violations,
-            "sdn_requests": self.sdn_requests,
-            "sdn_retries": self.sdn_retries,
-            "sdn_timeouts": self.sdn_timeouts,
-            "proactive_hits": self.proactive_hits,
-            "reactive_hits": self.reactive_hits,
-            "reactive_misses": self.reactive_misses,
-            "miss_fallbacks": self.miss_fallbacks,
-            "parallel_groups": self.parallel_groups,
-            "failed_vms": self.failed_vms,
-            "requeued_packets": self.requeued_packets,
-            "degraded_packets": self.degraded_packets,
-            "lost_in_nf": self.lost_in_nf,
-            "nic_rx_dropped": self.nic_rx_dropped,
-            "nic_link_dropped": self.nic_link_dropped,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "pool_exhausted": self.pool_exhausted,
-            "rx_batches": self.rx_batches,
-            "tx_batches": self.tx_batches,
-            "vm_batches": self.vm_batches,
-            "columnar_batches": self.columnar_batches,
-            "object_fallbacks": self.object_fallbacks,
-            "lookup_batches": self.lookup_batches,
-            "lookup_batch_hits": self.lookup_batch_hits,
-            "batch_splits": self.batch_splits,
-            "batch_merges": self.batch_merges,
-        }
+        """Scalar counters as a plain dict (for reports and tests), in
+        declaration order."""
+        return {name: getattr(self, name) for name in _SCALAR_FIELDS}
+
+
+#: The int counters of :class:`HostStats`, in declaration order.
+_SCALAR_FIELDS = tuple(field.name for field in dataclasses.fields(HostStats)
+                       if field.type == "int")

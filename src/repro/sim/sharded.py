@@ -13,27 +13,21 @@ lockstep:
   *directed shard pair* (``lookahead_matrix``); the conductor runs a
   null-message/LBTS-style round schedule where each shard advances to
   the minimum over its inbound neighbors' clocks plus the pair
-  lookahead (``adaptive_windows=True``, the default), so two shards
-  joined only by a slow WAN link barrier at WAN cadence even while an
-  intra-DC pair elsewhere barriers every few microseconds.  Uniform
-  topologies degenerate to the classic global barrier of width
-  ``lookahead_ns``; ``adaptive_windows=False`` forces that global
-  schedule.  Either way a frame transmitted at ``t`` inside a window
+  lookahead, so two shards joined only by a slow WAN link barrier at
+  WAN cadence even while an intra-DC pair elsewhere barriers every few
+  microseconds.  On uniform topologies every shard advances through the
+  same window edges.  A frame transmitted at ``t`` inside a window
   arrives at ``t + delay`` past every target the round hands out, so
   delivering captured frames between rounds never violates causality.
 
 - **Boundary events.**  Frames leaving a shard are serialized to plain
   tuples (flow fields, size, payload, timestamps) — never object
   references — and rebuilt from the destination host's packet pool on
-  the owning shard.  Per window and destination the tuples travel as a
-  packed :class:`~repro.net.batch.BoundaryBatch` (int64 columns plus
-  dictionary tables; ``transport="columnar"``, the default) or as the
-  legacy per-event pickled tuples (``transport="pickle"``); both
-  decode to identical rows.  The same codec runs in-process
-  (``workers=0``) and over ``multiprocessing`` pipes, so a worker run
-  is bit-equal to the debuggable in-process run, and per-shard
-  transport counters (windows, batches, messages, bytes) land in the
-  run result.
+  the owning shard.  Per window and destination the tuples travel as
+  one list.  The same protocol runs in-process (``workers=0``) and
+  over ``multiprocessing`` pipes, so a worker run is bit-equal to the
+  debuggable in-process run, and per-shard transport counters
+  (windows, batches, pickled bytes) land in the run result.
 
 - **Determinism.**  Boundary events are globally sorted by
   ``(arrival time, source shard, capture order)`` before delivery, and
@@ -63,7 +57,6 @@ from repro.dataplane.manager import DEFAULT_BURST_SIZE, ControlPlanePolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ControllerOutage, FaultPlan
 from repro.metrics.eventlog import ControlEvent, EventLog, merge_events
-from repro.net.batch import encode_boundary_events
 from repro.net.flow import FiveTuple
 from repro.net.mempool import DEFAULT_POOL_SIZE
 from repro.net.packet import Packet
@@ -221,11 +214,11 @@ class ShardPlan:
     ``groups[i]`` is the tuple of host names shard ``i`` owns.
     ``lookahead_ns`` is the minimum delay of any shard-crossing link
     (None when no link crosses a boundary — single shard, or fully
-    disconnected groups — in which case one window covers the run); it
-    is the width of the classic global barrier.
-    ``lookahead_matrix`` refines that to directed shard pairs: sorted
-    ``(src_shard, dst_shard, min_crossing_delay_ns)`` triples, one per
-    pair of groups joined by at least one link — the adaptive schedule
+    disconnected groups — in which case one window covers the run);
+    :meth:`validate_for` checks a hand-built plan's value against the
+    topology.  ``lookahead_matrix`` refines it to directed shard pairs:
+    sorted ``(src_shard, dst_shard, min_crossing_delay_ns)`` triples,
+    one per pair of groups joined by at least one link — the schedule
     barriers each pair at its own cadence.  ``compute`` fills it; a
     hand-built plan may leave it ``None``, in which case
     :class:`ShardedSimulator` derives it from the topology.
@@ -337,47 +330,6 @@ def _flow_key(flow: FiveTuple) -> tuple[str, str, int, int, int]:
             flow.src_port, flow.dst_port)
 
 
-class _PickleTransport:
-    """Legacy boundary wire format: one pickled tuple per event."""
-
-    name = "pickle"
-
-    @staticmethod
-    def encode(events: list[tuple]) -> list[tuple]:
-        return events
-
-    @staticmethod
-    def decode(payload: list[tuple]) -> list[tuple]:
-        return payload
-
-    @staticmethod
-    def units(events: list[tuple], payload: object) -> int:
-        return len(events)
-
-
-class _ColumnarTransport:
-    """Packed-column wire format: a few flat buffers per window/shard
-    (:class:`repro.net.batch.BoundaryBatch`)."""
-
-    name = "columnar"
-
-    @staticmethod
-    def encode(events: list[tuple]):
-        return encode_boundary_events(events)
-
-    @staticmethod
-    def decode(payload) -> list[tuple]:
-        return payload.decode()
-
-    @staticmethod
-    def units(events: list[tuple], payload) -> int:
-        return payload.buffer_count()
-
-
-_TRANSPORTS = {transport.name: transport
-               for transport in (_PickleTransport, _ColumnarTransport)}
-
-
 class ShardRuntime:
     """One shard: a private kernel running its owned hosts end to end.
 
@@ -393,12 +345,11 @@ class ShardRuntime:
     """
 
     def __init__(self, scenario: Scenario, plan: ShardPlan,
-                 shard_id: int, transport: str = "columnar") -> None:
+                 shard_id: int) -> None:
         self.scenario = scenario
         self.plan = plan
         self.shard_id = shard_id
         self.owned: tuple[str, ...] = plan.groups[shard_id]
-        self._transport = _TRANSPORTS[transport]
         sim = self.sim = Simulator()
         self.network: BuiltNetwork = build_network(
             sim, scenario.topology, costs=scenario.costs,
@@ -485,15 +436,18 @@ class ShardRuntime:
         # matches the single-outbox era exactly.
         self._outboxes: dict[int, list[tuple]] = {}
         self._boundary_seq = 0
+        # One object per distinct string in the captured events.  pickle
+        # writes a repeated object once, and a worker's strings arrive
+        # as fresh copies every round, so without this the byte count
+        # would depend on whether the shards share a process.
+        self._strings: dict[str, str] = {}
         self.boundary_tx = 0
         self.boundary_frames_carried = 0
         self.boundary_dropped_at_rx = 0
         # Transport odometers: windows this shard advanced through,
-        # encoded batches, pipe messages those batches amount to, and
-        # their serialized size.
+        # per-destination batches it shipped, and their pickled size.
         self.windows_advanced = 0
         self.transport_batches = 0
-        self.transport_messages = 0
         self.transport_bytes = 0
         owners = plan.owners()
         for wire in self.network.boundary_wires:
@@ -535,33 +489,42 @@ class ShardRuntime:
         pool.  Only pool telemetry differs from the monolithic run.
         """
         flow = packet.flow
+        share = self._share
         annotations = packet._annotations
-        encoded_annotations = (tuple(sorted(annotations.items()))
-                               if annotations else None)
+        encoded_annotations = (
+            tuple(sorted((share(key), share(value))
+                         for key, value in annotations.items()))
+            if annotations else None)
         self._boundary_seq += 1
         self._outboxes.setdefault(dst_shard, []).append((
             self.sim.now + wire.delay_ns, self._boundary_seq,
             wire.dst_host, wire.dst_port,
-            flow.src_ip, flow.dst_ip, flow.protocol,
+            share(flow.src_ip), share(flow.dst_ip), flow.protocol,
             flow.src_port, flow.dst_port,
-            packet.size, packet.payload, packet.created_at,
+            packet.size, share(packet.payload), packet.created_at,
             encoded_annotations))
         self.boundary_tx += 1
         pool = packet.pool
         if pool is not None and packet.ref_count == 0:
             pool.reclaim(packet)
 
-    def deliver(self, group: typing.Sequence[tuple[int, object]]) -> None:
-        """Decode and schedule one round's inbound boundary traffic.
+    def _share(self, value: typing.Any) -> typing.Any:
+        if type(value) is str:
+            return self._strings.setdefault(value, value)
+        return value
 
-        ``group`` is ``(source_shard, encoded_payload)`` pairs, one per
-        source that captured toward this shard in the round.  Rows merge
+    def deliver(self,
+                group: typing.Sequence[tuple[int, list[tuple]]]) -> None:
+        """Schedule one round's inbound boundary traffic.
+
+        ``group`` is ``(source_shard, events)`` pairs, one per source
+        that captured toward this shard in the round.  Rows merge
         across sources by (arrival time, source shard, capture order) —
         the same global order the single-outbox conductor used.
         """
         rows: list[tuple[int, int, int, tuple]] = []
-        for src_shard, payload in group:
-            for event in self._transport.decode(payload):
+        for src_shard, events in group:
+            for event in events:
                 rows.append((event[0], src_shard, event[1], event))
         rows.sort(key=lambda row: row[:3])
         now = self.sim.now
@@ -595,24 +558,20 @@ class ShardRuntime:
         self.windows_advanced += 1
         self.sim.run(until=until_ns)
 
-    def take_outbox(self) -> dict[int, object]:
-        """Encode this window's captures, one payload per destination
-        shard, and account the transport odometers."""
+    def take_outbox(self) -> dict[int, list[tuple]]:
+        """Hand over this window's captures, one event list per
+        destination shard, and account the transport odometers.
+
+        The byte count pickles each list as a worker pipe would, so an
+        in-process run also fails on an unpicklable payload.
+        """
         staged = self._outboxes
         self._outboxes = {}
-        encoded: dict[int, object] = {}
         for dst_shard in sorted(staged):
-            boundary_events = staged[dst_shard]
-            if not boundary_events:
-                continue
-            payload = self._transport.encode(boundary_events)
             self.transport_batches += 1
-            self.transport_messages += self._transport.units(
-                boundary_events, payload)
             self.transport_bytes += len(
-                pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            encoded[dst_shard] = payload
-        return encoded
+                pickle.dumps(staged[dst_shard], pickle.HIGHEST_PROTOCOL))
+        return staged
 
     def collect(self) -> dict:
         """Everything observable, as picklable primitives."""
@@ -653,14 +612,11 @@ class ShardRuntime:
             "boundary_frames_carried": self.boundary_frames_carried,
             "boundary_dropped_at_rx": self.boundary_dropped_at_rx,
             # Schedule/transport odometers: identical between workers=0
-            # and workers=N, but legitimately different across schedule
-            # modes (window count) and wire formats (messages/bytes) —
-            # parity suites strip this key when comparing across those.
+            # and workers=N, but they describe the partition, so they
+            # differ across shard counts.
             "transport": {
-                "mode": self._transport.name,
                 "windows": self.windows_advanced,
                 "batches": self.transport_batches,
-                "messages": self.transport_messages,
                 "bytes": self.transport_bytes,
             },
             "verify": self._verify_report(),
@@ -747,28 +703,12 @@ class ShardedRunResult:
             for result in self.shard_results)
         return out
 
-    def transport_summary(self) -> dict[str, int | str | float]:
-        """Aggregated schedule/transport odometers across all shards:
-        total windows advanced, boundary batches, pipe messages the
-        payloads amount to, serialized bytes, and messages per
-        non-empty batch (the per-window pipe-traffic headline)."""
-        windows = batches = messages = size = 0
-        mode = "pickle"
-        for result in self.shard_results:
-            transport = result["transport"]
-            mode = transport["mode"]
-            windows += transport["windows"]
-            batches += transport["batches"]
-            messages += transport["messages"]
-            size += transport["bytes"]
-        return {
-            "mode": mode,
-            "windows": windows,
-            "batches": batches,
-            "messages": messages,
-            "bytes": size,
-            "messages_per_batch": messages / batches if batches else 0.0,
-        }
+    def transport_summary(self) -> dict[str, int]:
+        """Schedule/transport odometers summed over all shards: windows
+        advanced, boundary batches shipped and their pickled bytes."""
+        return {key: sum(result["transport"][key]
+                         for result in self.shard_results)
+                for key in ("windows", "batches", "bytes")}
 
 
 class ShardedSimulator:
@@ -778,21 +718,13 @@ class ShardedSimulator:
     debuggable); ``workers=N`` spreads the shards over N
     ``multiprocessing`` workers with the identical round/boundary
     protocol.  ``shards=1`` is byte-identical to the monolithic kernel.
-
-    ``adaptive_windows=True`` (default) schedules each shard against
-    its inbound neighbors' clocks via the plan's per-pair lookahead
-    matrix; ``False`` forces the classic global barrier every
-    ``lookahead_ns``.  ``transport`` picks the boundary wire format:
-    ``"columnar"`` (default, packed :class:`BoundaryBatch` columns) or
-    ``"pickle"`` (one tuple per event).  All four combinations produce
-    identical merged observables.
+    Each shard is scheduled against its inbound neighbors' clocks via
+    the plan's per-pair lookahead matrix.
     """
 
     def __init__(self, scenario: Scenario, shards: int = 1,
                  workers: int = 0,
-                 plan: ShardPlan | None = None,
-                 adaptive_windows: bool = True,
-                 transport: str = "columnar") -> None:
+                 plan: ShardPlan | None = None) -> None:
         scenario.validate()
         self.scenario = scenario
         if plan is None:
@@ -802,18 +734,11 @@ class ShardedSimulator:
         self.plan = plan
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; "
-                f"expected one of {sorted(_TRANSPORTS)}")
         self.workers = min(workers, len(plan.groups))
-        self.adaptive_windows = adaptive_windows
-        self.transport = transport
         lookaheads = plan.pair_lookaheads()
         if lookaheads is None:
             # Hand-built plan without a matrix: derive the true per-pair
-            # bounds from the topology (always causally safe; the manual
-            # lookahead_ns only governs the uniform schedule).
+            # bounds from the topology (always causally safe).
             lookaheads = scenario.topology.crossing_delays(plan.groups)
         self._pair_lookaheads = lookaheads
 
@@ -828,42 +753,24 @@ class ShardedSimulator:
     # ------------------------------------------------------------------
     # Round schedule and boundary routing (shared by both modes)
     # ------------------------------------------------------------------
-    def _windows(self) -> typing.Iterator[int]:
-        """Global-barrier window edges, lazily.
-
-        A generator rather than a list: a long run with a microsecond
-        lookahead has millions of edges, and materializing them up
-        front costs memory before the first event fires.
-        """
-        duration = self.scenario.duration_ns
-        lookahead = self.plan.lookahead_ns
-        if len(self.plan.groups) > 1 and lookahead is not None:
-            yield from range(lookahead, duration, lookahead)
-        yield duration
-
     def _rounds(self) -> typing.Iterator[dict[int, int]]:
-        """Yield ``{shard: advance_to_ns}`` per conductor round.
+        """Yield ``{shard: advance_to_ns}`` per conductor round, lazily.
 
-        Uniform mode: every shard advances to every global window edge
-        (the classic barrier).  Adaptive mode: each shard's bound is
-        the minimum over its inbound crossing pairs of the source
-        shard's clock plus that pair's lookahead, all bounds computed
-        from the clocks at the *start* of the round (events a source
-        captures inside the round arrive no earlier than its old clock
-        plus the pair lookahead, so every target handed out stays
-        causally safe).  A shard only moves when it can take at least
-        its smallest inbound lookahead in one step — without that
-        quantum, fast neighbors would drag slow pairs through
-        micro-windows — or when it can finish the run.  Shards with no
-        inbound pairs finish in the first round.  Uniform-delay
-        topologies yield exactly the global-barrier edges.
+        Each shard's bound is the minimum over its inbound crossing
+        pairs of the source shard's clock plus that pair's lookahead,
+        all bounds computed from the clocks at the *start* of the round
+        (events a source captures inside the round arrive no earlier
+        than its old clock plus the pair lookahead, so every target
+        handed out stays causally safe).  A shard only moves when it can
+        take at least its smallest inbound lookahead in one step —
+        without that quantum, fast neighbors would drag slow pairs
+        through micro-windows — or when it can finish the run.  Shards
+        with no inbound pairs (a single shard, or groups no link joins)
+        finish in the first round.  On uniform-delay topologies every
+        shard advances through the same window edges.  A generator: a
+        long run with a microsecond lookahead has millions of rounds.
         """
         count = len(self.plan.groups)
-        if not self.adaptive_windows or count == 1 \
-                or not self._pair_lookaheads:
-            for upto in self._windows():
-                yield {shard: upto for shard in range(count)}
-            return
         duration = self.scenario.duration_ns
         inbound: dict[int, list[tuple[int, int]]] = {}
         for (src, dst), lookahead in sorted(self._pair_lookaheads.items()):
@@ -888,19 +795,20 @@ class ShardedSimulator:
             if not targets:  # pragma: no cover - the minimum-clock
                 # shard can always take a full quantum, so the schedule
                 # cannot stall; this guards the invariant.
-                raise RuntimeError("adaptive window schedule stalled")
+                raise RuntimeError("window schedule stalled")
             for shard, upto in targets.items():
                 clocks[shard] = upto
             yield targets
 
-    def _route(self, outboxes: dict[int, dict[int, object]],
-               pending: dict[int, list[list[tuple[int, object]]]]) -> None:
-        """Stage one round's encoded payloads for their destinations.
+    def _route(self, outboxes: dict[int, dict[int, list[tuple]]],
+               pending: dict[int, list[list[tuple[int, list[tuple]]]]]
+               ) -> None:
+        """Stage one round's boundary events for their destinations.
 
-        ``outboxes`` maps source shard -> {destination shard: payload}.
-        Each destination receives the round's payloads as one *group*
-        (source-sorted); groups queue up until the destination's next
-        advance, which decodes and merges them in round order.
+        ``outboxes`` maps source shard -> {destination shard: events}.
+        Each destination receives the round's event lists as one
+        *group* (source-sorted); groups queue up until the
+        destination's next advance, which merges them in round order.
         """
         destinations = {dst for box in outboxes.values() for dst in box}
         for dst in sorted(destinations):
@@ -912,12 +820,11 @@ class ShardedSimulator:
     # workers=0: every shard in this process
     # ------------------------------------------------------------------
     def _run_inline(self) -> list[dict]:
-        runtimes = [ShardRuntime(self.scenario, self.plan, index,
-                                 transport=self.transport)
+        runtimes = [ShardRuntime(self.scenario, self.plan, index)
                     for index in range(len(self.plan.groups))]
-        pending: dict[int, list[list[tuple[int, object]]]] = {}
+        pending: dict[int, list[list[tuple[int, list[tuple]]]]] = {}
         for targets in self._rounds():
-            outboxes: dict[int, dict[int, object]] = {}
+            outboxes: dict[int, dict[int, list[tuple]]] = {}
             for shard_id in sorted(targets):
                 runtime = runtimes[shard_id]
                 for group in pending.pop(shard_id, ()):
@@ -949,15 +856,14 @@ class ShardedSimulator:
             parent, child = context.Pipe()
             proc = context.Process(
                 target=_shard_worker,
-                args=(child, self.scenario, self.plan, shard_ids,
-                      self.transport),
+                args=(child, self.scenario, self.plan, shard_ids),
                 daemon=True)
             proc.start()
             child.close()
             pipes[worker] = parent
             procs[worker] = proc
         try:
-            pending: dict[int, list[list[tuple[int, object]]]] = {}
+            pending: dict[int, list[list[tuple[int, list[tuple]]]]] = {}
             for targets in self._rounds():
                 # Only workers owning an advancing shard hear about the
                 # round; each message carries the shard's target and the
@@ -970,7 +876,7 @@ class ShardedSimulator:
                                         pending.pop(shard_id, []))
                 for worker in sorted(by_worker):
                     pipes[worker].send(("advance", by_worker[worker]))
-                outboxes: dict[int, dict[int, object]] = {}
+                outboxes: dict[int, dict[int, list[tuple]]] = {}
                 for worker in sorted(by_worker):
                     outboxes.update(self._receive(pipes[worker]))
                 self._route(outboxes, pending)
@@ -997,25 +903,23 @@ class ShardedSimulator:
 
 
 def _shard_worker(conn: typing.Any, scenario: Scenario, plan: ShardPlan,
-                  shard_ids: list[int],
-                  transport: str = "columnar") -> None:
+                  shard_ids: list[int]) -> None:
     """Worker process: owns one or more shards, speaks the pipe protocol.
 
     Messages in: ``("advance", {shard: (until_ns, delivery_groups)})``
-    and ``("finish",)``.  Replies: ``("ok", {shard: {dst: payload}})``,
+    and ``("finish",)``.  Replies: ``("ok", {shard: {dst: events}})``,
     ``("result", {shard: collected})``, or ``("error", traceback)``.
-    Boundary payloads stay encoded end to end — the conductor routes
-    them without decoding; only the destination shard unpacks.
+    The conductor routes boundary event lists without looking inside;
+    only the destination shard rebuilds packets from them.
     """
     try:
-        runtimes = {shard_id: ShardRuntime(scenario, plan, shard_id,
-                                           transport=transport)
+        runtimes = {shard_id: ShardRuntime(scenario, plan, shard_id)
                     for shard_id in shard_ids}
         while True:
             message = conn.recv()
             if message[0] == "advance":
                 _kind, orders = message
-                outboxes: dict[int, dict[int, object]] = {}
+                outboxes: dict[int, dict[int, list[tuple]]] = {}
                 for shard_id in sorted(orders):
                     until_ns, groups = orders[shard_id]
                     runtime = runtimes[shard_id]

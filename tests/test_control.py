@@ -152,7 +152,7 @@ class TestOrchestrator:
         assert vm.service_id == "svc"
         assert host.manager.vms_by_service["svc"] == [vm]
 
-    def test_faster_launch_modes(self, sim):
+    def test_standby_process_launch_is_faster(self, sim):
         orchestrator = NfvOrchestrator(sim)
         host = NfvHost(sim, name="h0")
         orchestrator.register_host(host)

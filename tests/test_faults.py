@@ -8,8 +8,6 @@ and the app-tier ``enable_failover`` wiring.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.control import NfvOrchestrator, SdnController
@@ -533,23 +531,6 @@ class TestAppFailover:
                     [(e.timestamp_ns, e.category) for e in log.events])
 
         assert run() == run()
-
-    def test_launch_mode_alias_is_deprecated(self, sim):
-        orchestrator = NfvOrchestrator(sim)
-        app = SdnfvApp(sim, orchestrator=orchestrator)
-        host = NfvHost(sim, name="h0")
-        app.register_host(host)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            app.launch_nf(host, lambda: NoOpNf("svc"),
-                          launch_mode="restore")
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        sim.run(until=1_000 * MS)
-        assert orchestrator.launches[0].mode == "restore"
-        with pytest.raises(TypeError):
-            app.launch_nf(host, lambda: NoOpNf("svc"),
-                          mode="restore", launch_mode="restore")
 
     def test_api_facade_exports_resolve(self):
         import repro.api as api

@@ -200,16 +200,15 @@ class TestSim005CrossShardSharing:
         assert len(found) == 2
         assert "per-event send()" in found[0].message
         assert "per-event dumps()" in found[1].message
-        assert "BoundaryBatch" in found[0].message
+        assert "one list per destination shard" in found[0].message
 
     def test_accepts_encode_once_then_send_and_peer_loops(self):
         good = """
             import pickle
 
             def ship(pipe, outbox):
-                payload = encode_boundary_events(outbox)
-                pipe.send(payload)
-                return len(pickle.dumps(payload))
+                pipe.send(outbox)
+                return len(pickle.dumps(outbox))
 
             def conduct(pipes, by_worker):
                 for worker in sorted(by_worker):

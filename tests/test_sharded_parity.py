@@ -160,31 +160,20 @@ DEFAULT_WORKERS = int(os.environ.get("SDNFV_SHARD_WORKERS", "0"))
 _RUNS: dict[tuple, object] = {}
 
 
-def sharded_run(shards: int, workers: int | None = None,
-                adaptive: bool = True, transport: str = "columnar"):
+def sharded_run(shards: int, workers: int | None = None):
     """Run (and memoize) the reference scenario at a shard count."""
     if workers is None:
         workers = DEFAULT_WORKERS if shards > 1 else 0
-    key = (shards, workers, adaptive, transport)
+    key = (shards, workers)
     if key not in _RUNS:
         _RUNS[key] = ShardedSimulator(make_scenario(), shards=shards,
-                                      workers=workers,
-                                      adaptive_windows=adaptive,
-                                      transport=transport).run()
+                                      workers=workers).run()
     return _RUNS[key]
 
 
 def strip_pool(summary: dict) -> dict:
     return {key: value for key, value in summary.items()
             if key not in POOL_KEYS}
-
-
-def strip_transport(shard_result: dict) -> dict:
-    """Drop the schedule/transport odometers: they legitimately vary
-    with the window schedule (window count) and wire format
-    (messages/bytes) while every model observable stays identical."""
-    return {key: value for key, value in shard_result.items()
-            if key != "transport"}
 
 
 class TestGoldenParity:
@@ -316,62 +305,23 @@ class TestShardPlan:
 
 
 class TestScheduleTransportParity:
-    """Adaptive windows and the columnar wire format are pure perf
-    knobs: all four schedule x transport combinations are byte-identical
-    on every merged observable (the uniform reference topology also
-    pins that adaptive degenerates to the global-barrier schedule)."""
-
-    @pytest.mark.parametrize("adaptive", [True, False])
-    @pytest.mark.parametrize("transport", ["columnar", "pickle"])
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_all_combinations_byte_identical(self, shards, adaptive,
-                                             transport):
-        reference = sharded_run(shards=shards)
-        run = sharded_run(shards=shards, adaptive=adaptive,
-                          transport=transport)
-        assert ([strip_transport(result)
-                 for result in run.shard_results]
-                == [strip_transport(result)
-                    for result in reference.shard_results])
+    """The one schedule and wire format on the uniform reference
+    topology: every shard advances through the global-barrier window
+    count, and the transport odometers account the boundary traffic."""
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_uniform_link_delays_degenerate_to_global_barrier(self,
                                                               shards):
-        """On a uniform-delay topology the adaptive schedule advances
-        every shard through exactly the global-barrier window count."""
-        adaptive = sharded_run(shards=shards, adaptive=True)
-        uniform = sharded_run(shards=shards, adaptive=False)
         expected = DURATION // LINK_DELAY  # 10 ms / 500 us windows
-        for result in uniform.shard_results:
+        for result in sharded_run(shards=shards).shard_results:
             assert result["transport"]["windows"] == expected
-        for result in adaptive.shard_results:
-            assert result["transport"]["windows"] == expected
-
-    def test_columnar_transport_ships_fewer_messages(self):
-        columnar = sharded_run(shards=4, transport="columnar")
-        pickled = sharded_run(shards=4, transport="pickle")
-        c_summary = columnar.transport_summary()
-        p_summary = pickled.transport_summary()
-        # Same boundary traffic, same batch count...
-        assert c_summary["batches"] == p_summary["batches"] > 0
-        # ...but a handful of flat buffers per batch instead of one
-        # pickled tuple per packet.
-        assert p_summary["messages"] > c_summary["messages"]
-        assert c_summary["mode"] == "columnar"
-        assert p_summary["messages"] == sum(
-            result["boundary_tx"] for result in pickled.shard_results)
 
     def test_transport_counters_account_real_bytes(self):
         run = sharded_run(shards=2)
         summary = run.transport_summary()
         assert summary["bytes"] > 0
         assert summary["windows"] > 0
-        assert summary["messages_per_batch"] > 0
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ShardedSimulator(make_scenario(), shards=2,
-                             transport="carrier-pigeon")
+        assert summary["batches"] > 0
 
 
 HET_FAST = 50 * US
@@ -412,28 +362,24 @@ def het_scenario() -> Scenario:
 _HET_RUNS: dict[tuple, object] = {}
 
 
-def het_run(shards: int, workers: int | None = None,
-            adaptive: bool = True, transport: str = "columnar"):
+def het_run(shards: int, workers: int | None = None):
     if workers is None:
         workers = DEFAULT_WORKERS if shards > 1 else 0
-    key = (shards, workers, adaptive, transport)
+    key = (shards, workers)
     if key not in _HET_RUNS:
         _HET_RUNS[key] = ShardedSimulator(het_scenario(), shards=shards,
-                                          workers=workers,
-                                          adaptive_windows=adaptive,
-                                          transport=transport).run()
+                                          workers=workers).run()
     return _HET_RUNS[key]
 
 
 class TestHeterogeneousDelays:
-    """Mixed 50 us / 5 ms crossing links: the adaptive schedule must
+    """Mixed 50 us / 5 ms crossing links: the per-pair schedule must
     change only how often shards barrier, never what the network did."""
 
-    @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_parity_with_single_shard(self, shards, adaptive):
+    def test_parity_with_single_shard(self, shards):
         base = het_run(shards=1)
-        run = het_run(shards=shards, adaptive=adaptive)
+        run = het_run(shards=shards)
         for name in ("h0", "h1", "h2", "h3"):
             assert (strip_pool(run.host_summary(name))
                     == strip_pool(base.host_summary(name))), name
@@ -445,15 +391,6 @@ class TestHeterogeneousDelays:
         assert run.received > 500  # traffic really crossed the WAN
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_adaptive_identical_to_uniform_schedule(self, shards):
-        adaptive = het_run(shards=shards, adaptive=True)
-        uniform = het_run(shards=shards, adaptive=False)
-        assert ([strip_transport(result)
-                 for result in adaptive.shard_results]
-                == [strip_transport(result)
-                    for result in uniform.shard_results])
-
-    @pytest.mark.parametrize("shards", [2, 4])
     def test_workers_bit_equal_to_inline_on_adaptive_schedule(self,
                                                               shards):
         inline = het_run(shards=shards, workers=0)
@@ -463,14 +400,10 @@ class TestHeterogeneousDelays:
     def test_adaptive_barriers_far_less_on_wan_pairs(self):
         """At shards=4 only the h1/h2 pair needs 50 us windows; the
         WAN-coupled end shards advance at 5 ms cadence instead of
-        being dragged through every micro-window."""
-        adaptive = het_run(shards=4, adaptive=True)
-        uniform = het_run(shards=4, adaptive=False)
+        being dragged through every micro-window of a global barrier."""
         windows = [result["transport"]["windows"]
-                   for result in adaptive.shard_results]
+                   for result in het_run(shards=4).shard_results]
         per_shard_uniform = HET_DURATION // HET_FAST  # 600 micro-windows
-        for result in uniform.shard_results:
-            assert result["transport"]["windows"] == per_shard_uniform
         # The fast pair still barriers at ~50 us cadence...
         assert windows[1] >= per_shard_uniform
         assert windows[2] >= per_shard_uniform
@@ -514,38 +447,48 @@ class TestHeterogeneousDelays:
 
 
 class TestWindowSchedule:
-    """The global-barrier edge stream is lazy: long runs with small
-    lookaheads must not materialize millions of edges up front."""
+    """The round stream is lazy: long runs with small lookaheads must
+    not materialize millions of rounds up front."""
 
     def huge_simulator(self) -> ShardedSimulator:
         scenario = make_scenario()
         scenario.duration_ns = 10**15  # ~11.6 days of simulated time
-        return ShardedSimulator(scenario, shards=2,
-                                adaptive_windows=False)
-
-    def test_windows_is_a_generator(self):
-        simulator = self.huge_simulator()
-        windows = simulator._windows()
-        assert iter(windows) is windows  # a true lazy iterator
-        from itertools import islice
-        assert list(islice(windows, 3)) == [
-            LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY]
+        return ShardedSimulator(scenario, shards=2)
 
     def test_rounds_are_lazy_too(self):
         simulator = self.huge_simulator()
+        rounds = simulator._rounds()
+        assert iter(rounds) is rounds  # a true lazy iterator
         from itertools import islice
-        first, second = islice(simulator._rounds(), 2)
-        assert first == {0: LINK_DELAY, 1: LINK_DELAY}
-        assert second == {0: 2 * LINK_DELAY, 1: 2 * LINK_DELAY}
+        assert list(islice(rounds, 3)) == [
+            {0: edge, 1: edge}
+            for edge in (LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY)]
 
     def test_final_partial_window_lands_on_duration(self):
         scenario = make_scenario()
         scenario.duration_ns = LINK_DELAY * 3 + 7
-        simulator = ShardedSimulator(scenario, shards=2,
-                                     adaptive_windows=False)
-        assert list(simulator._windows()) == [
-            LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY,
-            scenario.duration_ns]
+        simulator = ShardedSimulator(scenario, shards=2)
+        assert list(simulator._rounds()) == [
+            {0: edge, 1: edge}
+            for edge in (LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY,
+                         scenario.duration_ns)]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_unjoined_groups_finish_in_one_round(self, shards):
+        """A single shard, or groups no link joins, run one round to
+        the end of the scenario."""
+        scenario = make_scenario()
+        if shards == 2:
+            scenario.topology = Topology()
+            for index in range(4):
+                scenario.topology.add_node(NodeSpec(name=f"h{index}"))
+            scenario.topology.add_link(Link(a="h0", b="h1",
+                                            delay_ns=LINK_DELAY))
+            scenario.topology.add_link(Link(a="h2", b="h3",
+                                            delay_ns=LINK_DELAY))
+        simulator = ShardedSimulator(scenario, shards=shards)
+        assert list(simulator._rounds()) == [
+            {shard: DURATION for shard in range(shards)}]
 
 
 class TestVerifiedShardedRun:
