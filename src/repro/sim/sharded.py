@@ -436,10 +436,10 @@ class ShardRuntime:
         # matches the single-outbox era exactly.
         self._outboxes: dict[int, list[tuple]] = {}
         self._boundary_seq = 0
-        # One object per distinct string in the captured events.  pickle
-        # writes a repeated object once, and a worker's strings arrive
-        # as fresh copies every round, so without this the byte count
-        # would depend on whether the shards share a process.
+        # One object per distinct string in a window's captured events.
+        # pickle writes a repeated object once, and a worker's strings
+        # arrive as fresh copies every round, so without this the byte
+        # count would depend on whether the shards share a process.
         self._strings: dict[str, str] = {}
         self.boundary_tx = 0
         self.boundary_frames_carried = 0
@@ -567,6 +567,7 @@ class ShardRuntime:
         """
         staged = self._outboxes
         self._outboxes = {}
+        self._strings.clear()
         for dst_shard in sorted(staged):
             self.transport_batches += 1
             self.transport_bytes += len(

@@ -473,22 +473,16 @@ class TestWindowSchedule:
             for edge in (LINK_DELAY, 2 * LINK_DELAY, 3 * LINK_DELAY,
                          scenario.duration_ns)]
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_unjoined_groups_finish_in_one_round(self, shards):
-        """A single shard, or groups no link joins, run one round to
-        the end of the scenario."""
+    def test_unjoined_groups_finish_in_one_round(self):
+        """Groups no link joins run one round to the end of the run."""
         scenario = make_scenario()
-        if shards == 2:
-            scenario.topology = Topology()
-            for index in range(4):
-                scenario.topology.add_node(NodeSpec(name=f"h{index}"))
-            scenario.topology.add_link(Link(a="h0", b="h1",
-                                            delay_ns=LINK_DELAY))
-            scenario.topology.add_link(Link(a="h2", b="h3",
-                                            delay_ns=LINK_DELAY))
-        simulator = ShardedSimulator(scenario, shards=shards)
-        assert list(simulator._rounds()) == [
-            {shard: DURATION for shard in range(shards)}]
+        scenario.topology = line_topology(2)
+        scenario.topology.add_node(NodeSpec(name="h2"))
+        scenario.topology.add_node(NodeSpec(name="h3"))
+        scenario.topology.add_link(Link(a="h2", b="h3", delay_ns=LINK_DELAY))
+        simulator = ShardedSimulator(scenario, shards=2)
+        assert simulator.plan.lookahead_ns is None
+        assert list(simulator._rounds()) == [{0: DURATION, 1: DURATION}]
 
 
 class TestVerifiedShardedRun:
