@@ -430,7 +430,7 @@ class SdnfvApp:
             interval_ns: int = 100_000_000,
             threshold_slots: int = 256,
             max_replicas: int = 4,
-            mode: str = "standby_process") -> None:
+            mode: str | None = None) -> None:
         """Boot extra replicas of overloaded services automatically.
 
         Wires the NF Manager's overload monitor (host tier) to the NFV
@@ -441,6 +441,7 @@ class SdnfvApp:
         """
         if self.orchestrator is None:
             raise RuntimeError("autoscaling needs an orchestrator")
+        mode = mode or "standby_process"
         self.orchestrator.launch_time_ns(mode)  # reject bad modes up front
         if isinstance(host, str):
             host = self.hosts[host]
