@@ -72,7 +72,6 @@ from repro.core import (
     GraphDeployment,
     SdnfvApp,
     ServiceGraph,
-    compile_proactive_rules,
 )
 
 # Faults and resilience
@@ -172,7 +171,6 @@ __all__ = [
     "GraphDeployment",
     "SdnfvApp",
     "ServiceGraph",
-    "compile_proactive_rules",
     # faults and resilience
     "ControllerOutage",
     "FaultInjector",

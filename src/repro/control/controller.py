@@ -9,7 +9,9 @@ delay grows without bound — exactly the behaviour the experiments show.
 
 Rule content comes from a pluggable *northbound application* (usually the
 :class:`~repro.core.app.SdnfvApp`) implementing ``rules_for(host, scope,
-flow)``.
+flow)``.  The controller serves only those flow-table misses: proactive
+rules are installed by the application at deploy time, before traffic,
+and never occupy its queue.
 """
 
 from __future__ import annotations
@@ -147,21 +149,6 @@ class SdnController:
             return []
         return list(self.northbound.rules_for(message.host, message.scope,
                                               message.flow))
-
-    # ------------------------------------------------------------------
-    # Northbound: proactive pushes from the SDNFV Application
-    # ------------------------------------------------------------------
-    def push_rules(self, host_manager: typing.Any,
-                   entries: typing.Sequence[FlowTableEntry]) -> Event:
-        """Install rules on a host through the controller (Fig. 2 steps
-        2–3).  Occupies one service slot plus propagation each way; the
-        returned event fires once the rules are installed on the host."""
-        def deliver() -> bool:
-            for entry in entries:
-                host_manager.install_rule(entry)
-            return True
-
-        return self._submit(deliver)
 
     def submit_work(self, compute: typing.Callable[[], typing.Any]) -> Event:
         """Run arbitrary controller-resident work through the queue (used

@@ -42,30 +42,6 @@ class FlowModMessage:
 
 
 @dataclasses.dataclass(frozen=True)
-class PrepareInstall:
-    """Phase 1 of a cross-shard rule transaction: an involved shard
-    acknowledges — through its own request queue — that it is ready to
-    commit transaction ``txn_id`` for its ``hosts``.  Ordering through
-    the queue is the point: a saturated or downed shard delays the
-    transaction instead of letting commits race."""
-
-    txn_id: int
-    shard: int
-    hosts: tuple[str, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class CommitInstall:
-    """Phase 2: one shard's share of the transaction's rules.  Commits
-    are issued strictly in ascending shard order, so concurrent
-    transactions serialize identically on every run."""
-
-    txn_id: int
-    shard: int
-    entries: tuple[FlowTableEntry, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class StatsRequest:
     """Controller asking a host for its counters (northbound telemetry)."""
 

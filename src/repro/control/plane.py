@@ -11,18 +11,9 @@ capacity, and outage state, and partition the work:
   flow's setup always serializes through one queue while distinct flows
   spread over all shards — aggregate setup capacity scales with the
   shard count.
-- **Proactive pushes** route by the *host* the rules land on (a stable
-  FNV hash of the host name, overridable per host), so one host's table
-  updates stay ordered.
-- **Cross-shard installs** — a service graph whose hosts are owned by
-  different shards — run a two-phase transaction: every involved shard
-  accepts a :class:`~repro.control.openflow.PrepareInstall` through its
-  own queue, then commits run strictly in ascending shard order
-  (:class:`~repro.control.openflow.CommitInstall`), one at a time.  The
-  deterministic commit order makes concurrent transactions serialize
-  identically on every run, and every commit lands through
-  ``manager.install_rule`` so the ownership verifier audits it like any
-  other table write.
+- **Proactive covers** never reach the plane: the SDNFV Application
+  installs them at deploy time, so a full proactive cover leaves every
+  shard's request counter at zero.
 
 ``shards=1`` constructs exactly one :class:`SdnController` and delegates
 every call to it unchanged — byte-identical to today's single-controller
@@ -37,29 +28,13 @@ shard no longer stalls flows owned by the others.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from repro.control.controller import SdnController
-from repro.control.openflow import CommitInstall, PrepareInstall
-from repro.dataplane.flow_table import FlowTableEntry
 from repro.net.flow import FiveTuple
 from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 from repro.sim.units import US
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _host_bucket(name: str, buckets: int) -> int:
-    """Stable FNV-1a bucket for a host name (hash() is salted per
-    process; shard ownership must agree across workers and runs)."""
-    digest = _FNV_OFFSET
-    for byte in name.encode():
-        digest = ((digest ^ byte) * _FNV_PRIME) & _MASK64
-    return digest % buckets
 
 
 @dataclasses.dataclass
@@ -67,7 +42,6 @@ class ControlPlaneStats:
     """Plane-level counters (per-shard load lives in each shard's
     :class:`~repro.control.controller.ControllerStats`)."""
 
-    transactions: int = 0
     failovers: int = 0
     outages: int = 0
 
@@ -77,8 +51,8 @@ class ControlPlane:
 
     Drop-in for :class:`SdnController` wherever one is duck-typed
     (``NfManager.controller``, ``SdnfvApp(controller=...)``,
-    ``FaultInjector(controller=...)``): ``flow_request`` / ``push_rules``
-    / ``submit_work`` route to a shard and return that shard's reply
+    ``FaultInjector(controller=...)``): ``flow_request`` /
+    ``submit_work`` route to a shard and return that shard's reply
     event; ``northbound`` fans out to every shard.
     """
 
@@ -88,7 +62,6 @@ class ControlPlane:
                  northbound: typing.Any | None = None,
                  workers_per_shard: int = 1,
                  failover: bool = True,
-                 host_shards: typing.Mapping[str, int] | None = None,
                  event_log: typing.Any | None = None) -> None:
         if shards < 1:
             raise ValueError("need at least one controller shard")
@@ -99,8 +72,6 @@ class ControlPlane:
         self.event_log = event_log
         self.stats = ControlPlaneStats()
         self._northbound = northbound
-        self._host_shards = dict(host_shards or {})
-        self._txn_ids = itertools.count()
         self.shards: tuple[SdnController, ...] = tuple(
             SdnController(sim, service_time_ns=service_time_ns,
                           propagation_ns=propagation_ns,
@@ -145,13 +116,6 @@ class ControlPlane:
         """The shard owning this flow's slice of flow space."""
         return flow.hash_bucket(len(self.shards))
 
-    def shard_for_host(self, host_name: str) -> int:
-        """The shard owning a host's proactive rule channel."""
-        explicit = self._host_shards.get(host_name)
-        if explicit is not None:
-            return explicit % len(self.shards)
-        return _host_bucket(host_name, len(self.shards))
-
     def _route(self, index: int) -> tuple[int, SdnController]:
         """Resolve an owner index to a live shard (ring failover)."""
         shard = self.shards[index]
@@ -175,84 +139,10 @@ class ControlPlane:
         _index, shard = self._route(self.owner_of(flow))
         return shard.flow_request(host, scope, flow)
 
-    def push_rules(self, host_manager: typing.Any,
-                   entries: typing.Sequence[FlowTableEntry]) -> Event:
-        """Proactive install on one host through its owning shard."""
-        _index, shard = self._route(self.shard_for_host(host_manager.name))
-        return shard.push_rules(host_manager, entries)
-
     def submit_work(self, compute: typing.Callable[[], typing.Any],
                     shard: int = 0) -> Event:
         """Controller-resident work pinned to one shard's queue."""
         return self.shards[shard].submit_work(compute)
-
-    # ------------------------------------------------------------------
-    # Cross-shard installs: two-phase, deterministic commit order
-    # ------------------------------------------------------------------
-    def install_batch(self, installs: typing.Sequence[
-            tuple[typing.Any, typing.Sequence[FlowTableEntry]]]) -> Event:
-        """Install per-host rule batches as one atomic-order transaction.
-
-        Batches whose hosts are all owned by one shard take the fast
-        path: plain per-host pushes through that shard's queue.  Batches
-        spanning shards run two-phase — a prepare through every involved
-        shard's queue (so a saturated or downed shard delays the whole
-        transaction, never reorders it), then commits strictly in
-        ascending shard order.  The returned event fires with the
-        transaction id once every rule is installed.
-        """
-        groups: dict[int, list[tuple[typing.Any,
-                                     typing.Sequence[FlowTableEntry]]]] = {}
-        for manager, entries in installs:
-            groups.setdefault(self.shard_for_host(manager.name),
-                              []).append((manager, entries))
-        order = sorted(groups)
-        txn_id = next(self._txn_ids)
-        if len(order) <= 1:
-            replies = [self.shards[index].push_rules(manager, list(entries))
-                       for index in order
-                       for manager, entries in groups[index]]
-            done = self.sim.event()
-            gate = self.sim.all_of(replies)
-            gate.callbacks.append(lambda _event: done.succeed(txn_id))
-            return done
-        done = self.sim.event()
-        self.stats.transactions += 1
-        self.sim.process(self._two_phase(txn_id, groups, order, done))
-        return done
-
-    def _two_phase(self, txn_id: int,
-                   groups: dict[int, list[tuple[typing.Any,
-                                                typing.Sequence[
-                                                    FlowTableEntry]]]],
-                   order: list[int], done: Event):
-        prepares = []
-        for index in order:
-            message = PrepareInstall(
-                txn_id=txn_id, shard=index,
-                hosts=tuple(manager.name for manager, _ in groups[index]))
-            self._log("txn_prepare", shard=index, txn=txn_id,
-                      hosts=len(message.hosts))
-            prepares.append(self.shards[index].submit_work(
-                lambda prepared=message: prepared))
-        yield self.sim.all_of(prepares)
-        for index in order:
-            batch = groups[index]
-            message = CommitInstall(
-                txn_id=txn_id, shard=index,
-                entries=tuple(entry for _manager, entries in batch
-                              for entry in entries))
-
-            def commit(batch=batch, message=message) -> int:
-                for manager, entries in batch:
-                    for entry in entries:
-                        manager.install_rule(entry)
-                return len(message.entries)
-
-            installed = yield self.shards[index].submit_work(commit)
-            self._log("txn_commit", shard=index, txn=txn_id,
-                      rules=installed)
-        done.succeed(txn_id)
 
     # ------------------------------------------------------------------
     # Outages (repro.faults.ControllerOutage, per shard or plane-wide)
@@ -303,7 +193,6 @@ class ControlPlane:
         """Per-shard load rows plus plane counters, as primitives."""
         return {
             "shards": [shard.snapshot() for shard in self.shards],
-            "transactions": self.stats.transactions,
             "failovers": self.stats.failovers,
             "outages": self.stats.outages,
         }

@@ -10,7 +10,6 @@ from repro.core.app import GraphDeployment, SdnfvApp
 from repro.core.deploy_rules import (
     DistributedDeploymentError,
     compile_distributed_rules,
-    compile_proactive_rules,
 )
 from repro.core.placement import (
     DivisionSolver,
@@ -29,7 +28,6 @@ __all__ = [
     "DivisionSolver",
     "EXIT",
     "compile_distributed_rules",
-    "compile_proactive_rules",
     "FlowRequest",
     "GraphDeployment",
     "GreedySolver",

@@ -1,9 +1,11 @@
 """The SDNFV Application: the global tier of the control hierarchy (§3.1).
 
 It "has purview over the entire network": it holds the service graphs and
-placement decisions, feeds flow rules to hosts through the SDN controller
-(Fig. 2 steps 1–3), asks the NFV orchestrator to start VMs (step 4), and
-validates / acts on cross-layer messages coming up from NFs (step 5).
+placement decisions, compiles them into flow rules (Fig. 2 steps 1–3) —
+installed at deploy time when proactive, handed out through the SDN
+controller on flow-table misses otherwise — asks the NFV orchestrator to
+start VMs (step 4), and validates / acts on cross-layer messages coming
+up from NFs (step 5).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.net.flow import FiveTuple, FlowMatch
 from repro.core.deploy_rules import (
     DistributedDeploymentError,
     compile_distributed_rules,
-    compile_proactive_rules,
 )
 from repro.core.service_graph import EXIT, ServiceGraph
 from repro.sim.events import Event
@@ -48,18 +49,13 @@ class GraphDeployment:
     inter_host_ports: typing.Mapping[tuple[str, str], str] | None = None
     priority: int = 0
     # Routed deployments (deploy(network=...)) remember the topology and
-    # the full host universe, so on-demand rules_for can recompile the
-    # routed cover (transit + arrival rules included) per host.
+    # the full host universe, so rules_for can recompile the routed cover
+    # (transit + arrival rules included) per host.
     topology: typing.Any = None
     host_names: tuple[str, ...] = ()
 
     def covers(self, flow: FiveTuple) -> bool:
         return self.match.matches(flow)
-
-    def hosts(self, default_host: str) -> set[str]:
-        if self.placement is None:
-            return {default_host}
-        return set(self.placement.values())
 
 
 class SdnfvApp:
@@ -133,9 +129,13 @@ class SdnfvApp:
                network: typing.Any = None) -> GraphDeployment:
         """Instantiate a service graph.
 
-        ``proactive=True`` pushes the compiled rules to every involved host
-        immediately (pre-populated rules); with ``proactive=False`` rules
-        are handed out on demand when hosts report flow-table misses.
+        The deployment's rule cover compiles once, here, so placement
+        errors surface at deploy time.  ``proactive=True`` marks every
+        entry proactive and installs it on the hosts this build realizes,
+        in compile order, before any traffic (the pre-populated tables of
+        §4.1); with ``proactive=False`` nothing is installed and hosts
+        pull their share on flow-table misses (:meth:`rules_for`).  An
+        attached controller only ever serves those misses.
 
         ``auto_parallel=True`` replaces the declared-read-only fusion with
         profile-driven layout synthesis: each host's registered NFs are
@@ -150,52 +150,58 @@ class SdnfvApp:
 
         With ``network=`` (a :class:`repro.topology.BuiltNetwork`), the
         deployment is *routed*: transit and arrival rules for non-adjacent
-        placements compile from the network's topology, and ``placement``
-        is required.
+        placements compile from the network's topology, ``placement`` is
+        required, and a partial build installs exactly its share of the
+        same global cover.
         """
-        if network is not None:
+        if network is None:
+            graph.validate()  # even when no host is registered yet
+            hosts = self.hosts
+            topology = None
+            host_names: tuple[str, ...] = ()
+            unknown = set((placement or {}).values()) - set(hosts)
+            if unknown:
+                raise DistributedDeploymentError(
+                    f"placement names unregistered hosts {sorted(unknown)}")
+        else:
             if auto_parallel:
                 raise ValueError(
                     "auto_parallel= is not supported with network= "
                     "deployments; register profile-driven chains per "
                     "host instead")
-            return self._deploy_on_network(
-                graph, network, placement, match=match,
-                ingress_port=ingress_port, exit_port=exit_port,
-                priority=priority, proactive=proactive)
-        graph.validate()
-        match = match or FlowMatch.any()
+            if placement is None:
+                raise DistributedDeploymentError(
+                    "deploy(network=...) needs placement=")
+            hosts = network.hosts
+            topology = network.topology
+            inter_host_ports = network.inter_host_ports
+            host_names = network.all_hosts or tuple(network.hosts)
         deployment = GraphDeployment(
-            graph=graph, match=match, ingress_port=ingress_port,
-            exit_port=exit_port, placement=placement,
-            inter_host_ports=inter_host_ports, priority=priority)
+            graph=graph, match=match or FlowMatch.any(),
+            ingress_port=ingress_port, exit_port=exit_port,
+            placement=None if placement is None else dict(placement),
+            inter_host_ports=inter_host_ports, priority=priority,
+            topology=topology, host_names=host_names)
+        cover = self._cover(deployment, hosts)
+        chains = () if auto_parallel else graph.parallel_chains()
+        for host_name in dict.fromkeys(name for name, _entry in cover):
+            host = hosts[host_name]
+            if auto_parallel:
+                self._register_auto_parallel(graph, host, host_name,
+                                             placement)
+            for chain in chains:
+                if all(placement is None or placement[service] == host_name
+                       for service in chain):
+                    host.manager.register_parallel_chain(chain)
         self.deployments.append(deployment)
         if self.event_log is not None:
             self.event_log.record("deploy", graph=graph.name,
                                   proactive=proactive,
                                   services=len(graph.services))
-        involved = (set(placement.values()) if placement
-                    else set(self.hosts))
-        pushes: list[tuple[NfvHost, list[FlowTableEntry]]] = []
-        for host_name in involved:
-            host = self.hosts[host_name]
-            if auto_parallel:
-                self._register_auto_parallel(graph, host, host_name,
-                                             placement)
-            else:
-                for chain in graph.parallel_chains():
-                    local = [service for service in chain
-                             if placement is None
-                             or placement[service] == host_name]
-                    if len(local) == len(chain):
-                        host.manager.register_parallel_chain(chain)
-            if proactive:
-                rules = [entry for _name, entry in compile_proactive_rules(
-                    graph, placement, hosts=(host_name,), match=match,
-                    ingress_port=ingress_port, exit_port=exit_port,
-                    inter_host_ports=inter_host_ports, priority=priority)]
-                pushes.append((host, rules))
-        self._install_all(pushes)
+        if proactive:
+            for host_name, entry in cover:
+                entry.proactive = True
+                hosts[host_name].manager.install_rule(entry)
         return deployment
 
     def _register_auto_parallel(self, graph: ServiceGraph, host: NfvHost,
@@ -233,99 +239,37 @@ class SdnfvApp:
                 host.manager.register_parallel_chain(group,
                                                      profiles=profiles)
 
-    def _deploy_on_network(self, graph: ServiceGraph, network: typing.Any,
-                           placement: dict[str, str] | None,
-                           match: FlowMatch | None,
-                           ingress_port: str, exit_port: str,
-                           priority: int,
-                           proactive: bool = True) -> GraphDeployment:
-        """The routed deployment path (graphs spanning a topology).
+    def _cover(self, deployment: GraphDeployment,
+               hosts: typing.Collection[str]
+               ) -> list[tuple[str, FlowTableEntry]]:
+        """The deployment's ordered ``(host, entry)`` cover, restricted
+        to ``hosts``: what a proactive deploy installs and what a miss on
+        one of those hosts is answered with.
 
-        Compilation is pure (:mod:`repro.core.deploy_rules`); the install
-        step only touches hosts the network actually realized, so a shard
-        holding a subset of the hosts installs exactly its share of the
-        same global plan.  With ``proactive=False`` nothing is installed
-        up front: the deployment is registered and every host pulls its
-        share of the routed cover on demand through the miss path.
+        Hand-wired deployments compile :meth:`ServiceGraph.compile_rules`
+        per involved host, in ``hosts`` order; routed ones compile the
+        whole topology-aware cover (transit and arrival rules included)
+        with :func:`compile_distributed_rules` and keep ``hosts``' share.
         """
-        from repro.core.deploy_rules import colocated_chains
-
-        if placement is None:
-            raise DistributedDeploymentError(
-                "deploy(network=...) needs placement=")
-        match = match or FlowMatch.any()
-        host_names = (network.all_hosts if getattr(network, "all_hosts", ())
-                      else tuple(network.hosts))
-        if proactive:
-            installs = compile_proactive_rules(
-                graph, placement, hosts=host_names,
-                topology=network.topology,
-                inter_host_ports=network.inter_host_ports,
-                host_names=host_names, match=match,
-                ingress_port=ingress_port, exit_port=exit_port,
-                priority=priority)
-            for host_name, entry in installs:
-                host = network.hosts.get(host_name)
-                if host is not None:
-                    host.install_rule(entry)
-        else:
-            # Validate the cover compiles (placement errors surface at
-            # deploy time, not at first miss) without installing it.
-            compile_distributed_rules(
-                graph, placement, topology=network.topology,
-                inter_host_ports=network.inter_host_ports,
-                host_names=host_names, match=match,
-                ingress_port=ingress_port, exit_port=exit_port,
-                priority=priority)
-        for host_name, chain in colocated_chains(graph, placement):
-            host = network.hosts.get(host_name)
-            if host is not None:
-                host.manager.register_parallel_chain(chain)
-
-        deployment = GraphDeployment(
-            graph=graph, match=match, ingress_port=ingress_port,
-            exit_port=exit_port, placement=dict(placement),
-            inter_host_ports=network.inter_host_ports,
-            priority=priority, topology=network.topology,
-            host_names=tuple(host_names))
-        self.deployments.append(deployment)
-        if self.event_log is not None:
-            self.event_log.record(
-                "deploy", graph=graph.name,
-                hosts=len({placement[s] for s in graph.services}),
-                services=len(graph.services))
-        return deployment
-
-    def _compile_for(self, deployment: GraphDeployment,
-                     host_name: str) -> list[FlowTableEntry]:
-        return deployment.graph.compile_rules(
-            ingress_port=deployment.ingress_port,
-            exit_port=deployment.exit_port,
-            match=deployment.match,
-            placement=deployment.placement,
-            host=host_name if deployment.placement else None,
-            inter_host_ports=deployment.inter_host_ports,
-            priority=deployment.priority)
-
-    def _install_all(self, pushes: list[tuple[NfvHost,
-                                              list[FlowTableEntry]]]) -> None:
-        """Install compiled per-host batches: directly without a
-        controller, per host through a plain controller, or — when the
-        deployment spans hosts and the controller is a sharded
-        :class:`~repro.control.plane.ControlPlane` — as one cross-shard
-        transaction with a deterministic commit order."""
-        if not pushes:
-            return
-        if self.controller is None:
-            for host, rules in pushes:
-                host.install_rules(rules)
-        elif (len(pushes) > 1
-                and hasattr(self.controller, "install_batch")):
-            self.controller.install_batch(
-                [(host.manager, rules) for host, rules in pushes])
-        else:
-            for host, rules in pushes:
-                self.controller.push_rules(host.manager, rules)
+        if deployment.topology is not None:
+            return [(name, entry) for name, entry in compile_distributed_rules(
+                deployment.graph, deployment.placement,
+                topology=deployment.topology,
+                inter_host_ports=deployment.inter_host_ports,
+                host_names=deployment.host_names, match=deployment.match,
+                ingress_port=deployment.ingress_port,
+                exit_port=deployment.exit_port,
+                priority=deployment.priority) if name in hosts]
+        placement = deployment.placement
+        return [(name, entry) for name in hosts
+                if placement is None or name in placement.values()
+                for entry in deployment.graph.compile_rules(
+                    ingress_port=deployment.ingress_port,
+                    exit_port=deployment.exit_port,
+                    match=deployment.match, placement=placement,
+                    host=None if placement is None else name,
+                    inter_host_ports=deployment.inter_host_ports,
+                    priority=deployment.priority)]
 
     def launch_nf(self, host: NfvHost | str,
                   nf_factory: typing.Callable[[], typing.Any],
@@ -344,26 +288,13 @@ class SdnfvApp:
     # ------------------------------------------------------------------
     def rules_for(self, host_name: str, scope: str,
                   flow: FiveTuple) -> list[FlowTableEntry]:
-        """Rules for a reported miss: the host's share of the first
-        deployment covering the flow.  Routed deployments recompile
-        their topology-aware cover (transit and arrival rules included)
-        and return this host's slice of it."""
-        for deployment in self.deployments:
-            if deployment.covers(flow):
-                if deployment.topology is not None:
-                    installs = compile_distributed_rules(
-                        deployment.graph, deployment.placement,
-                        topology=deployment.topology,
-                        inter_host_ports=deployment.inter_host_ports,
-                        host_names=deployment.host_names,
-                        match=deployment.match,
-                        ingress_port=deployment.ingress_port,
-                        exit_port=deployment.exit_port,
-                        priority=deployment.priority)
-                    return [entry for name, entry in installs
-                            if name == host_name]
-                return self._compile_for(deployment, host_name)
-        return []
+        """Rules for a reported miss: the host's share of every
+        deployment covering the flow, in deploy order.  Overlapping
+        deployments then resolve by table priority, exactly as their
+        proactive covers do."""
+        return [entry for deployment in self.deployments
+                if deployment.covers(flow)
+                for _name, entry in self._cover(deployment, (host_name,))]
 
     # ------------------------------------------------------------------
     # Cross-layer message validation (§3.4, untrusted NFs)

@@ -12,8 +12,8 @@ the ordered ``(host_name, FlowTableEntry)`` install sequence —
 
 No side effects and no references to live hosts, so the same compilation
 runs identically on every shard of a sharded simulation (each shard then
-installs only the entries for hosts it realizes) and in the unified
-:meth:`repro.core.app.SdnfvApp.deploy` entry point.
+installs only the entries for hosts it realizes), at deploy time and on
+every miss :meth:`repro.core.app.SdnfvApp.rules_for` answers.
 """
 
 from __future__ import annotations
@@ -135,73 +135,3 @@ def compile_distributed_rules(
         installs.extend((host_name, entry)
                         for entry in rules[host_name])
     return installs
-
-
-def compile_proactive_rules(
-        graph: ServiceGraph,
-        placement: typing.Mapping[str, str] | None = None,
-        *,
-        hosts: typing.Sequence[str],
-        match: FlowMatch | None = None,
-        ingress_port: str = "eth0",
-        exit_port: str = "eth1",
-        inter_host_ports: typing.Mapping[tuple[str, str], str] | None = None,
-        priority: int = 0,
-        topology: Topology | None = None,
-        host_names: typing.Iterable[str] | None = None,
-        ) -> list[tuple[str, FlowTableEntry]]:
-    """Compile the multi-table pipeline a deployment pre-populates.
-
-    The proactive half of the hybrid rule pipeline: the same per-host
-    rules the reactive path would hand out one miss at a time, compiled
-    up front in deterministic ``(host, entry)`` install order and marked
-    ``proactive=True`` — so table-miss ``PacketInMessage``s only fire
-    for flows *outside* the pre-installed cover, and the manager's miss
-    classifier can tell a pre-populated hit from a reactively pulled
-    one.
-
-    Without ``topology`` this compiles ``graph.compile_rules`` per host
-    in ``hosts`` order (adjacent/single-host placements — exactly what
-    :meth:`SdnfvApp.deploy` installs).  With ``topology`` (and
-    ``host_names``, the full host universe) it delegates to
-    :func:`compile_distributed_rules` for the routed cover, transit and
-    arrival rules included.
-    """
-    match = match or FlowMatch.any()
-    if topology is not None:
-        if placement is None:
-            raise DistributedDeploymentError(
-                "routed proactive compilation needs placement=")
-        installs = compile_distributed_rules(
-            graph, placement, topology=topology,
-            inter_host_ports=inter_host_ports or {},
-            host_names=(host_names if host_names is not None else hosts),
-            match=match, ingress_port=ingress_port, exit_port=exit_port,
-            priority=priority)
-    else:
-        graph.validate()
-        installs = []
-        for host_name in hosts:
-            installs.extend(
-                (host_name, entry) for entry in graph.compile_rules(
-                    ingress_port=ingress_port, exit_port=exit_port,
-                    match=match, placement=placement,
-                    host=host_name if placement else None,
-                    inter_host_ports=inter_host_ports,
-                    priority=priority))
-    for _host_name, entry in installs:
-        entry.proactive = True
-    return installs
-
-
-def colocated_chains(graph: ServiceGraph,
-                     placement: typing.Mapping[str, str]
-                     ) -> list[tuple[str, list[str]]]:
-    """Read-only parallel chains whose services share one host:
-    ``(host_name, chain)`` pairs for parallel-chain registration."""
-    out = []
-    for chain in graph.parallel_chains():
-        chain_hosts = {placement[service] for service in chain}
-        if len(chain_hosts) == 1:
-            out.append((chain_hosts.pop(), chain))
-    return out

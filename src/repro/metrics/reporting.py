@@ -95,7 +95,6 @@ def control_plane_counters(plane: typing.Any,
     stats = getattr(plane, "stats", None)
     if stats is not None and hasattr(stats, "failovers"):
         counters["failovers"] = stats.failovers
-        counters["transactions"] = stats.transactions
         counters["shard_outages"] = stats.outages
     return counters
 

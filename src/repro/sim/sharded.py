@@ -141,8 +141,8 @@ class Scenario:
     seed: int = 0
     ring_slots: int = 512
     pktgen_seed: int = 42
-    # Shard-local control plane (0 = no controller, today's behaviour:
-    # rules install directly at deploy time).  With control_shards >= 1
+    # Shard-local control plane (0 = no controller; a proactive cover
+    # installs at deploy time either way).  With control_shards >= 1
     # every simulation shard builds its own ControlPlane replica —
     # controller placement follows the data it serves, so reactive
     # misses never cross a shard boundary.  control_proactive=False

@@ -97,29 +97,6 @@ class BuiltNetwork:
     def host(self, name: str) -> NfvHost:
         return self.hosts[name]
 
-    def install_transit(self, match, src: str, dst: str) -> list[str]:
-        """Install forwarding rules on intermediate hosts so ``match``
-        traffic can cross from ``src`` to ``dst`` over a multi-hop path.
-
-        Returns the node path used.  Hosts that terminate or originate
-        the traffic get their rules from the service-graph compilation;
-        only the pure-transit middle hops are handled here.  Unrealized
-        middle hops (partial builds) are skipped — the shard that owns
-        them installs the same rules from its own copy of the plan.
-        """
-        from repro.dataplane.actions import ToPort
-        from repro.dataplane.flow_table import FlowTableEntry
-
-        path = self.topology.shortest_path(src, dst)
-        for previous, current, nxt in zip(path, path[1:], path[2:],
-                                          strict=False):
-            if current not in self.hosts:
-                continue
-            self.hosts[current].install_rule(FlowTableEntry(
-                scope=f"to-{previous}", match=match,
-                actions=(ToPort(f"to-{nxt}"),)))
-        return path
-
 
 def build_network(sim: Simulator, topology: Topology,
                   costs: HostCosts | None = None,
@@ -188,7 +165,7 @@ def build_network(sim: Simulator, topology: Topology,
     # Next-hop ports span the FULL topology: rules compiled on a
     # realized host may point at trunks toward unrealized hosts.
     # Multi-hop pairs additionally need transit rules on the
-    # intermediate hosts — see BuiltNetwork.install_transit.
+    # intermediate hosts, which repro.core.deploy_rules compiles.
     all_hosts = tuple(nfv_names)
     return BuiltNetwork(hosts=hosts, fabric=fabric,
                         inter_host_ports=InterHostPorts(topology, all_hosts),

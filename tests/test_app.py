@@ -1,6 +1,14 @@
 """SDNFV Application tests: deployment, northbound, validation, messages."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.control import NfvOrchestrator, SdnController
 from repro.core import HierarchySnapshot, SdnfvApp, ServiceGraph
@@ -39,10 +47,11 @@ class TestDeployment:
         host.add_nf(NoOpNf("tc"))
         host.add_nf(NoOpNf("cache"))
         app.deploy(video_graph())
-        assert len(host.flow_table) == 0  # still in flight
-        sim.run(until=controller.idle_lookup_ns + 1 * MS)
+        # The cover is live at deploy time; the controller serves only
+        # misses, and a full proactive cover has none.
         assert len(host.flow_table) == 5  # eth0 + 4 services
-        assert controller.stats.requests == 1
+        sim.run(until=controller.idle_lookup_ns + 1 * MS)
+        assert controller.stats.requests == 0
 
     def test_deploy_registers_parallel_chains(self, sim, app_env):
         app, _controller, _orch, host = app_env
@@ -82,6 +91,55 @@ class TestDeployment:
         with pytest.raises(ValueError):
             app.register_host(host)
 
+    def test_install_order_is_registration_order_under_any_hash_seed(self):
+        """Hosts install in app registration order, so the sequence of
+        rule installs does not depend on ``PYTHONHASHSEED``."""
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        orders = []
+        for seed in ("0", "1"):
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-c", DEPLOY_ORDER_SCRIPT], env=env,
+                capture_output=True, text=True, check=True)
+            orders.append(json.loads(result.stdout))
+        assert orders[0] == orders[1]
+        assert [host for host, _scope in orders[0]][::2] == [
+            "west", "east", "north", "south"]
+
+
+#: Deploys a 4-host chain and prints its rule_install (host, scope)
+#: sequence as JSON.
+DEPLOY_ORDER_SCRIPT = """
+import json
+from repro.core import EXIT, SdnfvApp, ServiceGraph
+from repro.dataplane import NfvHost
+from repro.metrics import EventLog
+from repro.sim import Simulator
+
+sim = Simulator()
+app = SdnfvApp(sim)
+app.attach_event_log(EventLog(sim))
+names = ["west", "east", "north", "south"]
+for name in names:
+    app.register_host(NfvHost(sim, name=name,
+                              ports=("eth0", "eth1", "trunk")))
+services = ["a", "b", "c", "d"]
+graph = ServiceGraph("four-hosts")
+for service in services:
+    graph.add_service(service)
+for src, dst in zip(services, services[1:] + [EXIT]):
+    graph.add_edge(src, dst, default=True)
+graph.set_entry("a")
+app.deploy(graph, placement=dict(zip(services, names)),
+           inter_host_ports={(src, dst): "trunk" for src in names
+                             for dst in names if src != dst})
+print(json.dumps([[event.host, event.get("scope")] for event
+                  in app.event_log.filter(category="rule_install")]))
+"""
+
 
 class TestOnDemandRules:
     def test_miss_pulls_rules_from_deployment(self, sim, flow):
@@ -114,6 +172,34 @@ class TestOnDemandRules:
         host.inject("eth0", Packet(flow=udp_flow, size=128))
         sim.run(until=100 * MS)
         assert host.stats.dropped_no_rule == 1
+
+    @pytest.mark.parametrize("proactive", [True, False])
+    def test_overlapping_deployments_follow_priority(self, sim, flow,
+                                                     proactive):
+        """A flow covered by two deployments takes the higher-priority
+        one, whether its rules were pre-installed or pulled on a miss."""
+        controller = SdnController(sim)
+        app = SdnfvApp(sim, controller=controller)
+        host = NfvHost(sim, name="h0", controller=controller)
+        app.register_host(host)
+        for name in ("a", "b"):
+            host.add_nf(NoOpNf(name))
+            graph = ServiceGraph(name)
+            graph.add_service(name)
+            graph.add_edge(name, EXIT, default=True)
+            graph.set_entry(name)
+            if name == "a":
+                app.deploy(graph, proactive=proactive)
+            else:
+                app.deploy(graph, match=FlowMatch.exact(flow), priority=10,
+                           proactive=proactive)
+        out = []
+        host.port("eth1").on_egress = out.append
+        host.inject("eth0", Packet(flow=flow, size=128))
+        sim.run(until=100 * MS)
+        assert len(out) == 1
+        assert host.stats.per_service_packets["b"] == 1
+        assert host.stats.per_service_packets.get("a", 0) == 0
 
 
 class TestValidation:

@@ -61,15 +61,6 @@ class TestControllerQueue:
         reply = controller.flow_request("h0", "eth0", flow)
         assert sim.run(reply) == []
 
-    def test_push_rules_installs_on_host(self, sim, flow):
-        controller = SdnController(sim, propagation_ns=100 * US)
-        host = NfvHost(sim, name="h0")
-        done = controller.push_rules(host.manager, [FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToPort("eth1"),))])
-        sim.run(done)
-        assert len(host.flow_table) == 1
-
     def test_submit_work_runs_in_controller(self, sim):
         controller = SdnController(sim, service_time_ns=2 * MS,
                                    propagation_ns=1 * MS)

@@ -1,5 +1,5 @@
-"""Distributed control plane: sharding, failover, two-phase installs,
-and the hybrid proactive/reactive pipeline.
+"""Distributed control plane: sharding, failover, and the hybrid
+proactive/reactive pipeline.
 
 CI re-runs this suite with ``SDNFV_CONTROL_SHARDS=2`` (mirroring the
 ``SDNFV_SHARD_WORKERS`` convention), which adds that shard count to
@@ -11,7 +11,6 @@ import os
 import pytest
 
 from repro.control import ControlPlane, SdnController
-from repro.control.plane import _host_bucket
 from repro.dataplane import (
     ControlPlanePolicy,
     FlowTableEntry,
@@ -125,14 +124,6 @@ class TestFlowSpacePartition:
         assert plane.owner_of(flow) == flow.hash_bucket(shards)
         assert plane.owner_of(flow) == plane.owner_of(flow)
 
-    def test_host_routing_uses_stable_fnv(self, sim):
-        plane = ControlPlane(sim, shards=4)
-        assert plane.shard_for_host("h0") == _host_bucket("h0", 4)
-
-    def test_explicit_host_shard_overrides_hash(self, sim):
-        plane = ControlPlane(sim, shards=2, host_shards={"h0": 1})
-        assert plane.shard_for_host("h0") == 1
-
     def test_distinct_shards_serve_concurrently(self, sim):
         """Two flows owned by different shards don't queue behind each
         other — the Fig. 1 ceiling lifts with the shard count."""
@@ -157,17 +148,6 @@ class TestFlowSpacePartition:
             reply.callbacks.append(lambda _e: done.append(sim.now))
         sim.run()
         assert done == [1 * MS, 2 * MS]
-
-    def test_push_rules_routes_by_host(self, sim, flow):
-        plane = ControlPlane(sim, shards=2, propagation_ns=100 * US,
-                             host_shards={"h0": 1})
-        host = NfvHost(sim, name="h0")
-        done = plane.push_rules(host.manager, [entry_for(flow)])
-        sim.run(done)
-        assert len(host.flow_table) == 1
-        assert plane.shards[1].stats.requests == 1
-        assert plane.shards[0].stats.requests == 0
-
 
 class TestFailover:
     def test_downed_owner_is_absorbed_by_next_live_shard(self, sim):
@@ -207,74 +187,6 @@ class TestFailover:
         sim.run(until=50 * MS)
         assert not reply.processed
         assert plane.stats.failovers == 0
-
-
-class TestInstallBatch:
-    def _hosts(self, sim, verify=False):
-        h0 = NfvHost(sim, name="h0", verify=verify)
-        h1 = NfvHost(sim, name="h1", verify=verify)
-        return h0, h1
-
-    def test_single_shard_batch_takes_fast_path(self, sim, flow, udp_flow):
-        plane = ControlPlane(sim, shards=2, propagation_ns=100 * US,
-                             host_shards={"h0": 1, "h1": 1})
-        h0, h1 = self._hosts(sim)
-        done = plane.install_batch([(h0.manager, [entry_for(flow)]),
-                                    (h1.manager, [entry_for(udp_flow)])])
-        txn_id = sim.run(done)
-        assert txn_id == 0
-        assert len(h0.flow_table) == 1
-        assert len(h1.flow_table) == 1
-        assert plane.stats.transactions == 0  # no two-phase needed
-        assert plane.shards[1].stats.requests == 2
-
-    def test_cross_shard_batch_commits_in_ascending_order(
-            self, sim, flow, udp_flow):
-        log = EventLog(sim)
-        plane = ControlPlane(sim, shards=2, propagation_ns=100 * US,
-                             host_shards={"h0": 1, "h1": 0},
-                             event_log=log)
-        h0, h1 = self._hosts(sim, verify=True)
-        done = plane.install_batch([(h0.manager, [entry_for(flow)]),
-                                    (h1.manager, [entry_for(udp_flow)])])
-        sim.run(done)
-        assert len(h0.flow_table) == 1
-        assert len(h1.flow_table) == 1
-        assert plane.stats.transactions == 1
-        prepares = log.filter(category="txn_prepare")
-        commits = log.filter(category="txn_commit")
-        assert sorted(event.get("shard") for event in prepares) == [0, 1]
-        assert [event.get("shard") for event in commits] == [0, 1]
-        # Every prepare is acknowledged before the first commit starts.
-        assert max(event.timestamp_ns for event in prepares) \
-            <= min(event.timestamp_ns for event in commits)
-        # Commits land through manager.install_rule: the ownership
-        # verifier audited both writes and found nothing.
-        for host in (h0, h1):
-            host.verifier.assert_clean(expect_drained=False)
-
-    def test_concurrent_transactions_serialize_deterministically(
-            self, sim, flow, udp_flow):
-        log = EventLog(sim)
-        plane = ControlPlane(sim, shards=2, propagation_ns=0,
-                             host_shards={"h0": 0, "h1": 1},
-                             event_log=log)
-        h0, h1 = self._hosts(sim)
-        batches = [
-            plane.install_batch([(h0.manager, [entry_for(flow)]),
-                                 (h1.manager, [entry_for(udp_flow)])]),
-            plane.install_batch([
-                (h0.manager, [entry_for(udp_flow, scope="eth1")]),
-                (h1.manager, [entry_for(flow, scope="eth1")])]),
-        ]
-        ids = sorted(sim.run(batch) for batch in batches)
-        assert ids == [0, 1]
-        # Each transaction commits shard 0 before shard 1.
-        for txn in ids:
-            shards = [event.get("shard")
-                      for event in log.filter(category="txn_commit")
-                      if event.get("txn") == txn]
-            assert shards == [0, 1]
 
 
 class TestShardOutages:

@@ -75,14 +75,23 @@ class TestBuildNetwork:
     def test_transit_rules_for_multi_hop(self, sim, flow):
         topology, _names = line_of_hosts(3)
         network = build_network(sim, topology)
-        path = network.install_transit(FlowMatch.any(), "h0", "h2")
-        assert path == ["h0", "h1", "h2"]
-        network.host("h0").install_rule(FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToPort("to-h1"),)))
-        network.host("h2").install_rule(FlowTableEntry(
-            scope="to-h1", match=FlowMatch.any(),
-            actions=(ToPort("eth1"),)))
+        app = SdnfvApp(sim)
+        for host in network.hosts.values():
+            app.register_host(host)
+        network.host("h0").add_nf(NoOpNf("a"))
+        network.host("h2").add_nf(NoOpNf("b"))
+        graph = ServiceGraph("wide")
+        graph.add_service("a", read_only=True)
+        graph.add_service("b", read_only=True)
+        graph.add_edge("a", "b", default=True)
+        graph.add_edge("b", EXIT, default=True)
+        graph.set_entry("a")
+        app.deploy(graph, placement={"a": "h0", "b": "h2"},
+                   network=network)
+        # h1 hosts no service: its only rule forwards h0's trunk to h2's.
+        [transit] = network.host("h1").flow_table.entries()
+        assert transit.scope == "to-h0"
+        assert transit.actions == (ToPort("to-h2"),)
         out = []
         network.host("h2").port("eth1").on_egress = out.append
         network.host("h0").inject("eth0", Packet(flow=flow, size=128))

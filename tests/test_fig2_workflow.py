@@ -67,7 +67,8 @@ def test_fig2_five_step_workflow(sim, flow):
     graph.set_entry("detector")
     app.deploy(graph)
 
-    # ...which reaches the host through the controller (steps 2-3).
+    # ...whose compiled rules are installed on the host at deploy time
+    # (steps 2-3); the controller only serves later misses.
     sim.run(until=sim.now + controller.idle_lookup_ns + 1 * MS)
     assert len(host.flow_table) == 3
 
