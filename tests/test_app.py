@@ -38,6 +38,37 @@ def app_env(sim):
     return app, controller, orchestrator, host
 
 
+#: Deploys a 4-host chain and prints its rule_install (host, scope)
+#: sequence as JSON.
+DEPLOY_ORDER_SCRIPT = """
+import json
+from repro.core import EXIT, SdnfvApp, ServiceGraph
+from repro.dataplane import NfvHost
+from repro.metrics import EventLog
+from repro.sim import Simulator
+
+sim = Simulator()
+app = SdnfvApp(sim)
+app.attach_event_log(EventLog(sim))
+names = ["west", "east", "north", "south"]
+for name in names:
+    app.register_host(NfvHost(sim, name=name,
+                              ports=("eth0", "eth1", "trunk")))
+services = ["a", "b", "c", "d"]
+graph = ServiceGraph("four-hosts")
+for service in services:
+    graph.add_service(service)
+for src, dst in zip(services, services[1:] + [EXIT]):
+    graph.add_edge(src, dst, default=True)
+graph.set_entry("a")
+app.deploy(graph, placement=dict(zip(services, names)),
+           inter_host_ports={(src, dst): "trunk" for src in names
+                             for dst in names if src != dst})
+print(json.dumps([[event.host, event.get("scope")] for event
+                  in app.event_log.filter(category="rule_install")]))
+"""
+
+
 class TestDeployment:
     def test_proactive_deploy_installs_rules_via_controller(self, sim,
                                                             app_env):
@@ -110,37 +141,6 @@ class TestDeployment:
             "west", "east", "north", "south"]
 
 
-#: Deploys a 4-host chain and prints its rule_install (host, scope)
-#: sequence as JSON.
-DEPLOY_ORDER_SCRIPT = """
-import json
-from repro.core import EXIT, SdnfvApp, ServiceGraph
-from repro.dataplane import NfvHost
-from repro.metrics import EventLog
-from repro.sim import Simulator
-
-sim = Simulator()
-app = SdnfvApp(sim)
-app.attach_event_log(EventLog(sim))
-names = ["west", "east", "north", "south"]
-for name in names:
-    app.register_host(NfvHost(sim, name=name,
-                              ports=("eth0", "eth1", "trunk")))
-services = ["a", "b", "c", "d"]
-graph = ServiceGraph("four-hosts")
-for service in services:
-    graph.add_service(service)
-for src, dst in zip(services, services[1:] + [EXIT]):
-    graph.add_edge(src, dst, default=True)
-graph.set_entry("a")
-app.deploy(graph, placement=dict(zip(services, names)),
-           inter_host_ports={(src, dst): "trunk" for src in names
-                             for dst in names if src != dst})
-print(json.dumps([[event.host, event.get("scope")] for event
-                  in app.event_log.filter(category="rule_install")]))
-"""
-
-
 class TestOnDemandRules:
     def test_miss_pulls_rules_from_deployment(self, sim, flow):
         controller = SdnController(sim)
@@ -182,17 +182,16 @@ class TestOnDemandRules:
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
+        graphs = {}
         for name in ("a", "b"):
             host.add_nf(NoOpNf(name))
-            graph = ServiceGraph(name)
-            graph.add_service(name)
-            graph.add_edge(name, EXIT, default=True)
-            graph.set_entry(name)
-            if name == "a":
-                app.deploy(graph, proactive=proactive)
-            else:
-                app.deploy(graph, match=FlowMatch.exact(flow), priority=10,
-                           proactive=proactive)
+            graphs[name] = ServiceGraph(name)
+            graphs[name].add_service(name)
+            graphs[name].add_edge(name, EXIT, default=True)
+            graphs[name].set_entry(name)
+        app.deploy(graphs["a"], proactive=proactive)
+        app.deploy(graphs["b"], match=FlowMatch.exact(flow), priority=10,
+                   proactive=proactive)
         out = []
         host.port("eth1").on_egress = out.append
         host.inject("eth0", Packet(flow=flow, size=128))
