@@ -1,7 +1,7 @@
 """``repro.analysis`` — correctness tooling for the reproduction.
 
 Two layers, both born out of the hot-path work (mempools, burst rings,
-recycled kernel events, the bare timer lane) that made the data plane
+direct process wakes, the bare timer lane) that made the data plane
 fast by making it easy to break silently:
 
 **Static** (:mod:`repro.analysis.lint`): an AST lint pass with

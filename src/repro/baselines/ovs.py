@@ -91,7 +91,7 @@ class OvsSwitchSim:
         # (forwarded or dropped) returns the buffer to the slab.
         self.packet_pool: PacketPool | None = (
             PacketPool(pool_size) if pool_size else None)
-        self._ingress = Store(sim, capacity=4096, recycle=True)
+        self._ingress = Store(sim, capacity=4096, direct=True)
         self._punt_queue = Store(sim, capacity=punt_buffer)
         self._rng = RandomStreams(seed=seed).stream("ovs")
         sim.process(self._fast_path())

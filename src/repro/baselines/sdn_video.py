@@ -57,7 +57,7 @@ class SdnVideoSystem:
         self.packet_pool: PacketPool | None = (
             PacketPool(pool_size) if pool_size else None)
         self._setup_slots = Store(sim, capacity=flow_setup_buffer)
-        self._ingress = Store(sim, recycle=True)
+        self._ingress = Store(sim, direct=True)
         self._credit: dict[FiveTuple, float] = {}
         self.on_egress: typing.Callable[[Packet], None] | None = None
         sim.process(self._worker())

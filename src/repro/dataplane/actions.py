@@ -66,13 +66,15 @@ class Verdict:
         if self.kind is not NfVerdict.SEND and self.destination is not None:
             raise ValueError(f"{self.kind} verdict takes no destination")
 
-    @classmethod
-    def discard(cls) -> Verdict:
-        return cls(NfVerdict.DISCARD)
+    # Verdicts are frozen values, so the two argument-free ones are
+    # shared constants rather than built and validated per packet.
+    @staticmethod
+    def discard() -> Verdict:
+        return _DISCARD
 
-    @classmethod
-    def default(cls) -> Verdict:
-        return cls(NfVerdict.DEFAULT)
+    @staticmethod
+    def default() -> Verdict:
+        return _DEFAULT
 
     @classmethod
     def send_to_service(cls, service_id: str) -> Verdict:
@@ -81,6 +83,10 @@ class Verdict:
     @classmethod
     def send_to_port(cls, port: str) -> Verdict:
         return cls(NfVerdict.SEND, ToPort(port))
+
+
+_DISCARD = Verdict(NfVerdict.DISCARD)
+_DEFAULT = Verdict(NfVerdict.DEFAULT)
 
 
 # Action-priority policy: drop > transmit out a port > send to a service >

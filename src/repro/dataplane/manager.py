@@ -122,10 +122,9 @@ class NicPort:
         self.stats = stats
         self.link_up = True
         self._link_restored: Event | None = None
-        # The RX ring recycles its poll events through the kernel free
-        # list (its only consumer is the internal RX loop); the egress
-        # store is a public sink, so it allocates.
-        self.ingress = Store(sim, capacity=rx_frames, recycle=True)
+        # The RX ring wakes its only consumer, the internal RX loop,
+        # directly; the egress store is a public sink, so it allocates.
+        self.ingress = Store(sim, capacity=rx_frames, direct=True)
         self.egress = Store(sim)
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -418,10 +417,10 @@ class NfManager:
         # reactive-hit / reactive-miss.  A dict used as an insertion-
         # ordered set so eviction matches the plan cache's FIFO idiom.
         self._classified: dict[FiveTuple, None] = {}
-        self._fc_queue = Store(sim, recycle=True)
+        self._fc_queue = Store(sim, direct=True)
         self._pending_flows: dict[tuple[str, FiveTuple],
                                   list[PacketDescriptor]] = {}
-        self._mgmt_queue = Store(sim, recycle=True)
+        self._mgmt_queue = Store(sim, direct=True)
         self.policy_validator: typing.Any | None = None
         self.message_handlers: dict[
             str, typing.Callable[[UserMessage], None]] = {}

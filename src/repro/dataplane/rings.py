@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event
 from repro.sim.store import Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -30,9 +29,9 @@ class RingBuffer:
             raise ValueError("ring must have at least one slot")
         self.name = name
         self.slots = slots
-        # Ring poll events are only ever yielded by the consumer loop, so
-        # they recycle through the simulator's kernel free list.
-        self._store = Store(sim, capacity=slots, recycle=True)
+        # Ring gets are only ever yielded at once by the consumer loop, so
+        # a hand-off wakes that loop directly, with no Event.
+        self._store = Store(sim, capacity=slots, direct=True)
         self.enqueued = 0
         self.dropped = 0
 
@@ -89,8 +88,9 @@ class RingBuffer:
             items.append(item)
         return items
 
-    def get(self) -> Event:
-        """Consumer side: event yielding the next descriptor."""
+    def get(self) -> typing.Any:
+        """Consumer side: ``yield ring.get()`` returns the next descriptor
+        (from a running consumer process only)."""
         return self._store.get()
 
     def try_get(self) -> typing.Any | None:

@@ -170,12 +170,11 @@ class NfVm:
                     # Wedged mid-packet: block on an event that never
                     # fires.  Only an interrupt (watchdog kill) resumes us.
                     yield self.sim.event()
-                jobs = [(item,
-                         costs.vm_service_ns
-                         + self.nf.processing_cost_ns(item.packet, self.ctx))
-                        for item in batch]
-                work = costs.vm_batch_poll_ns + sum(cost
-                                                    for _, cost in jobs)
+                work = costs.vm_batch_poll_ns
+                for item in batch:
+                    work += (costs.vm_service_ns
+                             + self.nf.processing_cost_ns(item.packet,
+                                                          self.ctx))
                 self._busy_until_ns = self.sim.now + work
                 yield self.sim.sleep(work)
                 self.busy_ns += work
@@ -183,7 +182,7 @@ class NfVm:
                 # delivery delay (one timer per distinct delay, not one
                 # per packet).
                 handoff: dict[int, list[PacketDescriptor]] = {}
-                for item, _cost in jobs:
+                for item in batch:
                     self.packets_processed += 1
                     item.verdict = self.nf.handle_packet(item.packet,
                                                          self.ctx)

@@ -6,10 +6,18 @@ generator that yields events; when a yielded event fires, the process is
 resumed with the event's value (or the event's exception is thrown into it).
 
 Hot-path notes: every event class carries ``__slots__`` (millions of
-timeouts and wakeups are created on the Fig. 7 workloads), one-shot
-process wakeups are drawn from the simulator's free list
-(:meth:`Simulator._wakeup`), and events abandoned by an interrupt are
-lazily cancelled so the scheduler can discard them unprocessed.
+timeouts are created on the Fig. 7 workloads).  Work waits and internal
+ring hand-offs skip the Event layer altogether: :meth:`Simulator.sleep`
+and a ``direct`` :class:`~repro.sim.store.Store` push a bare
+``(when, seq, process._wake, value)`` heap entry and hand the process
+:data:`DIRECT` to yield, so the wake resumes the generator with no
+Event, callback list or dispatch in between.  Process starts,
+interrupts and resumes on already-processed events are bare entries
+too.  An interrupt detaches whatever wait it abandons: a subscribed
+event loses the process's callback (and a timeout nobody else watches
+is lazily cancelled so the scheduler discards it unprocessed), a parked
+getter leaves its store, and a pending wake entry is overwritten in
+place by a no-op entry with the same ``(when, seq)``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
+class _DirectWait:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<direct wait>"
+
+
+#: What :meth:`Simulator.sleep` and a ``direct`` store's ``get``/``put``
+#: return for the calling process to yield at once: its wake entry is
+#: already in the heap (or it is parked in the store), so the process
+#: subscribes to nothing.
+DIRECT = _DirectWait()
+
+
+def _noop(_arg: typing.Any) -> None:
+    """Stands in for a wake entry an interrupt abandoned."""
+
+
 class Event:
     """A one-shot occurrence with a value and subscriber callbacks.
 
@@ -34,7 +60,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exception", "_defused",
-                 "_cancelled", "_recycle")
+                 "_cancelled")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -47,9 +73,6 @@ class Event:
         # Lazy cancellation: a triggered event nobody listens to anymore
         # (e.g. a deadline abandoned by an interrupt) is skipped, not run.
         self._cancelled = False
-        # Kernel-internal events return to the simulator free list after
-        # their callbacks run; user-visible events never do.
-        self._recycle = False
 
     @property
     def triggered(self) -> bool:
@@ -113,14 +136,6 @@ class Event:
         """
         self._cancelled = True
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if self._exception is not None and not self._defused:
-            raise self._exception
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -151,7 +166,7 @@ class Interrupt(Exception):
 
 
 class Process(Event):
-    """Wraps a generator and drives it by subscribing to yielded events.
+    """Wraps a generator and drives it through the events it yields.
 
     The process *is* an event: it triggers when the generator returns
     (succeeding with the return value) or raises (failing with the
@@ -166,9 +181,13 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        self._target: Event | None = None
-        # Kick off the process via an immediately-firing recycled event.
-        sim._wakeup(None, None, self._resume)
+        # What the process waits on: an Event it subscribed to, a direct
+        # Store it is parked in or whose hand-off to it is pending, or
+        # None (a pending wake entry).
+        self._target: typing.Any = None
+        # Kick off the process with a bare wake entry.
+        _heappush(sim._queue, (sim.now, sim._sequence, self._wake, None))
+        sim._sequence += 1
 
     @property
     def is_alive(self) -> bool:
@@ -178,69 +197,121 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             raise RuntimeError("cannot interrupt a finished process")
-        if (self._target is not None
-                and self._target is self.sim.active_event):
+        sim = self.sim
+        if sim._active_process is self:
             raise RuntimeError("a process cannot interrupt itself")
-        self.sim._wakeup(None, Interrupt(cause), self._interrupted)
+        _heappush(sim._queue, (sim.now, sim._sequence, self._interrupted,
+                               Interrupt(cause)))
+        sim._sequence += 1
 
-    def _interrupted(self, event: Event) -> None:
-        """Deliver an interrupt: first detach from the abandoned target so
-        its later firing cannot mis-resume this process."""
+    def _interrupted(self, interrupt: Interrupt) -> None:
+        """Deliver an interrupt: first detach from the abandoned wait so
+        its later completion cannot mis-resume this process."""
         if self.triggered:
             return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            if not target.callbacks and isinstance(target, Timeout):
-                # Nobody is left waiting: let the scheduler discard the
-                # entry instead of dispatching a dead timeout (heap-bloat
-                # fix for interrupted ring waits and abandoned deadlines).
-                target._cancelled = True
-        self._resume(event)
+        target, self._target = self._target, None
+        if isinstance(target, Event):
+            callbacks = target.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(self._resume)
+                except ValueError:
+                    pass
+                if not callbacks and isinstance(target, Timeout):
+                    # Nobody is left waiting: let the scheduler discard
+                    # the entry instead of dispatching a dead timeout.
+                    target._cancelled = True
+        elif target is None or not target._abandon(self):
+            item = self._cancel_wake()
+            if target is not None and item is not _PENDING:
+                # A get whose hand-off had not reached us yet: the item
+                # goes back to the head of the store, not to nobody.
+                target._give_back(item)
+        self._throw(interrupt)
 
-    def _resume(self, event: Event) -> None:
-        # A stale wakeup: the process was interrupted and already moved on,
-        # or finished.  Ignore the original target's completion.
-        if self._value is not _PENDING:
-            return
+    def _cancel_wake(self) -> typing.Any:
+        """Overwrite this process's pending wake entry with a no-op entry
+        at the same ``(when, seq)``; return the value it carried (or
+        ``_PENDING`` when there is none).  A process has at most one."""
+        queue = self.sim._queue
+        wake, throw = self._wake, self._throw
+        for index, entry in enumerate(queue):
+            if len(entry) == 4 and (entry[2] == wake or entry[2] == throw):
+                queue[index] = (entry[0], entry[1], _noop, None)
+                return entry[3]
+        return _PENDING
+
+    def _wake(self, value: typing.Any) -> None:
+        """Resume the generator with ``value`` (a bare wake entry)."""
         sim = self.sim
         sim._active_process = self
         try:
-            if event._exception is None:
-                next_event = self._generator.send(event._value)
-            else:
-                # The waited-on event failed (or we were interrupted); the
-                # failure is now the process's problem.
-                event._defused = True
-                next_event = self._generator.throw(event._exception)
-        except StopIteration as stop:
-            self._target = None
-            self.succeed(stop.value)
-            return
+            target = self._generator.send(value)
         except BaseException as exc:
-            self._target = None
-            self.fail(exc)
-            return
-        finally:
             sim._active_process = None
+            self._finish(exc)
+            return
+        sim._active_process = None
+        if target is not DIRECT:
+            self._wait(target)
 
-        if isinstance(next_event, Event):
-            if next_event.sim is not sim:
+    def _throw(self, exception: BaseException) -> None:
+        """Throw ``exception`` into the generator (interrupts, failures)."""
+        sim = self.sim
+        sim._active_process = self
+        try:
+            target = self._generator.throw(exception)
+        except BaseException as exc:
+            sim._active_process = None
+            self._finish(exc)
+            return
+        sim._active_process = None
+        if target is not DIRECT:
+            self._wait(target)
+
+    def _resume(self, event: Event) -> None:
+        """Callback lane: the event this process subscribed to fired."""
+        # A stale wakeup: the process already finished.
+        if self._value is not _PENDING:
+            return
+        if event._exception is None:
+            self._wake(event._value)
+        else:
+            # The waited-on event failed; the failure is now the
+            # process's problem.
+            event._defused = True
+            self._throw(event._exception)
+
+    def _finish(self, exc: BaseException) -> None:
+        self._target = None
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        else:
+            self.fail(exc)
+
+    def _wait(self, event: typing.Any) -> None:
+        """Wait on a yielded event: subscribe, or resume at once (by a
+        bare entry at the current time) when it was already processed."""
+        sim = self.sim
+        if isinstance(event, Event):
+            if event.sim is not sim:
                 raise RuntimeError("process yielded an event from another "
                                    "simulator")
-            self._target = next_event
-            callbacks = next_event.callbacks
+            callbacks = event.callbacks
             if callbacks is None:
-                # Already processed: resume immediately at the current time.
-                sim._wakeup(next_event._value, next_event._exception,
-                            self._resume)
+                self._target = None
+                if event._exception is None:
+                    entry = (sim.now, sim._sequence, self._wake, event._value)
+                else:
+                    entry = (sim.now, sim._sequence, self._throw,
+                             event._exception)
+                _heappush(sim._queue, entry)
+                sim._sequence += 1
             else:
+                self._target = event
                 callbacks.append(self._resume)
             return
-        kind = type(next_event).__name__
+        kind = type(event).__name__
         error = RuntimeError(
             f"process yielded a non-event ({kind}); yield sim.timeout() "
             "or another Event")

@@ -3,16 +3,19 @@
 Two scheduling lanes share one heap and one sequence counter:
 
 - the **event lane** pushes ``(when, seq, Event)`` and dispatches through
-  :meth:`Event._run_callbacks`;
-- the **timer lane** (:meth:`Simulator.call_later`, the ``rte_timer``
-  analogue) pushes a bare ``(when, seq, fn, arg)`` with no Event object
-  at all — the fast path for poll wakeups, heartbeats, and deferred
-  callbacks that nobody ever waits on.
+  :meth:`Simulator._dispatch`, which runs the event's callbacks;
+- the **timer lane** pushes a bare ``(when, seq, fn, arg)`` with no
+  Event object at all: :meth:`Simulator.call_later` (the ``rte_timer``
+  analogue) for wakeups and deferred callbacks nobody waits on, and the
+  direct process wakes — :meth:`Simulator.sleep`, ``direct`` store
+  hand-offs, process starts and interrupts — whose ``fn`` is a bound
+  method of the process it resumes.
 
 Entries never compare past the sequence number (it is unique), so the
 mixed tuple arities are safe to co-exist in one heap.  Because both lanes
 consume the same sequence counter, ``events_scheduled`` remains an honest
-odometer of kernel work and timestamp tie-breaks stay globally FIFO.
+odometer of kernel work and timestamp tie-breaks stay globally FIFO;
+``timers_scheduled`` counts only the :meth:`Simulator.call_later` share.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import DIRECT, AllOf, AnyOf, Event, Process, Timeout
 
 
 class EmptySchedule(Exception):
@@ -31,6 +34,10 @@ def _invoke(callback: typing.Callable[[], None]) -> None:
     callback()
 
 
+#: ``run(until=None)``'s horizon: later than any simulated time.
+_FOREVER = 1 << 63
+
+
 class Simulator:
     """Deterministic discrete-event scheduler.
 
@@ -39,24 +46,17 @@ class Simulator:
     number), which keeps runs reproducible.
     """
 
-    # One-shot wakeup events kept for reuse; sized to comfortably cover
-    # the wakeups in flight at any instant (starts, interrupts, stale
-    # targets, sleeps) without pinning memory.
-    _EVENT_POOL_LIMIT = 128
-
     def __init__(self) -> None:
         self.now: int = 0
         # Mixed arity: (when, seq, Event) | (when, seq, fn, arg).
         self._queue: list[tuple] = []
         self._sequence = 0
         self._active_process: Process | None = None
-        self.active_event: Event | None = None
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
         #: Lazily-cancelled events discarded unprocessed by :meth:`_step`.
         self.events_cancelled = 0
-        self._event_pool: list[Event] = []
 
     # ------------------------------------------------------------------
     # Factories
@@ -69,34 +69,26 @@ class Simulator:
         """Create an event firing ``delay`` ns from now."""
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: int) -> Event:
-        """A fire-and-forget delay drawn from the kernel free list.
+    def sleep(self, delay: int) -> typing.Any:
+        """Suspend the calling process for ``delay`` ns: ``yield
+        sim.sleep(delay)``.
 
-        Semantically ``timeout(delay)`` for the caller that only ever
-        ``yield``\\ s it: the returned event is *recycled* after its
-        callbacks run, so per-packet work waits allocate nothing in
-        steady state.  Do **not** retain the event past its firing (use
-        :meth:`timeout` when the event object itself matters, e.g. to
-        read a value or race it in a condition).
+        Pushes a bare wake entry that resumes the process directly, with
+        no Event object, and returns :data:`~repro.sim.events.DIRECT`,
+        which the process must yield at once.  Only a running process
+        may sleep; use :meth:`timeout` when the event object itself
+        matters (to read a value or race it in a condition).
         """
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
-        # _acquire_event inlined: sleep() backs every per-burst work wait.
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            event._exception = None
-            event._defused = False
-            event._cancelled = False
-        else:
-            event = Event(self)
-            event._recycle = True
-        event._value = None
-        heapq.heappush(self._queue,
-                       (self.now + int(delay), self._sequence, event))
+        process = self._active_process
+        if process is None:
+            raise RuntimeError("sleep() outside a running process")
+        process._target = None
+        heapq.heappush(self._queue, (self.now + int(delay), self._sequence,
+                                     process._wake, None))
         self._sequence += 1
-        return event
+        return DIRECT
 
     def process(self, generator: typing.Generator) -> Process:
         """Start a new process from a generator."""
@@ -162,44 +154,6 @@ class Simulator:
         return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------------
-    # Free-list wakeups
-    # ------------------------------------------------------------------
-    def _acquire_event(self) -> Event:
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.callbacks = []
-            event._value = _PENDING
-            event._exception = None
-            event._defused = False
-            event._cancelled = False
-            return event
-        event = Event(self)
-        event._recycle = True
-        return event
-
-    def _release_event(self, event: Event) -> None:
-        if len(self._event_pool) < self._EVENT_POOL_LIMIT:
-            self._event_pool.append(event)
-
-    def _wakeup(self, value: typing.Any, exception: BaseException | None,
-                callback: typing.Callable[[Event], None]) -> None:
-        """Enqueue an immediately-firing one-shot event from the free list.
-
-        Backs process starts, interrupts, and already-processed-target
-        resumes; the event is recycled after dispatch, so these allocate
-        nothing in steady state.
-        """
-        event = self._acquire_event()
-        event._value = value
-        event._exception = exception
-        if exception is not None:
-            event._defused = True
-        event.callbacks.append(callback)
-        heapq.heappush(self._queue, (self.now, self._sequence, event))
-        self._sequence += 1
-
-    # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def _step(self) -> None:
@@ -212,29 +166,23 @@ class Simulator:
             raise AssertionError("time went backwards")
         self.now = when
         if len(entry) == 4:
-            # Bare timer lane: dispatch fn(arg) with no Event machinery.
             entry[2](entry[3])
-            return
-        event = entry[2]
+        else:
+            self._dispatch(entry[2])
+
+    def _dispatch(self, event: Event) -> None:
+        """Run an event-lane entry's callbacks, or discard the entry if
+        it was lazily cancelled and nobody re-subscribed."""
         callbacks = event.callbacks
         if event._cancelled and not callbacks:
             # Lazily-cancelled and nobody re-subscribed: discard.
             self.events_cancelled += 1
             return
-        # Event._run_callbacks inlined: one dispatch per event lane entry.
-        self.active_event = event
         event.callbacks = None
-        try:
-            for callback in callbacks:
-                callback(event)
-            if event._exception is not None and not event._defused:
-                raise event._exception
-        finally:
-            self.active_event = None
-        if event._recycle:
-            pool = self._event_pool
-            if len(pool) < self._EVENT_POOL_LIMIT:
-                pool.append(event)
+        for callback in callbacks:
+            callback(event)
+        if event._exception is not None and not event._defused:
+            raise event._exception
 
     def run(self, until: int | Event | None = None) -> typing.Any:
         """Run the simulation.
@@ -261,11 +209,28 @@ class Simulator:
         if deadline is not None and deadline < self.now:
             raise ValueError(f"until={deadline} is in the past "
                              f"(now={self.now})")
-        while self._queue:
-            if deadline is not None and self._queue[0][0] >= deadline:
-                self.now = deadline
-                return None
-            self._step()
+        limit = _FOREVER if deadline is None else deadline
+        queue = self._queue
+        pop = heapq.heappop
+        dispatch = self._dispatch
+        now = self.now
+        while queue:
+            entry = pop(queue)
+            when = entry[0]
+            if when >= limit:
+                # Past the horizon: put it back (the heap's pop order
+                # depends only on the unique (when, seq) keys).
+                heapq.heappush(queue, entry)
+                break
+            if when < now:
+                raise AssertionError("time went backwards")
+            self.now = now = when
+            # Timer-lane entries (timers and direct process wakes) are
+            # dispatched inline: one call, no Event machinery.
+            if len(entry) == 4:
+                entry[2](entry[3])
+            else:
+                dispatch(entry[2])
         if deadline is not None:
             self.now = deadline
         return None

@@ -1,16 +1,17 @@
-"""The kernel fast path: timer lane, event recycling, lazy cancellation.
+"""The kernel fast path: timer lane, direct wakes, lazy cancellation.
 
 These lock in the zero-allocation hot-path mechanics: ``call_later``
 timers share the heap and sequence counter with the event lane (so
 timestamp tie-breaks stay globally FIFO and ``events_scheduled`` stays
-an honest odometer), ``sleep()`` wakeups are recycled through a bounded
-free list, and abandoned timeouts are discarded unprocessed instead of
-being dispatched long after anyone cares.
+an honest odometer), ``sleep()`` and ``direct`` store hand-offs resume
+their process from a bare heap entry with no Event at all, and
+abandoned timeouts are discarded unprocessed instead of being
+dispatched long after anyone cares.
 """
 
 import pytest
 
-from repro.sim import Simulator, Store
+from repro.sim import Store
 from repro.sim.events import Event, Interrupt
 
 
@@ -66,28 +67,8 @@ class TestTimerLane:
 
 
 class TestEventRecycling:
-    def test_sleep_event_is_reused(self, sim):
-        """Steady-state sleeps recycle one Event object."""
-        seen = []
-
-        def sleeper():
-            for _ in range(5):
-                event = sim.sleep(10)
-                seen.append(id(event))
-                yield event
-
-        sim.process(sleeper())
-        sim.run()
-        # The in-flight event is released only after its callback (which
-        # issues the next sleep) returns, so steady state ping-pongs
-        # between exactly two recycled objects — never one per sleep.
-        assert len(set(seen)) == 2
-
-    def test_free_list_is_bounded(self, sim):
-        events = [sim.sleep(1) for _ in range(1000)]
-        assert len(events) == 1000
-        sim.run()
-        assert len(sim._event_pool) <= Simulator._EVENT_POOL_LIMIT
+    """What outlives the old event free list: every sleep hands its
+    process a fresh ``None``, and a negative delay is refused."""
 
     def test_recycled_event_resets_state(self, sim):
         values = []
@@ -104,27 +85,91 @@ class TestEventRecycling:
         with pytest.raises(ValueError):
             sim.sleep(-3)
 
-    def test_recycled_store_reuses_events(self, sim):
-        store = Store(sim, recycle=True)
-        ids = set()
+
+def _count_events(monkeypatch) -> list:
+    """Record every Event (or subclass) constructed from here on."""
+    made = []
+    original = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    return made
+
+
+class TestDirectWakes:
+    def test_sleeps_and_direct_hand_offs_construct_no_events(
+            self, sim, monkeypatch):
+        store = Store(sim, capacity=4, direct=True)
+        received = []
 
         def producer():
-            for i in range(6):
+            for i in range(1000):
                 yield store.put(i)
                 yield sim.sleep(1)
 
         def consumer():
-            for _ in range(6):
-                event = store.get()
-                ids.add(id(event))
-                yield event
+            for _ in range(1000):
+                received.append((yield store.get()))
+                yield sim.sleep(1)
 
         sim.process(producer())
         sim.process(consumer())
+        made = _count_events(monkeypatch)
         sim.run()
-        # The free list turns the churn of 6 gets into a couple of
-        # live objects, not one per get.
-        assert len(ids) < 6
+        assert received == list(range(1000))
+        # 2,000 sleeps and 2,000 store hand-offs, not one Event among
+        # them.
+        assert made == []
+
+    def test_direct_waits_are_not_timers(self, sim):
+        def sleeper():
+            for _ in range(5):
+                yield sim.sleep(10)
+
+        sim.process(sleeper())
+        sim.run()
+        assert sim.now == 50
+        # Start + five wakes + the process's own completion event.
+        assert sim.events_scheduled == 7
+        assert sim.timers_scheduled == 0
+
+    def test_sleep_outside_a_process_raises(self, sim):
+        with pytest.raises(RuntimeError):
+            sim.sleep(5)
+
+    @pytest.mark.parametrize("call", ["get", "put"])
+    def test_direct_store_outside_a_process_raises(self, sim, call):
+        store = Store(sim, direct=True)
+        with pytest.raises(RuntimeError):
+            store.get() if call == "get" else store.put("x")
+        # try_put / try_get stay callable from anywhere.
+        assert store.try_put("y")
+        assert store.try_get() == "y"
+
+    def test_interrupted_sleep_wakes_once(self, sim):
+        """Sleep 100, interrupted at 10, then sleep 5: exactly one wake,
+        at 15 — the abandoned t=100 wake entry resumes nobody."""
+        wakes = []
+
+        def sleeper():
+            try:
+                yield sim.sleep(100)
+                wakes.append(("first", sim.now))
+            except Interrupt:
+                pass
+            yield sim.sleep(5)
+            wakes.append(("second", sim.now))
+
+        process = sim.process(sleeper())
+        sim.schedule(10, lambda: process.interrupt())
+        sim.run()
+        assert wakes == [("second", 15)]
+        assert process.processed and process.ok
+        # The abandoned entry still pops (at t=100), as a no-op.
+        assert sim.now == 100
 
 
 class TestLazyCancellation:

@@ -2,6 +2,7 @@
 process, and stores must not lose items to abandoned getters."""
 
 
+from repro.dataplane.rings import RingBuffer
 from repro.sim import Interrupt, Store
 
 
@@ -106,3 +107,135 @@ class TestStoreAbandonedGetters:
                                   store.try_put("b")))
         sim.run()
         assert received == [("second", "a"), ("third", "b")]
+
+
+class TestInterruptedDirectWaits:
+    def test_interrupt_cancels_pending_resume_on_processed_event(self, sim):
+        """An interrupt queued at the same ns ahead of the resume of an
+        already-processed event cancels that resume: the next wait gets
+        its own value at its own time, not the stale one."""
+        done = sim.event()
+        done.succeed("old")
+        seen = []
+
+        def worker():
+            yield sim.timeout(1)
+            try:
+                yield done
+                seen.append("resumed")
+            except Interrupt:
+                seen.append(("interrupt", sim.now))
+            seen.append(((yield sim.timeout(100, value="late")), sim.now))
+
+        process = sim.process(worker())
+        # Scheduled first, so at t=1 the interrupt is queued before the
+        # worker yields the processed event.
+        sim.call_later(1, lambda _: process.interrupt())
+        sim.run()
+        assert seen == [("interrupt", 1), ("late", 101)]
+
+    def test_hand_off_to_interrupted_getter_stays_in_store(self, sim):
+        """An item handed to a parked direct getter in the same ns its
+        interrupt was queued goes back to the head of the store."""
+        store = Store(sim, direct=True)
+        seen = []
+
+        def consumer():
+            try:
+                seen.append((yield store.get()))
+            except Interrupt:
+                seen.append("interrupted")
+
+        process = sim.process(consumer())
+
+        def interrupt_then_put():
+            process.interrupt()
+            assert store.try_put("pkt")
+
+        sim.schedule(10, interrupt_then_put)
+        sim.run()
+        assert seen == ["interrupted"]
+        assert list(store.items) == ["pkt"]
+
+    def test_cancelled_hand_off_goes_to_next_getter(self, sim):
+        store = Store(sim, direct=True)
+        seen = []
+
+        def consumer(tag):
+            try:
+                seen.append((tag, (yield store.get()), sim.now))
+            except Interrupt:
+                seen.append((tag, "interrupted", sim.now))
+
+        first = sim.process(consumer("first"))
+        sim.process(consumer("second"))
+
+        def interrupt_then_put():
+            first.interrupt()
+            store.try_put("pkt")
+
+        sim.schedule(10, interrupt_then_put)
+        sim.run()
+        assert seen == [("first", "interrupted", 10),
+                        ("second", "pkt", 10)]
+        assert not store.items
+
+    def test_ring_keeps_descriptor_for_salvage(self, sim):
+        """The data-plane shape: a descriptor enqueued on a VM ring in
+        the ns the VM's kill is queued stays in the ring to drain."""
+        ring = RingBuffer(sim, name="vm/rx", slots=4)
+        seen = []
+
+        def vm_loop():
+            try:
+                while True:
+                    seen.append((yield ring.get()))
+            except Interrupt:
+                seen.append("killed")
+
+        vm = sim.process(vm_loop())
+
+        def crash_then_enqueue():
+            vm.interrupt("crash")
+            assert ring.try_enqueue("descriptor")
+
+        sim.schedule(10, crash_then_enqueue)
+        sim.run()
+        assert seen == ["killed"]
+        assert ring.enqueued == 1
+        assert ring.drain() == ["descriptor"]
+
+    def test_parked_getter_leaves_the_store(self, sim):
+        store = Store(sim, direct=True)
+
+        def consumer():
+            try:
+                yield store.get()
+            except Interrupt:
+                pass
+
+        process = sim.process(consumer())
+        sim.schedule(10, lambda: process.interrupt())
+        sim.schedule(20, lambda: store.try_put("kept"))
+        sim.run()
+        assert list(store.items) == ["kept"]
+        assert not store._getters
+
+    def test_interrupted_blocked_put_never_lands(self, sim):
+        store = Store(sim, capacity=1, direct=True)
+        store.try_put("first")
+        seen = []
+
+        def producer():
+            try:
+                yield store.put("second")
+                seen.append("put")
+            except Interrupt:
+                seen.append("interrupted")
+
+        process = sim.process(producer())
+        sim.schedule(10, lambda: process.interrupt())
+        sim.schedule(20, lambda: seen.append(store.try_get()))
+        sim.run()
+        assert seen == ["interrupted", "first"]
+        assert not store.items
