@@ -55,7 +55,7 @@ class Simulator:
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
-        #: Lazily-cancelled events discarded unprocessed by :meth:`_step`.
+        #: Lazily-cancelled events discarded unprocessed by :meth:`_dispatch`.
         self.events_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -109,9 +109,9 @@ class Simulator:
     def events_scheduled(self) -> int:
         """Total heap entries ever enqueued — the kernel-work odometer.
 
-        Counts both lanes (Event objects *and* bare ``call_later``
-        timers; the latter are also broken out in
-        :attr:`timers_scheduled`).  Batching ablations divide this by
+        Counts both lanes: Event objects, bare ``call_later`` timers
+        (also broken out in :attr:`timers_scheduled`) and direct process
+        wakes.  Batching ablations divide this by
         packets moved to get "kernel events per packet", the
         simulator-side analogue of per-packet event-dispatch overhead in
         the real NF Manager.

@@ -79,16 +79,16 @@ class Store:
             process = self.sim._active_process
             if process is None:
                 raise RuntimeError(_OUTSIDE_PROCESS)
-            process._target = None
             if self._getters and not items:
                 self._wake(self._getters.popleft(), item)
-                self._wake(process, None)
             elif len(items) < self.capacity:
                 items.append(item)
-                self._wake(process, None)
             else:
                 process._target = self
                 self._putters.append((process, item))
+                return DIRECT
+            process._target = None
+            self._wake(process, None)
             return DIRECT
         event = Event(self.sim)
         if self._getters and not items:

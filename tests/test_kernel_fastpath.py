@@ -67,8 +67,8 @@ class TestTimerLane:
 
 
 class TestEventRecycling:
-    """What outlives the old event free list: every sleep hands its
-    process a fresh ``None``, and a negative delay is refused."""
+    """Sleep basics: every sleep hands its process a fresh ``None``, and
+    a negative delay is refused."""
 
     def test_recycled_event_resets_state(self, sim):
         values = []
