@@ -93,13 +93,8 @@ def _traffic(sim: Simulator, host: NfvHost, rate_mbps: float,
 def _arm(sim: Simulator, host: NfvHost, fault, probe) -> dict:
     """Arm ``fault`` and sample ``probe()`` just before it fires."""
     facts: dict = {}
-    at_fault = fault.at_ns
-
-    def sample() -> None:
-        facts.update(probe())
-
     # Scheduled before the injector arms, so it runs first at that ns.
-    sim.schedule(at_fault, sample)
+    sim.schedule(fault.at_ns, lambda: facts.update(probe()))
     plan = FaultPlan(seed=SEED)
     plan.add(fault)
     FaultInjector(sim, plan, hosts=[host]).arm()
