@@ -84,6 +84,9 @@ class PriorityNicPort(NicPort):
         """Strict priority: always pick the most urgent waiting frame."""
         while True:
             yield self._kick.get()
+            # Like NicPort, hold queued frames while the link is down.
+            while not self.link_up:
+                yield self._link_restored
             packet = None
             level = -1
             for index, queue in enumerate(self._queues):

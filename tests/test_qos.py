@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dataplane import NfvHost
+from repro.dataplane.manager import NicPort
 from repro.dataplane.qos import (
     DSCP_EXPEDITED,
     PRIORITY_ANNOTATION,
@@ -13,7 +14,7 @@ from repro.net import FiveTuple, FlowMatch, Packet
 from repro.net.headers import PROTO_TCP, PROTO_UDP
 from repro.nfs import DscpMarker, MarkingRule
 from repro.nfs.base import NfContext
-from repro.sim import S
+from repro.sim import MS, S
 
 from tests.conftest import install_chain
 
@@ -70,6 +71,21 @@ class TestDscpMarker:
 
 
 class TestPriorityPort:
+    @pytest.mark.parametrize("port_class", [NicPort, PriorityNicPort])
+    def test_frames_wait_for_a_downed_link(self, sim, port_class):
+        """Frames queued while the link is down leave only once it is
+        back up, back to back at the line rate."""
+        port = port_class(sim, "p", line_rate_gbps=1.0)
+        sent = []
+        port.on_egress = lambda packet: sent.append(sim.now)
+        port.set_link(False)
+        sim.schedule(1 * MS, lambda: port.set_link(True))
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1, 80)
+        for _ in range(3):
+            port.transmit(Packet(flow=flow, size=1000))
+        sim.run()
+        assert sent == [1_008_192, 1_016_384, 1_024_576]
+
     def test_levels_validated(self, sim):
         with pytest.raises(ValueError):
             PriorityNicPort(sim, "p0", priority_levels=1)
