@@ -25,7 +25,7 @@ def predict_rtt_ns(costs: HostCosts, sequential_vms: int = 0,
     ``sequential_vms`` chained no-op-class VMs each charging
     ``nf_cost_ns`` of NF work; ``parallel_vms`` (if >= 2) replaces the
     chain with one fused group of that size.  ``first_packet`` includes
-    the per-hop header-extract + lookup costs the descriptor cache skips
+    the per-hop header-extract + lookup costs the lookup cache skips
     on later packets of a flow.
     """
     if sequential_vms and parallel_vms:

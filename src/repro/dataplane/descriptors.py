@@ -1,23 +1,18 @@
 """Packet descriptors: the small messages exchanged over ring buffers.
 
 The paper's zero-copy design (§4.1) DMA's packets into shared huge pages and
-passes lightweight descriptors between domains; §4.2 adds caching of flow
-table lookup results inside the descriptor so the TX thread can skip hash
-lookups.  ``cached_entry`` plus ``cached_generation`` model that cache: a
-cached entry is only honoured while the flow table generation matches, so
-dynamic rule updates invalidate stale descriptors naturally.
+passes lightweight descriptors between domains.  §4.2's cache of flow
+table lookup results lives in the NF Manager, not here: a per-flow plan
+(``lookup_cache=``) keyed by the flow table generation, so dynamic rule
+updates invalidate it naturally, plus a per-burst plan in the RX thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.dataplane.actions import Verdict
 from repro.net.packet import Packet
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.dataplane.flow_table import FlowTableEntry
 
 
 @dataclasses.dataclass(slots=True)
@@ -36,36 +31,10 @@ class PacketDescriptor:
     packet: Packet
     scope: str
     verdict: Verdict | None = None
-    cached_entry: FlowTableEntry | None = None
-    cached_generation: int = -1
     group_id: int | None = None
     group_index: int = 0
     vm_priority: int = 0
     ingress_at: int = 0
-
-    def cache_lookup(self, entry: FlowTableEntry,
-                     generation: int) -> None:
-        """Record a lookup result for downstream threads."""
-        self.cached_entry = entry
-        self.cached_generation = generation
-
-    def cache_valid(self, generation: int) -> bool:
-        """Whether the cached lookup is still current."""
-        return (self.cached_entry is not None
-                and self.cached_generation == generation)
-
-    def fork(self, scope: str, group_id: int,
-             group_index: int) -> PacketDescriptor:
-        """A parallel-group copy referencing the same packet buffer."""
-        return PacketDescriptor(
-            packet=self.packet,
-            scope=scope,
-            cached_entry=self.cached_entry,
-            cached_generation=self.cached_generation,
-            group_id=group_id,
-            group_index=group_index,
-            ingress_at=self.ingress_at,
-        )
 
     def reset(self, packet: Packet, scope: str,
               ingress_at: int) -> PacketDescriptor:
@@ -73,8 +42,6 @@ class PacketDescriptor:
         self.packet = packet
         self.scope = scope
         self.verdict = None
-        self.cached_entry = None
-        self.cached_generation = -1
         self.group_id = None
         self.group_index = 0
         self.vm_priority = 0

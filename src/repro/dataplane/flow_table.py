@@ -13,7 +13,7 @@ Rules extend OpenFlow match/action in the two ways §3.3 describes:
 Lookup semantics: exact-match rules (full 5-tuple) win over wildcard rules;
 among wildcard rules higher ``priority`` wins, then higher specificity,
 then most-recent insertion.  Every mutation bumps ``generation``, which is
-what invalidates descriptor-cached lookups.
+what invalidates the NF Manager's cached lookup plans.
 """
 
 from __future__ import annotations

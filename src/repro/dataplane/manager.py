@@ -740,7 +740,6 @@ class NfManager:
         if len(self._desc_pool) < _DESC_POOL_LIMIT:
             descriptor.packet = None  # type: ignore[assignment]
             descriptor.verdict = None
-            descriptor.cached_entry = None
             self._desc_pool.append(descriptor)
 
     # ------------------------------------------------------------------
@@ -794,10 +793,7 @@ class NfManager:
         the same flow reuse the resolved entry for free."""
         key = (descriptor.scope, descriptor.packet.flow)
         if key in burst_plans:
-            entry = burst_plans[key]
-            if entry is not None:
-                descriptor.cache_lookup(entry, self.flow_table.generation)
-            return entry, 0
+            return burst_plans[key], 0
         entry, cost = self._classify(descriptor)
         burst_plans[key] = entry
         return entry, cost
@@ -807,9 +803,9 @@ class NfManager:
                   ) -> tuple[FlowTableEntry | None, int]:
         """Find the rule for the descriptor's (scope, flow).
 
-        Returns (entry, service_cost_ns).  With the descriptor lookup cache
-        enabled (§4.2), hits on the per-flow plan are free; otherwise each
-        hop pays header extraction + a hash lookup.
+        Returns (entry, service_cost_ns).  With the lookup cache enabled
+        (§4.2), hits on the per-flow plan are free; otherwise each hop
+        pays header extraction + a hash lookup.
         """
         flow = descriptor.packet.flow
         generation = self.flow_table.generation
@@ -818,7 +814,6 @@ class NfManager:
             if plan is not None and plan["generation"] == generation:
                 cached = plan["entries"].get(descriptor.scope)
                 if cached is not None:
-                    descriptor.cache_lookup(cached, generation)
                     return cached, 0
             elif plan is not None:
                 del self._plans[flow]
@@ -828,7 +823,6 @@ class NfManager:
         if entry is not None:
             if flow not in self._classified:
                 self._classify_first_contact(flow, entry)
-            descriptor.cache_lookup(entry, generation)
             if self.lookup_cache:
                 if len(self._plans) >= _PLAN_CACHE_LIMIT:
                     self._plans.pop(next(iter(self._plans)))
@@ -925,8 +919,6 @@ class NfManager:
                                       descriptor.ingress_at)
             member.group_id = group_id
             member.group_index = index
-            member.cached_entry = descriptor.cached_entry
-            member.cached_generation = descriptor.cached_generation
             replicas = self.vms_by_service.get(service_id, ())
             if not replicas:
                 self.stats.dropped_no_vm += 1

@@ -1,5 +1,5 @@
 """Unit tests for dataplane pieces: rings, verdicts, balancers, costs,
-descriptors, stats."""
+stats."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.dataplane import (
     HostCosts,
     HostStats,
     NfVerdict,
-    PacketDescriptor,
     RingBuffer,
     ToPort,
     ToService,
@@ -18,7 +17,6 @@ from repro.dataplane.load_balancer import (
     LoadBalancePolicy,
     ServiceLoadBalancer,
 )
-from repro.net import Packet
 
 
 class TestRingBuffer:
@@ -169,28 +167,6 @@ class TestHostCosts:
     def test_parallel_extra_near_0_25us(self):
         extra = HostCosts().parallel_extra_visit_ns()
         assert 200 <= extra <= 320  # Table 2: ≈0.25 µs per extra VM
-
-
-class TestDescriptors:
-    def test_cache_validity_tracks_generation(self, flow):
-        descriptor = PacketDescriptor(packet=Packet(flow=flow),
-                                      scope="eth0")
-        assert not descriptor.cache_valid(0)
-        sentinel = object()
-        descriptor.cache_lookup(sentinel, generation=7)
-        assert descriptor.cache_valid(7)
-        assert not descriptor.cache_valid(8)
-
-    def test_fork_shares_packet(self, flow):
-        packet = Packet(flow=flow)
-        descriptor = PacketDescriptor(packet=packet, scope="eth0",
-                                      ingress_at=123)
-        member = descriptor.fork(scope="ids", group_id=9, group_index=1)
-        assert member.packet is packet
-        assert member.group_id == 9
-        assert member.group_index == 1
-        assert member.ingress_at == 123
-        assert member.verdict is None
 
 
 class TestHostStats:
