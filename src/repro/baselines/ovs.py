@@ -91,7 +91,7 @@ class OvsSwitchSim:
         # (forwarded or dropped) returns the buffer to the slab.
         self.packet_pool: PacketPool | None = (
             PacketPool(pool_size) if pool_size else None)
-        self._ingress = Store(sim, capacity=4096, direct=True)
+        self._ingress = Store(sim, capacity=4096)
         self._punt_queue = Store(sim, capacity=punt_buffer)
         self._rng = RandomStreams(seed=seed).stream("ovs")
         sim.process(self._fast_path())
@@ -111,7 +111,7 @@ class OvsSwitchSim:
     def _fast_path(self):
         while True:
             packet: Packet = yield self._ingress.get()
-            yield self.sim.timeout(self.fast_service_ns)
+            yield self.sim.sleep(self.fast_service_ns)
             if self._rng.random() < self.punt_fraction:
                 if self._punt_queue.try_put(packet):
                     self.sim.process(self._punt(packet))

@@ -57,7 +57,7 @@ class SdnVideoSystem:
         self.packet_pool: PacketPool | None = (
             PacketPool(pool_size) if pool_size else None)
         self._setup_slots = Store(sim, capacity=flow_setup_buffer)
-        self._ingress = Store(sim, direct=True)
+        self._ingress = Store(sim)
         self._credit: dict[FiveTuple, float] = {}
         self.on_egress: typing.Callable[[Packet], None] | None = None
         sim.process(self._worker())
@@ -76,7 +76,7 @@ class SdnVideoSystem:
     def _worker(self):
         while True:
             packet: Packet = yield self._ingress.get()
-            yield self.sim.timeout(self.fast_path_ns)
+            yield self.sim.sleep(self.fast_path_ns)
             action = self._rules.get(packet.flow)
             if action is not None:
                 self._apply(packet, action)

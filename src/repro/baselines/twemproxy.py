@@ -94,13 +94,13 @@ class TwemproxySim:
         deadline = self.sim.now + duration_ns
         while self.sim.now < deadline:
             self.offer()
-            yield self.sim.timeout(
+            yield self.sim.sleep(
                 max(1, round(self._rng.exponential(mean_gap))))
 
     def _loop(self):
         while True:
             arrived_at: int = yield self._queue.get()
-            yield self.sim.timeout(self.model.service_ns)
+            yield self.sim.sleep(self.model.service_ns)
             self.served += 1
             rtt = (self.sim.now - arrived_at) + self.model.server_rtt_ns
             self.latency.record(rtt)

@@ -174,7 +174,7 @@ class SdnController:
                 yield self._restored
             self.stats.max_queue = max(self.stats.max_queue,
                                        len(self._queue) + 1)
-            yield self.sim.timeout(self.service_time_ns)
+            yield self.sim.sleep(self.service_time_ns)
             self.stats.requests += 1
             self.stats.busy_ns += self.service_time_ns
             try:

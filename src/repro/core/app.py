@@ -465,7 +465,7 @@ class SdnfvApp:
     def _telemetry_loop(self, interval_ns, callback):
         from repro.core.state import HierarchySnapshot
         while True:
-            yield self.sim.timeout(interval_ns)
+            yield self.sim.sleep(interval_ns)
             snapshot = HierarchySnapshot.gather(self)
             self.telemetry.append(snapshot)
             if callback is not None:

@@ -122,9 +122,8 @@ class NicPort:
         self.stats = stats
         self.link_up = True
         self._link_restored: Event | None = None
-        # The RX ring wakes its only consumer, the internal RX loop,
-        # directly; the egress store is a public sink, so it allocates.
-        self.ingress = Store(sim, capacity=rx_frames, direct=True)
+        self.ingress = Store(sim, capacity=rx_frames)
+        # Unwired ports leave transmitted frames here.
         self.egress = Store(sim)
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -177,11 +176,8 @@ class NicPort:
         self.tx_bytes += packet.size
         if self.on_egress is not None:
             self.on_egress(packet)
-            self._tx_next()
         else:
-            self.egress.put(packet).callbacks.append(self._tx_after_put)
-
-    def _tx_after_put(self, _event: Event) -> None:
+            self.egress.try_put(packet)
         self._tx_next()
 
     def _tx_next(self) -> None:
@@ -417,10 +413,10 @@ class NfManager:
         # reactive-hit / reactive-miss.  A dict used as an insertion-
         # ordered set so eviction matches the plan cache's FIFO idiom.
         self._classified: dict[FiveTuple, None] = {}
-        self._fc_queue = Store(sim, direct=True)
+        self._fc_queue = Store(sim)
         self._pending_flows: dict[tuple[str, FiveTuple],
                                   list[PacketDescriptor]] = {}
-        self._mgmt_queue = Store(sim, direct=True)
+        self._mgmt_queue = Store(sim)
         self.policy_validator: typing.Any | None = None
         self.message_handlers: dict[
             str, typing.Callable[[UserMessage], None]] = {}

@@ -96,7 +96,7 @@ class PriorityNicPort(NicPort):
                     break
             if packet is None:
                 continue
-            yield self.sim.timeout(
+            yield self.sim.sleep(
                 transmission_ns(packet.size, self.line_rate_gbps))
             self.tx_packets += 1
             self.tx_bytes += packet.size

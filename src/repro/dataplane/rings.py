@@ -3,9 +3,11 @@
 Paper §4.1: "we implement all communication in our system using asynchronous
 ring buffers ... Since each ring buffer has a single data producer thread
 and a single consumer thread, no locks are required."  In the simulation a
-ring is a bounded FIFO; what we keep from the real design is the *bounded*
-capacity (packets are dropped when a VM falls behind — the load-balancing
-experiments depend on this) and the single-consumer discipline.
+ring is a bounded :class:`~repro.sim.store.Store`; what we keep from the
+real design is the *bounded* capacity (packets are dropped when a VM falls
+behind — the load-balancing experiments depend on this) and the
+single-consumer discipline.  The consumer loop yields ``ring.get()``,
+which wakes it directly when a descriptor arrives, with no Event.
 """
 
 from __future__ import annotations
@@ -20,36 +22,30 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 DEFAULT_RING_SLOTS = 512
 
 
-class RingBuffer:
+class RingBuffer(Store):
     """A bounded descriptor queue with drop-on-full producer semantics."""
+
+    # No __slots__: the ownership verifier wraps a ring's bound methods
+    # per instance.
 
     def __init__(self, sim: Simulator, name: str,
                  slots: int = DEFAULT_RING_SLOTS) -> None:
         if slots <= 0:
             raise ValueError("ring must have at least one slot")
+        super().__init__(sim, capacity=slots)
         self.name = name
         self.slots = slots
-        # Ring gets are only ever yielded at once by the consumer loop, so
-        # a hand-off wakes that loop directly, with no Event.
-        self._store = Store(sim, capacity=slots, direct=True)
         self.enqueued = 0
         self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
 
     @property
     def occupancy(self) -> int:
         """Occupied slots — what queue-length load balancing inspects."""
-        return len(self._store)
-
-    @property
-    def is_full(self) -> bool:
-        return self._store.is_full
+        return len(self.items)
 
     def try_enqueue(self, item: typing.Any) -> bool:
         """Producer side: non-blocking put; False means the packet dropped."""
-        if self._store.try_put(item):
+        if self.try_put(item):
             self.enqueued += 1
             return True
         self.dropped += 1
@@ -63,7 +59,7 @@ class RingBuffer:
         every rejected item counts as one drop (per-slot accounting is
         identical to ``len(items)`` calls to :meth:`try_enqueue`).
         """
-        put = self._store.try_put
+        put = self.try_put
         accepted = 0
         for item in items:
             if not put(item):
@@ -87,14 +83,6 @@ class RingBuffer:
                 break
             items.append(item)
         return items
-
-    def get(self) -> typing.Any:
-        """Consumer side: ``yield ring.get()`` returns the next descriptor
-        (from a running consumer process only)."""
-        return self._store.get()
-
-    def try_get(self) -> typing.Any | None:
-        return self._store.try_get()
 
     def drain(self) -> list[typing.Any]:
         """Remove and return every queued item (failover salvage path)."""

@@ -65,7 +65,7 @@ class ControlPlaneMonitor:
 
     def _loop(self, interval_ns: int):
         while True:
-            yield self.sim.timeout(interval_ns)
+            yield self.sim.sleep(interval_ns)
             self.sample()
 
     def sample(self) -> None:

@@ -5,7 +5,9 @@ specialised for this project:
 
 - the clock is an **integer nanosecond** counter (no float drift),
 - events fired at the same timestamp are processed in FIFO schedule order,
-- processes are plain generator functions that ``yield`` events.
+- processes are plain generator functions that ``yield`` events, or
+  ``sim.sleep(...)`` and store ``get``/``put`` results, which wake them
+  directly.
 
 Typical use::
 
@@ -14,7 +16,7 @@ Typical use::
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(5 * US)
+        yield sim.sleep(5 * US)
         return "done"
 
     proc = sim.process(worker(sim))

@@ -5,21 +5,21 @@ generator-based process layer on top (:class:`Process`).  A process is a
 generator that yields events; when a yielded event fires, the process is
 resumed with the event's value (or the event's exception is thrown into it).
 
-Hot-path notes: every event class carries ``__slots__`` (millions of
-timeouts are created on the Fig. 7 workloads).  Work waits and internal
-ring hand-offs skip the Event layer altogether: :meth:`Simulator.sleep`
-and a ``direct`` :class:`~repro.sim.store.Store` push a bare
-``(when, seq, process._wake, value)`` heap entry and hand the process
+Every heap entry has one shape, ``(when, seq, fn, arg)``.  A triggered
+Event is the entry ``(when, seq, _fire, event)``, and :func:`_fire` runs
+its callbacks.  Time waits and store hand-offs skip the Event layer
+altogether: :meth:`Simulator.sleep` and a
+:class:`~repro.sim.store.Store`'s ``get``/``put`` push
+``(when, seq, process._wake, value)`` and hand the process
 :data:`DIRECT` to yield, so the wake resumes the generator with no
 Event, callback list or dispatch in between.  Process starts,
 interrupts and resumes on already-processed events are bare entries
 too.  An interrupt detaches whatever wait it abandons: a subscribed
 event loses the process's callback (and a timeout nobody else watches
-is lazily cancelled so the scheduler discards it unprocessed), a parked
+is lazily cancelled so :func:`_fire` discards it unprocessed), a parked
 getter leaves its store, and a pending wake entry is overwritten in
 place by a no-op entry with the same ``(when, seq)``.
 """
-
 from __future__ import annotations
 
 import typing
@@ -39,8 +39,7 @@ class _DirectWait:
         return "<direct wait>"
 
 
-#: What :meth:`Simulator.sleep` and a ``direct`` store's ``get``/``put``
-#: return for the calling process to yield at once: its wake entry is
+#: What :meth:`Simulator.sleep` and a store's ``get``/``put`` return for the calling process to yield at once: its wake entry is
 #: already in the heap (or it is parked in the store), so the process
 #: subscribes to nothing.
 DIRECT = _DirectWait()
@@ -48,6 +47,20 @@ DIRECT = _DirectWait()
 
 def _noop(_arg: typing.Any) -> None:
     """Stands in for a wake entry an interrupt abandoned."""
+
+
+def _fire(event: Event) -> None:
+    """Run a triggered event's callbacks, or discard its heap entry if
+    it was lazily cancelled and nobody re-subscribed."""
+    callbacks = event.callbacks
+    if event._cancelled and not callbacks:
+        event.sim.events_cancelled += 1
+        return
+    event.callbacks = None
+    for callback in callbacks:
+        callback(event)
+    if event._exception is not None and not event._defused:
+        raise event._exception
 
 
 class Event:
@@ -107,7 +120,7 @@ class Event:
         # store hand-off, per packet, per stage — the hottest call in
         # the kernel.
         sim = self.sim
-        _heappush(sim._queue, (sim.now, sim._sequence, self))
+        _heappush(sim._queue, (sim.now, sim._sequence, _fire, self))
         sim._sequence += 1
         return self
 
@@ -181,9 +194,9 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        # What the process waits on: an Event it subscribed to, a direct
-        # Store it is parked in or whose hand-off to it is pending, or
-        # None (a pending wake entry).
+        # What the process waits on: an Event it subscribed to, a Store
+        # it is parked in or whose hand-off to it is pending, or None (a
+        # pending wake entry).
         self._target: typing.Any = None
         # Kick off the process with a bare wake entry.
         _heappush(sim._queue, (sim.now, sim._sequence, self._wake, None))
@@ -236,7 +249,7 @@ class Process(Event):
         queue = self.sim._queue
         wake, throw = self._wake, self._throw
         for index, entry in enumerate(queue):
-            if len(entry) == 4 and (entry[2] == wake or entry[2] == throw):
+            if entry[2] == wake or entry[2] == throw:
                 queue[index] = (entry[0], entry[1], _noop, None)
                 return entry[3]
         return _PENDING

@@ -1,29 +1,29 @@
 """The event loop: an integer-nanosecond discrete-event scheduler.
 
-Two scheduling lanes share one heap and one sequence counter:
+Every heap entry has one shape, ``(when, seq, fn, arg)``, and the loop
+runs each as ``fn(arg)``:
 
-- the **event lane** pushes ``(when, seq, Event)`` and dispatches through
-  :meth:`Simulator._dispatch`, which runs the event's callbacks;
-- the **timer lane** pushes a bare ``(when, seq, fn, arg)`` with no
-  Event object at all: :meth:`Simulator.call_later` (the ``rte_timer``
-  analogue) for wakeups and deferred callbacks nobody waits on, and the
-  direct process wakes — :meth:`Simulator.sleep`, ``direct`` store
-  hand-offs, process starts and interrupts — whose ``fn`` is a bound
-  method of the process it resumes.
+- a triggered :class:`~repro.sim.events.Event` is
+  ``(when, seq, _fire, event)``, which runs the event's callbacks;
+- :meth:`Simulator.call_later` (the ``rte_timer`` analogue) pushes its
+  own ``fn`` for wakeups and deferred callbacks nobody waits on;
+- direct process wakes — :meth:`Simulator.sleep`, store hand-offs,
+  process starts and interrupts — carry a bound method of the process
+  they resume.
 
-Entries never compare past the sequence number (it is unique), so the
-mixed tuple arities are safe to co-exist in one heap.  Because both lanes
-consume the same sequence counter, ``events_scheduled`` remains an honest
-odometer of kernel work and timestamp tie-breaks stay globally FIFO;
-``timers_scheduled`` counts only the :meth:`Simulator.call_later` share.
+Entries never compare past the sequence number (it is unique).  Every
+push consumes the same sequence counter, so ``events_scheduled`` remains
+an honest odometer of kernel work and timestamp tie-breaks stay globally
+FIFO; ``timers_scheduled`` counts only the :meth:`Simulator.call_later`
+share.
 """
-
 from __future__ import annotations
 
 import heapq
 import typing
 
-from repro.sim.events import DIRECT, AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import (DIRECT, AllOf, AnyOf, Event, Process,
+                              Timeout, _fire)
 
 
 class EmptySchedule(Exception):
@@ -48,14 +48,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Mixed arity: (when, seq, Event) | (when, seq, fn, arg).
+        # (when, seq, fn, arg) entries; the loop runs fn(arg).
         self._queue: list[tuple] = []
         self._sequence = 0
         self._active_process: Process | None = None
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
-        #: Lazily-cancelled events discarded unprocessed by :meth:`_dispatch`.
+        #: Lazily-cancelled events discarded unprocessed by their entry.
         self.events_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -109,7 +109,7 @@ class Simulator:
     def events_scheduled(self) -> int:
         """Total heap entries ever enqueued — the kernel-work odometer.
 
-        Counts both lanes: Event objects, bare ``call_later`` timers
+        Counts every entry: triggered Events, bare ``call_later`` timers
         (also broken out in :attr:`timers_scheduled`) and direct process
         wakes.  Batching ablations divide this by
         packets moved to get "kernel events per packet", the
@@ -125,12 +125,12 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         heapq.heappush(self._queue,
-                       (self.now + int(delay), self._sequence, event))
+                       (self.now + int(delay), self._sequence, _fire, event))
         self._sequence += 1
 
     def call_later(self, delay: int, fn: typing.Callable[[typing.Any], None],
                    arg: typing.Any = None) -> None:
-        """Run ``fn(arg)`` after ``delay`` ns — the bare timer lane.
+        """Run ``fn(arg)`` after ``delay`` ns — a bare timer.
 
         The ``rte_timer`` analogue: no Event object, no callback list,
         just a ``(when, seq, fn, arg)`` heap entry.  Use it for wakeups
@@ -146,7 +146,8 @@ class Simulator:
 
     def schedule(self, delay: int,
                  callback: typing.Callable[[], None]) -> None:
-        """Run ``callback()`` after ``delay`` ns (timer-lane convenience)."""
+        """Run ``callback()`` after ``delay`` ns (:meth:`call_later`
+        convenience)."""
         self.call_later(delay, _invoke, callback)
 
     def peek(self) -> int | None:
@@ -165,24 +166,7 @@ class Simulator:
         if when < self.now:
             raise AssertionError("time went backwards")
         self.now = when
-        if len(entry) == 4:
-            entry[2](entry[3])
-        else:
-            self._dispatch(entry[2])
-
-    def _dispatch(self, event: Event) -> None:
-        """Run an event-lane entry's callbacks, or discard the entry if
-        it was lazily cancelled and nobody re-subscribed."""
-        callbacks = event.callbacks
-        if event._cancelled and not callbacks:
-            # Lazily-cancelled and nobody re-subscribed: discard.
-            self.events_cancelled += 1
-            return
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if event._exception is not None and not event._defused:
-            raise event._exception
+        entry[2](entry[3])
 
     def run(self, until: int | Event | None = None) -> typing.Any:
         """Run the simulation.
@@ -212,7 +196,6 @@ class Simulator:
         limit = _FOREVER if deadline is None else deadline
         queue = self._queue
         pop = heapq.heappop
-        dispatch = self._dispatch
         now = self.now
         while queue:
             entry = pop(queue)
@@ -225,12 +208,7 @@ class Simulator:
             if when < now:
                 raise AssertionError("time went backwards")
             self.now = now = when
-            # Timer-lane entries (timers and direct process wakes) are
-            # dispatched inline: one call, no Event machinery.
-            if len(entry) == 4:
-                entry[2](entry[3])
-            else:
-                dispatch(entry[2])
+            entry[2](entry[3])
         if deadline is not None:
             self.now = deadline
         return None

@@ -3,8 +3,8 @@
 All simulator timestamps and delays are integers counted in nanoseconds.
 These constants make call sites read naturally::
 
-    yield sim.timeout(30 * NS)     # one flow-table lookup
-    yield sim.timeout(31 * MS)     # one SDN controller round trip
+    yield sim.sleep(30 * NS)     # one flow-table lookup
+    yield sim.sleep(31 * MS)     # one SDN controller round trip
 """
 
 NS = 1

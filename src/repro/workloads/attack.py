@@ -79,7 +79,7 @@ class DdosRampWorkload:
     def _normal_loop(self):
         while True:
             self._inject(self._normal_flow)
-            yield self.sim.timeout(self._gap_ns(self.normal_mbps))
+            yield self.sim.sleep(self._gap_ns(self.normal_mbps))
 
     def attack_rate_mbps(self, now_ns: int) -> float:
         """The attack's offered rate at a point in time."""
@@ -90,14 +90,14 @@ class DdosRampWorkload:
         return min(self.attack_max_mbps, ramped)
 
     def _attack_loop(self):
-        yield self.sim.timeout(self.attack_start_ns)
+        yield self.sim.sleep(self.attack_start_ns)
         index = 0
         while True:
             rate = self.attack_rate_mbps(self.sim.now)
             if rate <= 0:
-                yield self.sim.timeout(100 * MS)
+                yield self.sim.sleep(100 * MS)
                 continue
             flow = self._attack_flows[index % len(self._attack_flows)]
             index += 1
             self._inject(flow)
-            yield self.sim.timeout(self._gap_ns(rate))
+            yield self.sim.sleep(self._gap_ns(rate))

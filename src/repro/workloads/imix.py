@@ -85,4 +85,4 @@ class ImixSource:
             self.sent += 1
             self.sent_bytes += size
             gap = wire_bits(size) * 1000.0 / self.rate_mbps
-            yield self.sim.timeout(max(1, round(gap)))
+            yield self.sim.sleep(max(1, round(gap)))

@@ -77,5 +77,5 @@ class MemcachedWorkload:
                             payload=payload, created_at=self.sim.now)
             self.host.inject(self.ingress_port, packet)
             self.sent += 1
-            yield self.sim.timeout(
+            yield self.sim.sleep(
                 max(1, round(self._rng.exponential(mean_gap))))

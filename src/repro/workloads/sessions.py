@@ -124,7 +124,7 @@ class FlowChurnWorkload:
             self.sim.schedule(50_000, lambda p=reply: self.host.inject(
                 self.ingress_port, p))
             gap = max(1, round(self._rng.exponential(self.mean_gap)))
-            yield self.sim.timeout(gap)
+            yield self.sim.sleep(gap)
 
     def completed_per_second(self, elapsed_ns: int) -> float:
         return self.completed_flows * S / max(1, elapsed_ns)
@@ -181,7 +181,7 @@ class VideoSessionWorkload:
 
     def _session_loop(self):
         # Stagger session starts so replacements don't synchronize.
-        yield self.sim.timeout(
+        yield self.sim.sleep(
             int(self._rng.integers(0, self._interval_ns() + 1)))
         while True:
             session = _VideoSession(
@@ -209,7 +209,7 @@ class VideoSessionWorkload:
                                     created_at=self.sim.now)
                 self.host.inject(self.ingress_port, packet)
                 session.packets_sent += 1
-                yield self.sim.timeout(self._interval_ns())
+                yield self.sim.sleep(self._interval_ns())
 
     def out_pps_series(self) -> list[tuple[float, float]]:
         return self.out_meter.pps_series()

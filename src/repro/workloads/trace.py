@@ -95,7 +95,7 @@ class TraceReplayer:
         for record in self.records:
             due = start + round(record.timestamp_ns / self.speedup)
             if due > self.sim.now:
-                yield self.sim.timeout(due - self.sim.now)
+                yield self.sim.sleep(due - self.sim.now)
             packet = Packet(flow=record.flow, size=record.size,
                             payload=record.payload,
                             created_at=self.sim.now)

@@ -1,17 +1,21 @@
-"""The kernel fast path: timer lane, direct wakes, lazy cancellation.
+"""The kernel fast path: bare timers, direct wakes, lazy cancellation.
 
 These lock in the zero-allocation hot-path mechanics: ``call_later``
-timers share the heap and sequence counter with the event lane (so
+timers share the heap and sequence counter with triggered events (so
 timestamp tie-breaks stay globally FIFO and ``events_scheduled`` stays
-an honest odometer), ``sleep()`` and ``direct`` store hand-offs resume
-their process from a bare heap entry with no Event at all, and
-abandoned timeouts are discarded unprocessed instead of being
-dispatched long after anyone cares.
+an honest odometer), ``sleep()`` and every store hand-off resume their
+process from a bare heap entry with no Event at all, and abandoned
+timeouts are discarded unprocessed instead of being dispatched long
+after anyone cares.
 """
 
 import pytest
 
-from repro.sim import Store
+from repro.control import SdnController
+from repro.dataplane import RingBuffer
+from repro.dataplane.manager import NicPort
+from repro.net import FiveTuple, Packet
+from repro.sim import US, Store
 from repro.sim.events import Event, Interrupt
 
 
@@ -102,7 +106,7 @@ def _count_events(monkeypatch) -> list:
 class TestDirectWakes:
     def test_sleeps_and_direct_hand_offs_construct_no_events(
             self, sim, monkeypatch):
-        store = Store(sim, capacity=4, direct=True)
+        store = Store(sim, capacity=4)
         received = []
 
         def producer():
@@ -124,6 +128,63 @@ class TestDirectWakes:
         # them.
         assert made == []
 
+    @pytest.mark.parametrize("kind", ["store", "ring"])
+    def test_every_store_hands_off_without_events(self, sim, monkeypatch,
+                                                  kind):
+        """Plain stores and rings alike: parked gets, blocked puts and a
+        blocked put admitted by ``try_get`` all wake directly."""
+        store = (Store(sim, capacity=1) if kind == "store"
+                 else RingBuffer(sim, "r", slots=1))
+        received = []
+
+        def producer():
+            for i in range(100):
+                yield store.put(i)
+
+        def consumer():
+            for _ in range(50):
+                received.append((yield store.get()))
+                yield sim.sleep(1)
+            for _ in range(50):
+                yield sim.sleep(1)
+                # Frees the slot a blocked put is waiting for.
+                received.append(store.try_get())
+
+        sim.process(producer())
+        sim.process(consumer())
+        made = _count_events(monkeypatch)
+        sim.run()
+        assert received == list(range(100))
+        assert made == []
+
+    def test_controller_round_trip_constructs_only_the_reply(
+            self, sim, monkeypatch):
+        controller = SdnController(sim, service_time_ns=100 * US,
+                                   propagation_ns=50 * US)
+        made = _count_events(monkeypatch)
+        reply = controller.flow_request(
+            "h0", "eth0", FiveTuple("10.0.0.1", "10.0.0.2", 17, 1, 2))
+        assert sim.run(until=reply) == []
+        assert sim.now == 200 * US
+        assert made == ["Event"]
+
+    def test_unwired_port_fills_egress_at_line_rate(self, sim):
+        """With no ``on_egress`` hook, frames land in ``port.egress``
+        back to back, each costing two heap entries (start, done)."""
+        port = NicPort(sim, "p", line_rate_gbps=1.0)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 17, 1, 2)
+        for _ in range(10):
+            port.transmit(Packet(flow=flow, size=1000))
+        for frame in range(1, 11):
+            # A 1000 B frame takes 8,192 ns on the wire at 1 Gbps.
+            sim.run(until=frame * 8_192)
+            assert len(port.egress) == frame - 1
+            sim.run(until=frame * 8_192 + 1)
+            assert len(port.egress) == frame
+        assert port.tx_packets == 10
+        assert sim.events_scheduled == 20
+        assert sim.timers_scheduled == 20
+
     def test_direct_waits_are_not_timers(self, sim):
         def sleeper():
             for _ in range(5):
@@ -142,7 +203,7 @@ class TestDirectWakes:
 
     @pytest.mark.parametrize("call", ["get", "put"])
     def test_direct_store_outside_a_process_raises(self, sim, call):
-        store = Store(sim, direct=True)
+        store = Store(sim)
         with pytest.raises(RuntimeError):
             store.get() if call == "get" else store.put("x")
         # try_put / try_get stay callable from anywhere.

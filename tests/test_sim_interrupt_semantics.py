@@ -135,9 +135,9 @@ class TestInterruptedDirectWaits:
         assert seen == [("interrupt", 1), ("late", 101)]
 
     def test_hand_off_to_interrupted_getter_stays_in_store(self, sim):
-        """An item handed to a parked direct getter in the same ns its
+        """An item handed to a parked getter in the same ns its
         interrupt was queued goes back to the head of the store."""
-        store = Store(sim, direct=True)
+        store = Store(sim)
         seen = []
 
         def consumer():
@@ -158,7 +158,7 @@ class TestInterruptedDirectWaits:
         assert list(store.items) == ["pkt"]
 
     def test_cancelled_hand_off_goes_to_next_getter(self, sim):
-        store = Store(sim, direct=True)
+        store = Store(sim)
         seen = []
 
         def consumer(tag):
@@ -206,7 +206,7 @@ class TestInterruptedDirectWaits:
         assert ring.drain() == ["descriptor"]
 
     def test_parked_getter_leaves_the_store(self, sim):
-        store = Store(sim, direct=True)
+        store = Store(sim)
 
         def consumer():
             try:
@@ -222,7 +222,7 @@ class TestInterruptedDirectWaits:
         assert not store._getters
 
     def test_interrupted_blocked_put_never_lands(self, sim):
-        store = Store(sim, capacity=1, direct=True)
+        store = Store(sim, capacity=1)
         store.try_put("first")
         seen = []
 

@@ -19,7 +19,7 @@ class TestBasics:
 
     def test_put_then_get_fifo(self, sim, store):
         for item in (1, 2, 3):
-            store.put(item)
+            assert store.try_put(item)
         received = []
 
         def consumer():
