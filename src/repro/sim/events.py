@@ -19,7 +19,10 @@ event loses the process's callback (and a timeout nobody else watches
 is lazily cancelled so :func:`_fire` discards it unprocessed), a parked
 getter leaves its store, and a pending wake entry is overwritten in
 place by a no-op entry with the same ``(when, seq)``.
+
+Every event class carries ``__slots__`` (lint rule SIM003 checks it).
 """
+
 from __future__ import annotations
 
 import typing
@@ -39,8 +42,9 @@ class _DirectWait:
         return "<direct wait>"
 
 
-#: What :meth:`Simulator.sleep` and a store's ``get``/``put`` return for the calling process to yield at once: its wake entry is
-#: already in the heap (or it is parked in the store), so the process
+#: What :meth:`Simulator.sleep` and a store's ``get``/``put`` return
+#: for the calling process to yield at once: its wake entry is already
+#: in the heap (or it is parked in the store), so the process
 #: subscribes to nothing.
 DIRECT = _DirectWait()
 
@@ -116,12 +120,7 @@ class Event:
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
-        # Inlined Simulator._enqueue(self): succeed() fires once per
-        # store hand-off, per packet, per stage — the hottest call in
-        # the kernel.
-        sim = self.sim
-        _heappush(sim._queue, (sim.now, sim._sequence, _fire, self))
-        sim._sequence += 1
+        self.sim._enqueue(self)
         return self
 
     def fail(self, exception: BaseException) -> Event:

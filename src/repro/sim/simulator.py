@@ -17,6 +17,7 @@ an honest odometer of kernel work and timestamp tie-breaks stay globally
 FIFO; ``timers_scheduled`` counts only the :meth:`Simulator.call_later`
 share.
 """
+
 from __future__ import annotations
 
 import heapq
@@ -55,7 +56,8 @@ class Simulator:
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
-        #: Lazily-cancelled events discarded unprocessed by their entry.
+        #: Lazily-cancelled events whose heap entry was discarded
+        #: unprocessed.
         self.events_cancelled = 0
 
     # ------------------------------------------------------------------
