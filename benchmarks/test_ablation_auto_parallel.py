@@ -75,13 +75,13 @@ def measure(length: int, auto: bool) -> float:
     return gen.latency.mean_us()
 
 
-def test_ablation_auto_parallel(report, benchmark):
+def test_ablation_auto_parallel(report):
     def run():
         sequential = [measure(length, auto=False) for length in LENGTHS]
         auto = [measure(length, auto=True) for length in LENGTHS]
         return sequential, auto
 
-    sequential, auto = benchmark.pedantic(run, iterations=1, rounds=1)
+    sequential, auto = run()
     speedups = [seq / par for seq, par in zip(sequential, auto)]
 
     # The analyzer's win: writers fuse too, so every chain length gets a
@@ -104,8 +104,6 @@ def test_ablation_auto_parallel(report, benchmark):
     report("ablation_auto_parallel", series_table(
         "Ablation — mean RTT (us): sequential vs auto-parallel deploy, "
         "alternating 20 us compute / DSCP-marker chains", columns),
-        # Scalar headline ratios so tools/bench_trend.py picks them up
-        # (its flattener only reads scalar leaves, not series columns).
         metrics={**columns,
                  "speedup_min": round(min(speedups), 3),
                  "speedup_len8": round(speedups[-1], 3)},

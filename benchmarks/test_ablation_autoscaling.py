@@ -68,14 +68,14 @@ def run_scenario(autoscale: bool, mode: str = "standby_process"):
     return replica_count, mean_late_us, ready_at
 
 
-def test_ablation_autoscaling(report, benchmark):
+def test_ablation_autoscaling(report):
     def run():
         baseline = run_scenario(autoscale=False)
         scaled = {mode: run_scenario(autoscale=True, mode=mode)
                   for mode in ("standby_process", "restore")}
         return baseline, scaled
 
-    baseline, scaled = benchmark.pedantic(run, iterations=1, rounds=1)
+    baseline, scaled = run()
     base_replicas, base_latency, _ = baseline
 
     assert base_replicas == 1

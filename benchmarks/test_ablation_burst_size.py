@@ -65,10 +65,8 @@ def measure(burst_size: int) -> dict:
     }
 
 
-def test_ablation_burst_size(report, benchmark):
-    results = benchmark.pedantic(
-        lambda: {burst: measure(burst) for burst in BURSTS},
-        iterations=1, rounds=1)
+def test_ablation_burst_size(report):
+    results = {burst: measure(burst) for burst in BURSTS}
 
     base = results[1]
     tuned = results[32]

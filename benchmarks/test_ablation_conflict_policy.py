@@ -57,7 +57,7 @@ def run_case(policy: str, monitor_priority: int, filter_priority: int):
     return len(delivered)
 
 
-def test_ablation_conflict_policy(report, benchmark):
+def test_ablation_conflict_policy(report):
     def run():
         return {
             "action_priority": run_case("action_priority", 0, 1),
@@ -65,7 +65,7 @@ def test_ablation_conflict_policy(report, benchmark):
             "vm_priority (monitor ranked)": run_case("vm_priority", 0, 1),
         }
 
-    results = benchmark.pedantic(run, iterations=1, rounds=1)
+    results = run()
     # Action priority: the filter's drop always wins -> half delivered.
     assert results["action_priority"] == 50
     # VM priority with the filter ranked highest: same enforcement.

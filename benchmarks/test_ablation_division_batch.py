@@ -27,7 +27,7 @@ def build_problem():
                             flows_per_core=per_core)
 
 
-def test_ablation_division_batch_size(report, benchmark):
+def test_ablation_division_batch_size(report):
     def run():
         problem = build_problem()
         results = {}
@@ -38,7 +38,7 @@ def test_ablation_division_batch_size(report, benchmark):
             results[batch] = solver.solve(problem)
         return results
 
-    results = benchmark.pedantic(run, iterations=1, rounds=1)
+    results = run()
     for batch, result in results.items():
         assert result.placed_count == 10, f"batch={batch}"
     # Bigger batches never produce a worse objective (some slack for the

@@ -36,14 +36,14 @@ def measure(length: int, parallel: bool) -> float:
     return gen.latency.mean_us()
 
 
-def test_ablation_parallel_chain_length(report, benchmark):
+def test_ablation_parallel_chain_length(report):
     def run():
         sequential = [measure(length, parallel=False)
                       for length in LENGTHS]
         parallel = [measure(length, parallel=True) for length in LENGTHS]
         return sequential, parallel
 
-    sequential, parallel = benchmark.pedantic(run, iterations=1, rounds=1)
+    sequential, parallel = run()
 
     # Sequential grows ~20 µs (the compute) per added NF.
     for shorter, longer in zip(sequential, sequential[1:]):

@@ -19,8 +19,6 @@ saturation and plateau above it, and every packet a host received must
 be transmitted or counted as dropped.
 """
 
-import time
-
 import pytest
 
 from repro.baselines import SdnVideoSystem
@@ -72,12 +70,12 @@ def measure_sdnfv(rate: float) -> float:
     return workload.completed_flows / (MEASURE_NS / S)
 
 
-def test_fig10_output_flows_vs_new_flows(report, benchmark):
+def test_fig10_output_flows_vs_new_flows(report):
     def run():
         return ([measure_sdn(rate) for rate in RATES],
                 [measure_sdnfv(rate) for rate in RATES])
 
-    sdn, sdnfv = benchmark.pedantic(run, iterations=1, rounds=1)
+    sdn, sdnfv = run()
 
     # SDN saturates near 1000 flows/s (2 × 500 µs controller work/flow).
     assert sdn[RATES.index(1000)] <= 1100
@@ -136,10 +134,8 @@ def sweep_scenario(rate_mbps: float) -> Scenario:
 
 
 def run_sweep_point(rate_mbps: float) -> dict:
-    started = time.perf_counter()
     result = ShardedSimulator(sweep_scenario(rate_mbps), shards=2,
                               workers=0).run()
-    wall_s = time.perf_counter() - started
     totals = result.totals()
     window_s = SWEEP_STOP / 1e9
     return {
@@ -150,14 +146,11 @@ def run_sweep_point(rate_mbps: float) -> dict:
         "rx": totals["rx_packets"],
         "tx": totals["tx_packets"],
         "drops": sum(totals[key] for key in DROP_KEYS),
-        "wall_s": wall_s,
     }
 
 
-def test_fig10_saturation_sweep_100k_flows(report, benchmark):
-    points = benchmark.pedantic(
-        lambda: [run_sweep_point(rate) for rate in SWEEP_RATES],
-        iterations=1, rounds=1)
+def test_fig10_saturation_sweep_100k_flows(report):
+    points = [run_sweep_point(rate) for rate in SWEEP_RATES]
     by_rate = dict(zip(SWEEP_RATES, points, strict=True))
 
     # The sweep is real: >= 10^5 packets through 10^5 distinct flows at
@@ -181,7 +174,6 @@ def test_fig10_saturation_sweep_100k_flows(report, benchmark):
         "output_mbps": [by_rate[r]["output_mbps"] for r in SWEEP_RATES],
         "sent": [by_rate[r]["sent"] for r in SWEEP_RATES],
         "received": [by_rate[r]["received"] for r in SWEEP_RATES],
-        "wall_s": [by_rate[r]["wall_s"] for r in SWEEP_RATES],
     }
     report("fig10_saturation_sweep", series_table(
         f"Fig. 10-style saturation sweep ({SWEEP_FLOWS} concurrent "

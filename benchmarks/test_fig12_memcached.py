@@ -50,13 +50,13 @@ def measure_sdnfv(rate: float) -> float:
     return workload.latency.mean_us()
 
 
-def test_fig12_memcached_rtt_vs_rate(report, benchmark):
+def test_fig12_memcached_rtt_vs_rate(report):
     def run():
         twem = [measure_twemproxy(rate) for rate in TWEM_RATES]
         sdnfv = [measure_sdnfv(rate) for rate in SDNFV_RATES]
         return twem, sdnfv
 
-    twem, sdnfv = benchmark.pedantic(run, iterations=1, rounds=1)
+    twem, sdnfv = run()
 
     # TwemProxy's RTT blows up approaching/crossing 90 k req/s.
     assert twem[0] < 120

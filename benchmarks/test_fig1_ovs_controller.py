@@ -65,9 +65,8 @@ def simulate_loss(punt_pct: float, packet_size: int,
     return switch.dropped_punts / max(1, total_punts)
 
 
-def test_fig1_throughput_vs_punt_fraction(report, benchmark):
-    curve_1000, curve_256 = benchmark.pedantic(
-        run_fig1_sweep, iterations=1, rounds=1)
+def test_fig1_throughput_vs_punt_fraction(report):
+    curve_1000, curve_256 = run_fig1_sweep()
 
     values_1000 = [gbps for _p, gbps in curve_1000]
     values_256 = [gbps for _p, gbps in curve_256]
@@ -89,7 +88,7 @@ def test_fig1_throughput_vs_punt_fraction(report, benchmark):
         columns), metrics=columns)
 
 
-def test_fig1_des_validates_model(report, benchmark):
+def test_fig1_des_validates_model(report):
     """Loss starts right where the capacity model says it should."""
     model = OvsControllerModel(fast_path_pps=3.3e6,
                                controller_rps=10_000)
@@ -104,7 +103,7 @@ def test_fig1_des_validates_model(report, benchmark):
             rows.append((pct, capacity_pps, below, above))
         return rows
 
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    rows = run()
     for _pct, _capacity, below, above in rows:
         assert below < 0.02   # sustainable under the predicted maximum
         assert above > 0.10   # lossy above it

@@ -47,7 +47,7 @@ def paper_problem(flow_count: int, capacity_multiplier: float = 1.0,
                             flows_per_core=per_core)
 
 
-def test_fig5_utilization_vs_flow_count(report, benchmark):
+def test_fig5_utilization_vs_flow_count(report):
     """Left sub-figure: Greedy-Link/Greedy-Core vs ILP-Link/ILP-Core."""
     flow_counts = [4, 8, 12]
 
@@ -61,7 +61,7 @@ def test_fig5_utilization_vs_flow_count(report, benchmark):
             rows.append((count, greedy, ilp))
         return rows
 
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    rows = run()
     for count, greedy, ilp in rows:
         assert ilp.placed_count == count
         # The ILP family never does worse than greedy on the objective.
@@ -85,7 +85,7 @@ def test_fig5_utilization_vs_flow_count(report, benchmark):
         metrics=columns)
 
 
-def test_fig5_flows_accommodated(report, benchmark):
+def test_fig5_flows_accommodated(report):
     """Greedy rejects flows well before the ILP family does."""
     def run():
         # 36 offered flows: greedy saturates around 28 on this topology.
@@ -96,7 +96,7 @@ def test_fig5_flows_accommodated(report, benchmark):
                                   mip_rel_gap=0.25).solve(problem)
         return greedy, division
 
-    greedy, division = benchmark.pedantic(run, iterations=1, rounds=1)
+    greedy, division = run()
     # Paper: optimal accommodates ~3x greedy; division ~85% of optimal.
     assert division.placed_count > greedy.placed_count
     columns = {"solver": ["greedy", "division"],
@@ -108,7 +108,7 @@ def test_fig5_flows_accommodated(report, benchmark):
         columns), metrics=columns)
 
 
-def test_fig5_right_capacity_scaling(report, benchmark):
+def test_fig5_right_capacity_scaling(report):
     """Right sub-figure: scaling CPU+link capacity supports more flows
     and the division heuristic keeps beating greedy."""
     def run():
@@ -124,7 +124,7 @@ def test_fig5_right_capacity_scaling(report, benchmark):
                          division.placed_count))
         return rows
 
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    rows = run()
     for _multiplier, greedy_placed, division_placed in rows:
         assert division_placed >= greedy_placed
     # More capacity -> at least as many flows for each solver.
@@ -138,7 +138,7 @@ def test_fig5_right_capacity_scaling(report, benchmark):
         metrics=columns)
 
 
-def test_fig5_division_within_85pct_of_optimal(report, benchmark):
+def test_fig5_division_within_85pct_of_optimal(report):
     """§3.5: "we can fit about 85% of the flows accommodated by the
     optimal solution" — checked on a size the exact MILP can handle."""
     def run():
@@ -154,8 +154,7 @@ def test_fig5_division_within_85pct_of_optimal(report, benchmark):
                                   mip_rel_gap=0.25).solve(problem)
         return optimal_count, division.placed_count
 
-    optimal_count, division_count = benchmark.pedantic(
-        run, iterations=1, rounds=1)
+    optimal_count, division_count = run()
     if optimal_count is not None:
         assert division_count >= 0.8 * optimal_count
     columns = {

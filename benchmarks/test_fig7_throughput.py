@@ -52,11 +52,9 @@ def measure(config: str, size: int) -> float:
     return gen.rx_meter.mean_gbps(WINDOW_NS, 2 * WINDOW_NS)
 
 
-def test_fig7_throughput_vs_packet_size(report, benchmark):
-    results = benchmark.pedantic(
-        lambda: {config: [measure(config, size) for size in SIZES]
-                 for config in CONFIGS},
-        iterations=1, rounds=1)
+def test_fig7_throughput_vs_packet_size(report):
+    results = {config: [measure(config, size) for size in SIZES]
+               for config in CONFIGS}
 
     dpdk = results["0VM (dpdk)"]
     one_vm = results["1VM"]

@@ -85,9 +85,8 @@ def run_fig8():
     return detector, timeline
 
 
-def test_fig8_ant_flow_rerouting(report, benchmark):
-    detector, timeline = benchmark.pedantic(run_fig8, iterations=1,
-                                            rounds=1)
+def test_fig8_ant_flow_rerouting(report):
+    detector, timeline = run_fig8()
     phase1 = timeline["phase1 (both elephants)"]
     phase2 = timeline["phase2 (flow1 ant)"]
     phase3 = timeline["phase3 (flow1 elephant again)"]

@@ -18,13 +18,9 @@ WAN strides.  Three gates, all deterministic:
   workload shipped when that was first recorded, so the wire format
   cannot grow silently.
 
-Wall-clock time is recorded but not gated.  The JSON artifact
-(``results/micro_adaptive.json``) records window counts, transport
-counters and wall-clock per run; one such record is committed as
-``baselines/micro_adaptive.json``.
+The JSON artifact (``results/micro_adaptive.json``) records window
+counts and transport counters per run.
 """
-
-import time
 
 from repro.core import EXIT, ServiceGraph
 from repro.net import FiveTuple
@@ -74,14 +70,11 @@ def make_scenario() -> Scenario:
 
 
 def run_once(shards: int, workers: int) -> dict:
-    started = time.perf_counter()
     result = ShardedSimulator(make_scenario(), shards=shards,
                               workers=workers).run()
-    wall_s = time.perf_counter() - started
     return {
         "shards": shards,
         "workers": workers,
-        "wall_s": wall_s,
         **result.transport_summary(),
         "totals": result.totals(),
     }
@@ -112,13 +105,11 @@ def test_adaptive_schedule_and_boundary_bytes(report):
         f"adaptive lookahead on a {HOSTS}-host WAN chain "
         f"(one {FAST_DELAY // US} us hop among {SLOW_DELAY // MS} ms "
         f"links, shards={HOSTS}, workers={WORKERS})",
-        f"{'run':>8} {'wall_s':>8} {'windows':>8} {'batches':>8} "
-        f"{'bytes':>9}",
+        f"{'run':>8} {'windows':>8} {'batches':>8} {'bytes':>9}",
     ]
     for name, run in (("mono", mono), ("sharded", sharded)):
-        lines.append(f"{name:>8} {run['wall_s']:>8.3f} "
-                     f"{run['windows']:>8} {run['batches']:>8} "
-                     f"{run['bytes']:>9}")
+        lines.append(f"{name:>8} {run['windows']:>8} "
+                     f"{run['batches']:>8} {run['bytes']:>9}")
     lines.append(f"window reduction {window_reduction:.2f}x vs "
                  f"{GLOBAL_BARRIER_WINDOWS} global-barrier windows, "
                  f"{sharded['bytes']} of {MAX_BOUNDARY_BYTES} bytes")

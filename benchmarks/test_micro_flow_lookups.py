@@ -17,7 +17,6 @@ import pytest
 
 from repro.control import SdnController
 from repro.dataplane import FlowTableEntry, HostCosts, NfvHost, ToPort
-from repro.dataplane.flow_table import FlowTable
 from repro.metrics import comparison_table
 from repro.net import FiveTuple, FlowMatch
 from repro.nfs import NoOpNf
@@ -26,7 +25,7 @@ from repro.sim import MS, Simulator, US
 from tests.conftest import install_chain
 
 
-def test_micro_costs_and_sdn_lookup(report, benchmark):
+def test_micro_costs_and_sdn_lookup(report):
     def run():
         costs = HostCosts()
         sim = Simulator()
@@ -37,7 +36,7 @@ def test_micro_costs_and_sdn_lookup(report, benchmark):
         sdn_ms = sim.now / MS
         return costs, sdn_ms
 
-    costs, sdn_ms = benchmark.pedantic(run, iterations=1, rounds=1)
+    costs, sdn_ms = run()
     assert costs.flow_lookup_ns == 30
     assert costs.queue_scan_ns == 15
     assert sdn_ms == pytest.approx(31.0, abs=0.1)
@@ -52,7 +51,7 @@ def test_micro_costs_and_sdn_lookup(report, benchmark):
                  "sdn_lookup_ms": sdn_ms})
 
 
-def test_sdn_lookup_off_critical_path(report, benchmark):
+def test_sdn_lookup_off_critical_path(report):
     """A pending 31 ms SDN lookup must not delay established flows."""
     def run():
         sim = Simulator()
@@ -90,7 +89,7 @@ def test_sdn_lookup_off_critical_path(report, benchmark):
         sim.run(until=60 * MS)
         return latencies
 
-    latencies = benchmark.pedantic(run, iterations=1, rounds=1)
+    latencies = run()
     # 100 established packets + 1 resolved miss eventually egress.
     assert len(latencies) == 101
     established_latencies = sorted(latencies)[:100]
@@ -104,24 +103,6 @@ def test_sdn_lookup_off_critical_path(report, benchmark):
           f"{max(established_latencies) / 1000:.2f} us")]),
         metrics={"worst_established_rtt_us":
                  max(established_latencies) / 1000})
-
-
-def test_flow_table_lookup_wall_clock(benchmark):
-    """Real (wall-clock) lookup speed of the FlowTable implementation —
-    the one benchmark here measuring our code, not the model."""
-    table = FlowTable()
-    flows = [FiveTuple(f"10.0.{i // 250}.{i % 250 + 1}", "10.1.0.1",
-                       6, 1000 + i, 80) for i in range(1000)]
-    for flow in flows:
-        table.install(FlowTableEntry(scope="svc",
-                                     match=FlowMatch.exact(flow),
-                                     actions=(ToPort("eth1"),)))
-
-    def lookups():
-        for flow in flows:
-            table.lookup("svc", flow)
-
-    benchmark(lookups)
 
 
 def test_hash_bucket_cached_key_speedup(report):

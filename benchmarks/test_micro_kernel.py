@@ -9,7 +9,7 @@ baseline (``benchmarks/baselines/micro_kernel_baseline.json``), while
 moving *exactly* the same packets — identical RX/TX/drop conservation
 counters and identical kernel events per packet.
 
-Four phases, mirroring how the baseline was captured:
+Three phases, mirroring how the baseline was captured:
 
 1. **calibration** — a fixed pure-Python spin (heap churn + method
    dispatch, the kernel's instruction mix) timed alongside the
@@ -21,15 +21,13 @@ Four phases, mirroring how the baseline was captured:
    noise; the workload is deterministic, so only the clock varies);
 3. **allocation counting** — constructor patching on the hot-path
    classes (``Event``/``Timeout``/``Packet``/headers/descriptors);
-   recycled objects skip ``__init__``, so this counts true allocations;
-4. **tracemalloc** — peak traced memory, as supplementary evidence.
+   recycled objects skip ``__init__``, so this counts true allocations.
 """
 
 import heapq
 import json
 import pathlib
 import time
-import tracemalloc
 
 from repro.dataplane import NfvHost
 from repro.dataplane import descriptors as _descriptors
@@ -155,15 +153,6 @@ def run_counting() -> dict:
             "allocs_per_pkt": total / rx}
 
 
-def run_tracemalloc() -> dict:
-    sim, _host, _gen = build()
-    tracemalloc.start()
-    sim.run(until=3 * WINDOW_NS)
-    _current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {"tracemalloc_peak_kib": peak / 1024.0}
-
-
 def test_micro_kernel_fast_path(report):
     baseline = json.loads(BASELINE_PATH.read_text())
 
@@ -178,7 +167,6 @@ def test_micro_kernel_fast_path(report):
     measured = min(walls, key=lambda r: r["wall_s"])
     measured["calibration_spin_s"] = min(spins)
     measured.update(run_counting())
-    measured.update(run_tracemalloc())
 
     # Behavioural parity first: the fast path must move exactly the same
     # packets as the pre-change pipeline — conservation counters and
@@ -226,8 +214,6 @@ def test_micro_kernel_fast_path(report):
         f"  pool hit/miss   {measured['pool_hits']}/"
         f"{measured['pool_misses']} (exhausted "
         f"{measured['pool_exhausted']})",
-        f"  tracemalloc     {baseline['tracemalloc_peak_kib']:.0f} KiB -> "
-        f"{measured['tracemalloc_peak_kib']:.0f} KiB peak",
     ]
     report("micro_kernel", "\n".join(lines),
            metrics={**measured,

@@ -15,11 +15,9 @@ its transit hops, cross simulation-shard boundaries.  Two gates:
   speedup assertion is skipped and the numbers are recorded instead.
 
 The JSON artifact (``results/micro_multihost.json``) records wall-clock
-and events/packet per shard count for regression tooling, and a
-committed baseline (``baselines/micro_multihost_baseline.json``) pins the
-deterministic totals across machines — the wall-clock ratio against the
-baseline is reported but never gates (absolute time is
-machine-dependent).
+and events/packet per shard count, and a committed baseline
+(``baselines/micro_multihost_baseline.json``) pins the deterministic
+totals and event count across machines.
 """
 
 import json
@@ -107,12 +105,10 @@ def test_sharded_multihost_scaling(report):
     assert reference["rx_packets"] > 10_000  # the workload is real
 
     # Cross-machine anchor: the committed baseline must see the exact
-    # same deterministic workload (totals and event count); its
-    # wall-clock ratio is reported but never gates.
+    # same deterministic workload (totals and event count).
     baseline = json.loads(BASELINE_PATH.read_text())
     assert reference == baseline["totals"]
     assert runs[1]["events_scheduled"] == baseline["events_scheduled"]
-    baseline_ratio = baseline["wall_s"] / runs[1]["wall_s"]
 
     speedup = runs[1]["wall_s"] / runs[4]["wall_s"]
     parallel_capable = (os.cpu_count() or 1) >= 4
@@ -131,14 +127,11 @@ def test_sharded_multihost_scaling(report):
     lines.append(f"speedup shards=4 vs shards=1: {speedup:.2f}x "
                  f"(cpus={os.cpu_count()}, "
                  f"gate {'on' if parallel_capable else 'off'})")
-    lines.append(f"shards=1 vs committed baseline: "
-                 f"{baseline_ratio:.2f}x (non-gating)")
     metrics = {str(shards): {key: run[key] for key in
                              ("workers", "wall_s",
                               "events_scheduled",
                               "events_per_packet", "totals")}
                for shards, run in runs.items()}
-    metrics["baseline_ratio"] = baseline_ratio
     report("micro_multihost", "\n".join(lines),
            metrics=metrics,
            config={"nodes": AS16631_NODES, "edges": AS16631_EDGES,

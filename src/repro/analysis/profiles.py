@@ -62,10 +62,6 @@ SCALAR_FIELDS = frozenset({"payload", "size"})
 
 PACKET_FIELDS = FIVE_TUPLE_FIELDS | IP_FIELDS | L4_FIELDS | SCALAR_FIELDS
 
-#: Fields the parallel-group merge journal can snapshot and re-apply
-#: deterministically (five-tuple fields are excluded by construction).
-MERGEABLE_FIELDS = ("dscp", "ttl", "payload")
-
 #: Annotation key standing for "a key the analyzer could not resolve".
 ANN_WILDCARD = "*"
 

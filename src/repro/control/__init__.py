@@ -8,7 +8,7 @@ shards partitioned over flow space behind the same interface.
 """
 
 from repro.control.controller import ControllerStats, SdnController
-from repro.control.openflow import FlowModMessage, PacketInMessage
+from repro.control.openflow import PacketInMessage
 from repro.control.orchestrator import NfvOrchestrator
 from repro.control.plane import ControlPlane, ControlPlaneStats
 
@@ -16,7 +16,6 @@ __all__ = [
     "ControlPlane",
     "ControlPlaneStats",
     "ControllerStats",
-    "FlowModMessage",
     "NfvOrchestrator",
     "PacketInMessage",
     "SdnController",

@@ -181,10 +181,6 @@ class ControlPlane:
     def queue_depths(self) -> list[int]:
         return [shard.queue_depth for shard in self.shards]
 
-    def utilizations(self, elapsed_ns: int) -> list[float]:
-        return [shard.stats.utilization(elapsed_ns)
-                for shard in self.shards]
-
     @property
     def requests(self) -> int:
         return sum(shard.stats.requests for shard in self.shards)

@@ -12,7 +12,8 @@ these constants; everything else is architecture.  Two cost families:
 
 Defaults are calibrated against the paper's own measurements:
 
-- flow-table lookup 30 ns, min-queue scan 15 ns, SDN lookup 31 ms (§5.1);
+- flow-table lookup 30 ns, min-queue scan 15 ns (§5.1); the 31 ms SDN
+  lookup is the controller's ``SdnController.idle_lookup_ns``;
 - Table 2 round trips: 0 VM (DPDK) 26.66 µs; first VM +1.12 µs; each extra
   sequential VM ≈ +1.1 µs; each extra parallel VM ≈ +0.25–0.3 µs;
 - Fig. 7: one socket sustains ≈5 Gbps at 64 B through a VM and line rate
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.sim.units import MS, NS
+from repro.sim.units import NS
 
 
 @dataclasses.dataclass
@@ -33,7 +34,6 @@ class HostCosts:
     # §5.1 measured micro-costs.
     flow_lookup_ns: int = 30 * NS
     queue_scan_ns: int = 15 * NS
-    sdn_lookup_ns: int = 31 * MS
 
     # Header metadata extraction preceding a flow-table lookup; the
     # descriptor lookup cache (§4.2) skips extract+lookup on later hops.
@@ -43,18 +43,6 @@ class HostCosts:
     rx_service_ns: int = 60 * NS      # poll-mode receive + descriptor setup
     tx_service_ns: int = 40 * NS      # action resolution + enqueue out
     vm_service_ns: int = 120 * NS     # VM-side per-packet handling (no-op NF)
-
-    # Per-batch poll charges (occupy the thread once per burst, however
-    # many packets the poll returns).  The burst pipeline splits thread
-    # work into this fixed per-poll part plus the per-packet service
-    # costs above; with the calibrated defaults of zero, total occupancy
-    # is identical at every burst size, so Table 2 / Fig. 7 fidelity is
-    # preserved while the simulator does ~burst-fold less event work.
-    # Raise these to study amortization: a burst of n packets then pays
-    # poll_ns / n per packet instead of poll_ns each.
-    rx_batch_poll_ns: int = 0         # one RX poll of the NIC ring
-    tx_batch_poll_ns: int = 0         # one TX drain of a VM's done ring
-    vm_batch_poll_ns: int = 0         # one VM poll of its RX ring
 
     # Parallel processing: per extra member, the descriptor copy into one
     # more ring (RX side) and one more verdict merge (TX side) are cheap
@@ -92,8 +80,3 @@ class HostCosts:
         """Latency each *additional* parallel read-only VM adds."""
         return (self.parallel_fanout_ns + self.parallel_merge_ns
                 + self.parallel_stagger_ns)
-
-    def ingress_classify_ns(self) -> int:
-        """RX-side work for a packet whose flow needs a fresh lookup."""
-        return (self.rx_service_ns + self.header_extract_ns
-                + self.flow_lookup_ns)

@@ -224,11 +224,9 @@ class NicPort:
 #: Sentinel for "this field/annotation key was absent at fan-out time".
 _UNSET = object()
 
-#: Header fields the merge journal may snapshot and re-apply.  Matches
-#: ``repro.analysis.profiles.MERGEABLE_FIELDS`` (kept literal here so the
-#: data plane never imports the analysis package); five-tuple fields are
-#: excluded by construction — rewriting the flow key mid-group would
-#: change what lookups and balancers see.
+#: Header fields the merge journal may snapshot and re-apply; five-tuple
+#: fields are excluded by construction — rewriting the flow key mid-group
+#: would change what lookups and balancers see.
 _MERGEABLE_FIELDS = ("dscp", "ttl", "payload")
 
 
@@ -760,7 +758,7 @@ class NfManager:
             self.stats.record_rx_batch(len(frames))
             now = self.sim.now
             burst_plans: dict = {}
-            work = costs.rx_batch_poll_ns
+            work = 0
             classified: list[tuple[PacketDescriptor,
                                    FlowTableEntry | None]] = []
             for frame in frames:
@@ -965,8 +963,7 @@ class NfManager:
             if self.burst_size > 1:
                 batch.extend(queue.dequeue_burst(self.burst_size - 1))
             self.stats.record_tx_batch(len(batch))
-            yield self.sim.sleep(costs.tx_batch_poll_ns
-                                 + costs.tx_service_ns * len(batch))
+            yield self.sim.sleep(costs.tx_service_ns * len(batch))
             merged_any = False
             merge_cost = 0
             survivors: list[PacketDescriptor] = []
@@ -1026,6 +1023,16 @@ class NfManager:
             self._release(descriptor.packet)
             self._desc_free(descriptor)
             return None
+        merged = self._merge_group(group, descriptor)
+        count = len(group.verdicts)
+        self._desc_free(descriptor)
+        return merged, count
+
+    def _merge_group(self, group: _ParallelGroup,
+                     descriptor: PacketDescriptor) -> PacketDescriptor:
+        """Finalize a completed group: apply the journaled writes to the
+        packet ``descriptor`` carries and return a fresh descriptor at the
+        group's exit scope holding the resolved verdict."""
         del self._groups[descriptor.group_id]
         group.apply(descriptor.packet)
         verdict = resolve_parallel_verdicts(group.verdicts,
@@ -1033,9 +1040,7 @@ class NfManager:
         merged = self._desc_alloc(descriptor.packet, group.exit_scope,
                                   descriptor.ingress_at)
         merged.verdict = verdict
-        count = len(group.verdicts)
-        self._desc_free(descriptor)
-        return merged, count
+        return merged
 
     def _group_member_lost(self, descriptor: PacketDescriptor) -> bool:
         """Account for a parallel-group member dying after dispatch.
@@ -1061,13 +1066,7 @@ class NfManager:
         if group is None:
             return False
         if group.member_lost():
-            del self._groups[group_id]
-            group.apply(descriptor.packet)
-            verdict = resolve_parallel_verdicts(
-                group.verdicts, policy=self.conflict_policy)
-            merged = self._desc_alloc(descriptor.packet, group.exit_scope,
-                                      descriptor.ingress_at)
-            merged.verdict = verdict
+            merged = self._merge_group(group, descriptor)
             entry, _cost = self._classify(merged)
             self._resolve_verdict(merged, entry)
             return True

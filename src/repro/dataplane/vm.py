@@ -170,7 +170,7 @@ class NfVm:
                     # Wedged mid-packet: block on an event that never
                     # fires.  Only an interrupt (watchdog kill) resumes us.
                     yield self.sim.event()
-                work = costs.vm_batch_poll_ns
+                work = 0
                 for item in batch:
                     work += (costs.vm_service_ns
                              + self.nf.processing_cost_ns(item.packet,

@@ -103,11 +103,6 @@ class Simulator:
         return AllOf(self, events)
 
     @property
-    def active_process(self) -> Process | None:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
-    @property
     def events_scheduled(self) -> int:
         """Total heap entries ever enqueued — the kernel-work odometer.
 

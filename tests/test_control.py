@@ -3,7 +3,7 @@
 import pytest
 
 from repro.control import NfvOrchestrator, SdnController
-from repro.control.openflow import FlowModMessage, PacketInMessage
+from repro.control.openflow import PacketInMessage
 from repro.control.orchestrator import VM_BOOT_NS
 from repro.dataplane import FlowTableEntry, NfvHost, ToPort
 from repro.net import FlowMatch, Packet
@@ -122,10 +122,6 @@ class TestMissPathIntegration:
 
 
 class TestOpenflowMessages:
-    def test_flow_mod_requires_entries(self):
-        with pytest.raises(ValueError):
-            FlowModMessage(host="h0", entries=())
-
     def test_packet_in_carries_header_only(self, flow):
         message = PacketInMessage(host="h0", scope="eth0", flow=flow)
         assert message.flow == flow

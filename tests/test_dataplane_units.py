@@ -158,7 +158,6 @@ class TestHostCosts:
         costs = HostCosts()
         assert costs.flow_lookup_ns == 30
         assert costs.queue_scan_ns == 15
-        assert costs.sdn_lookup_ns == 31_000_000
 
     def test_sequential_visit_near_1_1us(self):
         visit = HostCosts().sequential_visit_ns()
