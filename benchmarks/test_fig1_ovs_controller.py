@@ -13,7 +13,7 @@ import pytest
 from repro.baselines import OvsControllerModel, OvsSwitchSim
 from repro.control import SdnController
 from repro.metrics import series_table
-from repro.net import FiveTuple, Packet
+from repro.net import FiveTuple
 from repro.sim import MS, US, Simulator
 
 PUNT_PERCENTS = [0, 1, 2, 5, 10, 15, 20, 25]
@@ -49,11 +49,7 @@ def simulate_loss(punt_pct: float, packet_size: int,
         gap = max(1, round(1e9 / offered_pps))
         pool = switch.packet_pool
         while sim.now < 200 * MS:
-            if pool is not None:
-                packet = pool.alloc(flow=flow, size=packet_size)
-            else:
-                packet = Packet(flow=flow, size=packet_size)
-            switch.offer(packet)
+            switch.offer(pool.alloc(flow=flow, size=packet_size))
             offered += 1
             yield sim.timeout(gap)
 

@@ -194,9 +194,7 @@ class HostVerifier:
 
     def _attach(self) -> None:
         manager = self.host.manager
-        pool = manager.packet_pool
-        if pool is not None:
-            self._wrap_pool(pool)
+        self._wrap_pool(manager.packet_pool)
         for port in manager.ports.values():
             self._wrap_port(port)
         for queue in manager._tx_queues:

@@ -20,7 +20,7 @@ import typing
 
 from repro.control.controller import SdnController
 from repro.metrics.throughput import ThroughputMeter
-from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
+from repro.net.mempool import PacketPool
 from repro.net.packet import Packet, wire_bits
 from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
@@ -74,7 +74,6 @@ class OvsSwitchSim:
                  fast_path_pps: float = 3.3e6,
                  punt_buffer: int = 1024,
                  window_ns: int = 10 * MS,
-                 pool_size: int = DEFAULT_POOL_SIZE,
                  seed: int = 3) -> None:
         if not 0.0 <= punt_fraction <= 1.0:
             raise ValueError("punt fraction must be in [0, 1]")
@@ -89,8 +88,7 @@ class OvsSwitchSim:
         # Baselines share the mempool discipline of the SDNFV data plane:
         # drivers allocate via ``packet_pool`` and every terminal path
         # (forwarded or dropped) returns the buffer to the slab.
-        self.packet_pool: PacketPool | None = (
-            PacketPool(pool_size) if pool_size else None)
+        self.packet_pool = PacketPool()
         self._ingress = Store(sim, capacity=4096)
         self._punt_queue = Store(sim, capacity=punt_buffer)
         self._rng = RandomStreams(seed=seed).stream("ovs")

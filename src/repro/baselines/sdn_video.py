@@ -23,7 +23,7 @@ from repro.control.controller import SdnController
 from repro.metrics.throughput import ThroughputMeter
 from repro.net.flow import FiveTuple
 from repro.net.http import classify_content_type, is_video_content
-from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
+from repro.net.mempool import PacketPool
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
 from repro.sim.store import Store
@@ -37,8 +37,7 @@ class SdnVideoSystem:
                  fast_path_ns: int = 300 * NS,
                  transcode_keep_ratio: float = 0.5,
                  flow_setup_buffer: int = 8192,
-                 window_ns: int = 500 * MS,
-                 pool_size: int = DEFAULT_POOL_SIZE) -> None:
+                 window_ns: int = 500 * MS) -> None:
         self.sim = sim
         self.controller = controller
         self.fast_path_ns = fast_path_ns
@@ -54,8 +53,7 @@ class SdnVideoSystem:
         # Same mempool discipline as the SDNFV data plane: workloads
         # allocate buffers from ``packet_pool`` and terminal paths
         # (forwarded, transcode-dropped, setup overflow) reclaim them.
-        self.packet_pool: PacketPool | None = (
-            PacketPool(pool_size) if pool_size else None)
+        self.packet_pool = PacketPool()
         self._setup_slots = Store(sim, capacity=flow_setup_buffer)
         self._ingress = Store(sim)
         self._credit: dict[FiveTuple, float] = {}

@@ -17,7 +17,7 @@ capacity, and outage state, and partition the work:
 
 ``shards=1`` constructs exactly one :class:`SdnController` and delegates
 every call to it unchanged — byte-identical to today's single-controller
-path (pinned by the golden-parity suite).
+path (pinned by the control-plane parity suite).
 
 With ``failover=True`` (default), requests owned by a downed shard are
 absorbed by the next live shard in ring order — the surviving shards

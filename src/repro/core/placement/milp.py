@@ -26,13 +26,8 @@ from __future__ import annotations
 import dataclasses
 import time
 
-try:
-    import numpy as np
-    from scipy import optimize, sparse
-    HAVE_SOLVER = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = optimize = sparse = None  # type: ignore[assignment]
-    HAVE_SOLVER = False
+import numpy as np
+from scipy import optimize, sparse
 
 from repro.core.placement.model import (
     PlacementProblem,
@@ -81,10 +76,6 @@ class MilpSolver:
     def solve(self, problem: PlacementProblem,
               residual: ResidualState | None = None) -> PlacementResult:
         """Solve; raises InfeasiblePlacement when flows cannot fit."""
-        if not HAVE_SOLVER:
-            raise ImportError(
-                "MilpSolver requires numpy and scipy (HiGHS backend); "
-                "use the greedy heuristic when they are unavailable")
         started = time.monotonic()  # sdnfv: noqa SIM001 (solver wall time, not sim time)
         build = _ModelBuilder(problem, residual
                               or ResidualState.fresh(problem))

@@ -20,7 +20,7 @@ from repro.dataplane.manager import (
     NfManager,
     NicPort,
 )
-from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
+from repro.net.mempool import PacketPool
 from repro.dataplane.vm import NfVm
 from repro.nfs.base import NetworkFunction
 from repro.sim.randomness import RandomStreams
@@ -33,10 +33,7 @@ class NfvHost:
     def __init__(self, sim: Simulator, name: str = "host0",
                  costs: HostCosts | None = None,
                  controller: typing.Any | None = None,
-                 ports: typing.Sequence[str] | None = None,
-                 ingress_port: str = "eth0",
-                 exit_port: str = "eth1",
-                 extra_ports: typing.Sequence[str] = (),
+                 ports: typing.Sequence[str] = ("eth0", "eth1"),
                  line_rate_gbps: float = 10.0,
                  tx_threads: int = 2,
                  load_balance: LoadBalancePolicy = (
@@ -46,28 +43,16 @@ class NfvHost:
                  control_policy: ControlPlanePolicy | None = None,
                  miss_fallback: Destination | None = None,
                  burst_size: int = DEFAULT_BURST_SIZE,
-                 pool_size: int = DEFAULT_POOL_SIZE,
                  seed: int = 0,
                  verify: bool = False) -> None:
         self.sim = sim
         self.name = name
-        # Normalized port construction (shared with build_network and
-        # SdnfvApp.deploy): either pass an explicit ``ports`` tuple, or
-        # let ``ingress_port`` / ``exit_port`` / ``extra_ports`` assemble
-        # one.  The first two are remembered so deploy-time code can ask
-        # a host where traffic enters and leaves.
-        if ports is None:
-            ports = (ingress_port, exit_port, *extra_ports)
-        self.ingress_port = ingress_port if ingress_port in ports else ports[0]
-        self.exit_port = (exit_port if exit_port in ports
-                          else ports[min(1, len(ports) - 1)])
         self.manager = NfManager(
             sim, name=name, costs=costs, controller=controller,
             tx_threads=tx_threads, load_balance=load_balance,
             lookup_cache=lookup_cache, conflict_policy=conflict_policy,
             control_policy=control_policy, miss_fallback=miss_fallback,
-            burst_size=burst_size, pool_size=pool_size,
-            streams=RandomStreams(seed=seed))
+            burst_size=burst_size, streams=RandomStreams(seed=seed))
         for port_name in ports:
             self.manager.add_port(port_name, line_rate_gbps=line_rate_gbps)
         # Opt-in ownership verification (repro.analysis.ownership): when
@@ -96,8 +81,8 @@ class NfvHost:
         return self.manager.costs
 
     @property
-    def packet_pool(self) -> PacketPool | None:
-        """The host's packet mempool (None when ``pool_size=0``)."""
+    def packet_pool(self) -> PacketPool:
+        """The host's packet mempool (``DEFAULT_POOL_SIZE`` buffers)."""
         return self.manager.packet_pool
 
     def port(self, name: str) -> NicPort:

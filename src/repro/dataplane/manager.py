@@ -47,7 +47,7 @@ from repro.dataplane.rings import RingBuffer
 from repro.dataplane.stats import HostStats
 from repro.dataplane.vm import NfVm
 from repro.net.flow import FiveTuple, FlowMatch
-from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
+from repro.net.mempool import PacketPool
 from repro.net.packet import Packet, transmission_ns
 from repro.nfs.base import NetworkFunction
 from repro.sim.events import Event
@@ -351,14 +351,11 @@ class NfManager:
                  streams: RandomStreams | None = None,
                  control_policy: ControlPlanePolicy | None = None,
                  miss_fallback: Destination | None = None,
-                 burst_size: int = DEFAULT_BURST_SIZE,
-                 pool_size: int = DEFAULT_POOL_SIZE) -> None:
+                 burst_size: int = DEFAULT_BURST_SIZE) -> None:
         if tx_threads < 1:
             raise ValueError("need at least one TX thread")
         if burst_size < 1:
             raise ValueError("burst size must be at least 1")
-        if pool_size < 0:
-            raise ValueError("pool size must be non-negative")
         self.sim = sim
         self.name = name
         self.costs = costs or HostCosts()
@@ -380,10 +377,8 @@ class NfManager:
         self.flow_table = FlowTable()
         self.stats = HostStats()
         # The host's rte_mempool analogue: packet generators and sinks
-        # allocate/reclaim buffers through it.  0 disables pooling (every
-        # packet is a plain heap allocation — the golden-parity baseline).
-        self.packet_pool: PacketPool | None = (
-            PacketPool(pool_size, stats=self.stats) if pool_size else None)
+        # allocate/reclaim buffers through it.
+        self.packet_pool = PacketPool(stats=self.stats)
         # Free list of descriptor wrappers (the mbuf-descriptor analogue):
         # RX allocation and TX/drop retirement recycle through it.
         self._desc_pool: list[PacketDescriptor] = []

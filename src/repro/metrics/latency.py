@@ -1,15 +1,13 @@
 """Round-trip latency collection: means, percentiles, CDFs.
 
-Statistics run on numpy when available and on pure stdlib arithmetic
-otherwise, with identical results: the fallback percentile implements
-numpy's default ``'linear'`` interpolation and the fallback CDF picks
-the same ``linspace`` sample indices.
+Percentiles use numpy's default ``'linear'`` interpolation; the CDF
+picks the same sample indices as ``numpy.linspace(0, n - 1, points)``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 
-from repro._compat import HAVE_NUMPY, numpy as np
 from repro.sim.units import US
 
 
@@ -48,11 +46,8 @@ class LatencyRecorder:
         return max(self._require_samples()) / US
 
     def percentile_us(self, percentile: float) -> float:
-        samples = self._require_samples()
-        if HAVE_NUMPY:
-            data = np.asarray(samples, dtype=np.float64)
-            return float(np.percentile(data, percentile)) / US
-        return _percentile_linear(sorted(samples), percentile) / US
+        data = np.asarray(self._require_samples(), dtype=np.float64)
+        return float(np.percentile(data, percentile)) / US
 
     def cdf_points(self, points: int = 100
                    ) -> list[tuple[float, float]]:
@@ -77,15 +72,3 @@ class LatencyRecorder:
             "p50_us": self.percentile_us(50),
             "p99_us": self.percentile_us(99),
         }
-
-
-def _percentile_linear(ordered: list[int], percentile: float) -> float:
-    """numpy's default ``'linear'`` percentile on a pre-sorted list."""
-    n = len(ordered)
-    if n == 1:
-        return float(ordered[0])
-    rank = (n - 1) * percentile / 100.0
-    lower = int(rank)
-    upper = min(lower + 1, n - 1)
-    weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight

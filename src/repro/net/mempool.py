@@ -6,7 +6,10 @@ recycle them through free lists (§4.1).  :class:`PacketPool` reproduces
 that economy for the simulator: ``alloc()`` hands out a retired
 :class:`~repro.net.packet.Packet` rewound by ``Packet._reset`` (fresh
 monotonic ``packet_id``, no leaked headers or annotations), and
-``reclaim()`` returns a zero-reference buffer to the slab.
+``reclaim()`` returns a zero-reference buffer to the slab.  Every
+``NfvHost``, ``OvsSwitchSim`` and ``SdnVideoSystem`` owns one pool of
+``DEFAULT_POOL_SIZE`` buffers, and the packet generators, session
+workloads and shard boundary allocate from it.
 
 The slab is bounded (``capacity`` buffers, grown lazily up to that cap).
 When every buffer is in flight the pool *falls back to plain heap

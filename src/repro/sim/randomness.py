@@ -4,21 +4,14 @@ Every stochastic component takes an explicit stream so that experiments are
 deterministic given a seed, and independent components do not perturb each
 other's draws when one of them is reconfigured.
 
-numpy is optional: with it installed each named stream is a
-``np.random.Generator`` (PCG64) — the reference stream the golden suites
-pin.  Without it (or with ``SDNFV_NO_NUMPY`` set) streams fall back to
-:class:`_FallbackGenerator`, a stdlib ``random.Random``-backed shim with
-the same method surface.  Fallback streams are deterministic per seed and
-name but draw *different values* than PCG64, so numpy-vs-fallback parity
-only holds for workloads that draw nothing (uniform pacing, zero jitter).
+Each named stream is a numpy ``np.random.Generator`` (PCG64) seeded
+from ``(seed, stable hash of the name)`` — the one random source every
+golden suite pins.
 """
 
 from __future__ import annotations
 
-import typing
-from random import Random
-
-from repro._compat import HAVE_NUMPY, numpy as np
+import numpy as np
 
 
 class RandomStreams:
@@ -26,60 +19,15 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: dict[str, typing.Any] = {}
+        self._streams: dict[str, np.random.Generator] = {}
 
-    def stream(self, name: str) -> typing.Any:
+    def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``."""
         if name not in self._streams:
-            if HAVE_NUMPY:
-                child_seed = np.random.SeedSequence(
-                    [self.seed, _stable_hash(name)])
-                self._streams[name] = np.random.default_rng(child_seed)
-            else:
-                self._streams[name] = _FallbackGenerator(
-                    (self.seed << 64) | _stable_hash(name))
+            child_seed = np.random.SeedSequence(
+                [self.seed, _stable_hash(name)])
+            self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
-
-
-class _FallbackGenerator:
-    """The subset of ``np.random.Generator`` the simulation draws from,
-    backed by the stdlib Mersenne Twister.  Same signatures, same value
-    ranges, different stream values."""
-
-    def __init__(self, seed: int) -> None:
-        self._random = Random(seed)
-
-    def integers(self, low: int, high: int | None = None) -> int:
-        """Half-open ``[low, high)`` like the numpy default."""
-        if high is None:
-            low, high = 0, low
-        return self._random.randrange(low, high)
-
-    def random(self) -> float:
-        return self._random.random()
-
-    def exponential(self, scale: float = 1.0) -> float:
-        return self._random.expovariate(1.0 / scale)
-
-    def zipf(self, a: float) -> int:
-        # Rejection sampler (Devroye) — the same algorithm family numpy
-        # uses, so tail behaviour matches even though values differ.
-        b = 2.0 ** (a - 1.0)
-        while True:
-            u = 1.0 - self._random.random()
-            v = self._random.random()
-            x = int(u ** (-1.0 / (a - 1.0)))
-            t = (1.0 + 1.0 / x) ** (a - 1.0)
-            if v * x * (t - 1.0) / (b - 1.0) <= t / b:
-                return x
-
-    def choice(self, options: typing.Sequence) -> typing.Any:
-        return options[self._random.randrange(len(options))]
-
-    def permutation(self, n: int) -> list[int]:
-        order = list(range(n))
-        self._random.shuffle(order)
-        return order
 
 
 def _stable_hash(name: str) -> int:
@@ -91,7 +39,7 @@ def _stable_hash(name: str) -> int:
     return value
 
 
-def exponential_ns(rng: typing.Any, mean: float) -> int:
+def exponential_ns(rng: np.random.Generator, mean: float) -> int:
     """Draw an exponential interarrival time in integer nanoseconds (>=1).
 
     ``mean`` is the distribution mean in ns — a real-valued *parameter*

@@ -34,7 +34,7 @@ lockstep:
   per-shard event logs merge by ``(timestamp, shard id, append order)``
   (:func:`repro.metrics.eventlog.merge_events`).  ``shards=1`` runs the
   identical construction with no boundaries at all and is byte-identical
-  to a hand-built single-kernel run — pinned by the golden-parity suite.
+  to a hand-built single-kernel run — pinned by the sharded parity suite.
 
 Known limit: two boundary frames from *different* source shards arriving
 at the same destination in the same nanosecond are ordered by source
@@ -58,7 +58,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import ControllerOutage, FaultPlan
 from repro.metrics.eventlog import ControlEvent, EventLog, merge_events
 from repro.net.flow import FiveTuple
-from repro.net.mempool import DEFAULT_POOL_SIZE
 from repro.net.packet import Packet
 from repro.nfs import NoOpNf
 from repro.sim.simulator import Simulator
@@ -131,7 +130,6 @@ class Scenario:
     exit_port: str = "eth1"
     line_rate_gbps: float = 10.0
     burst_size: int = DEFAULT_BURST_SIZE
-    pool_size: int = DEFAULT_POOL_SIZE
     # Attach the descriptor-ownership verifier to every host
     # (repro.analysis.ownership.HostVerifier): the boundary capture
     # (pool reclaim at the source) and delivery (pool alloc + NIC
@@ -357,7 +355,6 @@ class ShardRuntime:
             exit_port=scenario.exit_port,
             line_rate_gbps=scenario.line_rate_gbps,
             burst_size=scenario.burst_size,
-            pool_size=scenario.pool_size,
             verify=scenario.verify,
             seed=scenario.seed,
             only_hosts=self.owned)
@@ -537,13 +534,9 @@ class ShardRuntime:
          annotations) = event
         host = self.network.hosts[dst_host]
         flow = FiveTuple(src_ip, dst_ip, protocol, src_port, dst_port_num)
-        pool = host.packet_pool
-        if pool is not None:
-            packet = pool.alloc(flow=flow, size=size, payload=payload,
-                                created_at=created_at)
-        else:
-            packet = Packet(flow=flow, size=size, payload=payload,
-                            created_at=created_at)
+        packet = host.packet_pool.alloc(flow=flow, size=size,
+                                        payload=payload,
+                                        created_at=created_at)
         if annotations:
             packet._annotations = dict(annotations)
         self.boundary_frames_carried += 1

@@ -23,7 +23,6 @@ import typing
 from repro.dataplane.costs import HostCosts
 from repro.dataplane.host import NfvHost
 from repro.dataplane.manager import DEFAULT_BURST_SIZE
-from repro.net.mempool import DEFAULT_POOL_SIZE
 from repro.sim.simulator import Simulator
 from repro.topology.fabric import Fabric
 from repro.topology.nodes import NodeKind
@@ -104,7 +103,6 @@ def build_network(sim: Simulator, topology: Topology,
                   exit_port: str = "eth1",
                   line_rate_gbps: float = 10.0,
                   burst_size: int = DEFAULT_BURST_SIZE,
-                  pool_size: int = DEFAULT_POOL_SIZE,
                   seed: int = 0,
                   verify: bool = False,
                   only_hosts: typing.Iterable[str] | None = None
@@ -114,7 +112,7 @@ def build_network(sim: Simulator, topology: Topology,
     Each host gets ``ingress_port`` and ``exit_port`` plus one trunk port
     per attached link, named ``to-<neighbor>``.  Link delays carry over
     to the fabric wires; link capacities to the trunk line rates.
-    ``burst_size`` / ``pool_size`` / ``seed`` / ``verify`` pass
+    ``burst_size`` / ``seed`` / ``verify`` pass
     through to every :class:`NfvHost` (same names, same defaults).
 
     ``only_hosts`` realizes a subset of the NFV hosts (one shard's
@@ -139,11 +137,9 @@ def build_network(sim: Simulator, topology: Topology,
         trunk_ports = [f"to-{neighbor}"
                        for neighbor in topology.neighbors(name)]
         host = NfvHost(sim, name=name, costs=costs,
-                       ingress_port=ingress_port, exit_port=exit_port,
-                       extra_ports=trunk_ports,
+                       ports=(ingress_port, exit_port, *trunk_ports),
                        line_rate_gbps=line_rate_gbps,
-                       burst_size=burst_size, pool_size=pool_size,
-                       seed=seed, verify=verify)
+                       burst_size=burst_size, seed=seed, verify=verify)
         hosts[name] = host
         fabric.add_host(host)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from repro._compat import HAVE_NUMPY, numpy as np
+import numpy as np
+
 from repro.sim.units import US
 from repro.topology.links import Link
 from repro.topology.nodes import NodeKind, NodeSpec
@@ -31,11 +32,6 @@ def rocketfuel_like(nodes: int = AS16631_NODES, edges: int = AS16631_EDGES,
     Strategy: a random spanning tree guarantees connectivity (n-1 edges),
     then extra edges are sampled uniformly from the remaining pairs.
     """
-    if not HAVE_NUMPY:
-        raise ImportError(
-            "rocketfuel_like() requires numpy (sampling without replacement "
-            "has no stdlib-parity fallback); install numpy or use an "
-            "explicit Topology")
     if nodes < 2:
         raise ValueError("need at least two nodes")
     min_edges, max_edges = nodes - 1, nodes * (nodes - 1) // 2

@@ -168,15 +168,9 @@ class PktGen:
         if spec.stop_ns is not None and now >= spec.stop_ns:
             return
         flow = spec.flow_for(sequence)
-        pool = getattr(self.host, "packet_pool", None)
-        if pool is not None:
-            packet = pool.alloc(flow=flow, size=spec.packet_size,
-                                payload=spec.payload_for(sequence),
-                                created_at=now)
-        else:
-            packet = Packet(flow=flow, size=spec.packet_size,
-                            payload=spec.payload_for(sequence),
-                            created_at=now)
+        packet = self.host.packet_pool.alloc(
+            flow=flow, size=spec.packet_size,
+            payload=spec.payload_for(sequence), created_at=now)
         self.host.inject(self.ingress_port, packet)
         self.sent += 1
         self.tx_meter.record(now, spec.packet_size)

@@ -104,12 +104,9 @@ class FlowChurnWorkload:
             pool.reclaim(packet)
 
     def _alloc(self, flow: FiveTuple, size: int, payload: str) -> Packet:
-        pool = getattr(self.host, "packet_pool", None)
-        if pool is not None:
-            return pool.alloc(flow=flow, size=size, payload=payload,
-                              created_at=self.sim.now)
-        return Packet(flow=flow, size=size, payload=payload,
-                      created_at=self.sim.now)
+        return self.host.packet_pool.alloc(flow=flow, size=size,
+                                           payload=payload,
+                                           created_at=self.sim.now)
 
     def _run(self):
         while True:
@@ -198,15 +195,9 @@ class VideoSessionWorkload:
                     payload, size = video_reply_payload(), self.packet_size
                 else:
                     payload, size = "", self.packet_size
-                pool = getattr(self.host, "packet_pool", None)
-                if pool is not None:
-                    packet = pool.alloc(flow=session.flow, size=size,
-                                        payload=payload,
-                                        created_at=self.sim.now)
-                else:
-                    packet = Packet(flow=session.flow, size=size,
-                                    payload=payload,
-                                    created_at=self.sim.now)
+                packet = self.host.packet_pool.alloc(
+                    flow=session.flow, size=size, payload=payload,
+                    created_at=self.sim.now)
                 self.host.inject(self.ingress_port, packet)
                 session.packets_sent += 1
                 yield self.sim.sleep(self._interval_ns())

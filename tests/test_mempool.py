@@ -15,6 +15,11 @@ from repro.net import FiveTuple
 from repro.net.headers import PROTO_TCP
 from repro.net.mempool import DEFAULT_POOL_SIZE, PacketPool
 from repro.net.packet import Packet
+from repro.nfs import NoOpNf
+from repro.sim import MS
+from repro.workloads import FlowSpec, PktGen
+
+from tests.conftest import install_chain
 
 
 @pytest.fixture
@@ -138,8 +143,8 @@ class TestReuseHygiene:
 
 class TestStatsMirroring:
     def test_counters_mirror_into_host_stats(self, sim):
-        host = NfvHost(sim, name="pooled", pool_size=2)
-        pool = host.packet_pool
+        host = NfvHost(sim, name="pooled")
+        pool = PacketPool(2, stats=host.stats)
         pool.alloc(flow=_flow(1))
         hit_source = pool.alloc(flow=_flow(2))
         hit_source.free()
@@ -154,14 +159,28 @@ class TestStatsMirroring:
         assert summary["pool_misses"] == 3
         assert summary["pool_exhausted"] == 1
 
-    def test_pool_size_zero_disables_host_pool(self, sim):
-        host = NfvHost(sim, name="unpooled", pool_size=0)
-        assert host.packet_pool is None
-
-    def test_default_pool_size(self, sim):
+    def test_default_pool_capacity(self, sim):
         host = NfvHost(sim, name="default")
-        assert host.packet_pool is not None
         assert host.packet_pool.capacity == DEFAULT_POOL_SIZE
+
+
+class TestHostReuse:
+    def test_fig7_run_reuses_buffers(self, sim):
+        """A default Fig. 7-style host recycles its buffers: the
+        generator's allocations are served from retired packets, and the
+        slab never runs dry."""
+        host = NfvHost(sim, name="reuse")
+        for service in ("noop0", "noop1"):
+            host.add_nf(NoOpNf(service), ring_slots=256)
+        install_chain(host, ["noop0", "noop1"])
+        gen = PktGen(sim, host, window_ns=MS)
+        gen.add_flow(FlowSpec(flow=_flow(), rate_mbps=8_000.0,
+                              packet_size=64, stop_ns=2 * MS))
+        sim.run(until=3 * MS)
+        pool = host.packet_pool
+        assert pool.hits > 0
+        assert host.stats.pool_exhausted == 0
+        assert gen.received > 1000
 
 
 class TestPlainPackets:

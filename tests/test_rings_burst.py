@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro._compat import HAVE_NUMPY
 from repro.dataplane import NfvHost
 from repro.dataplane.rings import RingBuffer
 from repro.net import FiveTuple, Packet
@@ -165,9 +164,6 @@ def run_parallel_like(burst: int) -> dict:
     return _summarise(host, gen)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="golden summaries pin the "
-                    "numpy jitter stream; the stdlib fallback draws "
-                    "different values")
 class TestBurstOneParity:
     """burst_size=1 must reproduce the pre-refactor pipeline exactly."""
 

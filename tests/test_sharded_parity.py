@@ -94,8 +94,7 @@ def run_monolithic(scenario: Scenario) -> dict:
         ingress_port=scenario.ingress_port,
         exit_port=scenario.exit_port,
         line_rate_gbps=scenario.line_rate_gbps,
-        burst_size=scenario.burst_size, pool_size=scenario.pool_size,
-        seed=scenario.seed)
+        burst_size=scenario.burst_size, seed=scenario.seed)
     event_log = EventLog(sim)
     app = SdnfvApp(sim)
     for host in network.hosts.values():

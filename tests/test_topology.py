@@ -224,6 +224,46 @@ class TestRouting:
                    for (src, dst), path in before.items())
 
 
+class TestBuildNetworkPorts:
+    """Every host gets ``(ingress, exit, to-<neighbor>...)`` in link
+    order — the order its NIC RX processes start in."""
+
+    EXPECTED = {
+        "n0": ("in", "out", "to-n1", "to-n3"),
+        "n1": ("in", "out", "to-n0", "to-n2", "to-n3"),
+        "n2": ("in", "out", "to-n1"),
+        "n3": ("in", "out", "to-n1", "to-n0"),
+    }
+
+    @staticmethod
+    def star_topology():
+        topology = Topology()
+        for name in ("n0", "n1", "n2", "n3"):
+            topology.add_node(NodeSpec(name=name, cores=2))
+        for a, b in (("n0", "n1"), ("n1", "n2"), ("n1", "n3"),
+                     ("n0", "n3")):
+            topology.add_link(Link(a=a, b=b, delay_ns=100 * US))
+        return topology
+
+    def test_full_build_port_order(self):
+        network = build_network(Simulator(), self.star_topology(),
+                                ingress_port="in", exit_port="out")
+        assert {name: tuple(host.manager.ports)
+                for name, host in network.hosts.items()} == self.EXPECTED
+
+    def test_only_hosts_build_port_order(self):
+        network = build_network(Simulator(), self.star_topology(),
+                                ingress_port="in", exit_port="out",
+                                only_hosts=("n3", "n2"))
+        assert {name: tuple(host.manager.ports)
+                for name, host in network.hosts.items()} == {
+            name: self.EXPECTED[name] for name in ("n2", "n3")}
+        # Trunks toward unrealized neighbors exist as ports all the same.
+        assert sorted((wire.src_host, wire.src_port)
+                      for wire in network.boundary_wires) == [
+            ("n2", "to-n1"), ("n3", "to-n0"), ("n3", "to-n1")]
+
+
 class TestRocketfuel:
     def test_default_matches_as16631(self):
         topology = rocketfuel_like()
