@@ -110,12 +110,20 @@ def resolve_parallel_verdicts(
     """
     if not verdicts:
         raise ValueError("no verdicts to resolve")
+    if policy not in ("action_priority", "vm_priority"):
+        raise ValueError(f"unknown conflict policy: {policy!r}")
+    # Members that all returned one verdict object (the shared Default
+    # and Discard constants) agree under either policy.
+    first = verdicts[0][1]
+    for _priority, verdict in verdicts:
+        if verdict is not first:
+            break
+    else:
+        return first
     if policy == "action_priority":
         def rank(pair: tuple[int, Verdict]) -> tuple[int, int, int]:
             vm_priority, verdict = pair
             port_first = 0 if isinstance(verdict.destination, ToPort) else 1
             return (_ACTION_RANK[verdict.kind], port_first, vm_priority)
         return min(verdicts, key=rank)[1]
-    if policy == "vm_priority":
-        return min(verdicts, key=lambda pair: pair[0])[1]
-    raise ValueError(f"unknown conflict policy: {policy!r}")
+    return min(verdicts, key=lambda pair: pair[0])[1]

@@ -172,17 +172,17 @@ class NicPort:
         self.sim.call_later(tx_ns, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
+        """Hand a serialized frame to the wire, then start the next."""
         self.tx_packets += 1
         self.tx_bytes += packet.size
-        if self.on_egress is not None:
-            self.on_egress(packet)
+        on_egress = self.on_egress
+        if on_egress is not None:
+            on_egress(packet)
         else:
             self.egress.try_put(packet)
-        self._tx_next()
-
-    def _tx_next(self) -> None:
-        if self._tx_backlog:
-            self.sim.call_later(0, self._tx_start, self._tx_backlog.popleft())
+        backlog = self._tx_backlog
+        if backlog:
+            self.sim.call_later(0, self._tx_start, backlog.popleft())
         else:
             self._tx_busy = False
 
@@ -400,7 +400,8 @@ class NfManager:
         # that member may write.  Absent for legacy read-only chains.
         self._chain_merge_plans: dict[
             str, dict[str, tuple[tuple[str, ...], tuple[str, ...]]]] = {}
-        self._plans: dict[FiveTuple, dict] = {}
+        # §4.2's lookup cache: flow -> [table generation, {scope: entry}].
+        self._plans: dict[FiveTuple, list] = {}
         # Miss classifier (§4.1 hybrid pipeline): flows whose first
         # contact with this host has been classified as proactive-hit /
         # reactive-hit / reactive-miss.  A dict used as an insertion-
@@ -741,86 +742,89 @@ class NfManager:
         ``burst_size - 1`` more that already arrived, then moves the
         whole burst through classify → dispatch with one thread-occupancy
         charge, resolving the flow-table lookup plan once per (flow,
-        burst).  At ``burst_size=1`` the event sequence is exactly the
-        pre-burst one-descriptor-per-event pipeline.
+        burst): a burst has one scope, the port, so later packets of a
+        flow reuse its entry for free.  At ``burst_size=1`` the event
+        sequence is exactly the pre-burst one-descriptor-per-event
+        pipeline.
         """
+        sim = self.sim
+        stats = self.stats
         costs = self.costs
+        ingress = port.ingress
+        scope = port.name
+        classify = self._classify
         while True:
-            packet: Packet = yield port.ingress.get()
+            packet: Packet = yield ingress.get()
             frames = [packet]
-            if self.burst_size > 1:
-                frames.extend(port.rx_burst(self.burst_size - 1))
-            self.stats.record_rx_batch(len(frames))
-            now = self.sim.now
-            burst_plans: dict = {}
-            work = 0
+            burst = self.burst_size
+            if burst > 1 and ingress.items:
+                frames.extend(port.rx_burst(burst - 1))
+            stats.record_rx_batch(len(frames))
+            now = sim.now
+            burst_plans: dict[FiveTuple, FlowTableEntry | None] = {}
+            work = costs.rx_service_ns * len(frames)
             classified: list[tuple[PacketDescriptor,
                                    FlowTableEntry | None]] = []
             for frame in frames:
-                self.stats.record_rx(frame.size)
-                descriptor = self._desc_alloc(frame, port.name, now)
-                entry, lookup_cost = self._classify_in_burst(descriptor,
-                                                            burst_plans)
-                work += costs.rx_service_ns + lookup_cost
+                stats.record_rx(frame.size)
+                descriptor = self._desc_alloc(frame, scope, now)
+                flow = frame.flow
+                if flow in burst_plans:
+                    entry = burst_plans[flow]
+                else:
+                    entry, lookup_cost = classify(scope, flow)
+                    burst_plans[flow] = entry
+                    work += lookup_cost
                 classified.append((descriptor, entry))
-            yield self.sim.sleep(work)
+            yield sim.sleep(work)
             extra = 0
             for descriptor, entry in classified:
                 if entry is None:
                     self._fc_queue.try_put(descriptor)
-                    continue
-                extra += self._follow_entry(descriptor, entry,
-                                            entry.default_action)
+                elif entry.parallel:
+                    extra += self._fan_out(descriptor, entry)
+                else:
+                    extra += self._route(descriptor, entry.actions[0])
             if extra:
-                yield self.sim.sleep(extra)
+                yield sim.sleep(extra)
 
-    def _classify_in_burst(self, descriptor: PacketDescriptor,
-                           burst_plans: dict
-                           ) -> tuple[FlowTableEntry | None, int]:
-        """Classify against a per-burst plan: each distinct (scope, flow)
-        in a burst pays for at most one table lookup; later packets of
-        the same flow reuse the resolved entry for free."""
-        key = (descriptor.scope, descriptor.packet.flow)
-        if key in burst_plans:
-            return burst_plans[key], 0
-        entry, cost = self._classify(descriptor)
-        burst_plans[key] = entry
-        return entry, cost
-
-    def _classify(self,
-                  descriptor: PacketDescriptor
+    def _classify(self, scope: str, flow: FiveTuple
                   ) -> tuple[FlowTableEntry | None, int]:
-        """Find the rule for the descriptor's (scope, flow).
+        """Find the rule for ``flow`` in ``scope``.
 
         Returns (entry, service_cost_ns).  With the lookup cache enabled
         (§4.2), hits on the per-flow plan are free; otherwise each hop
-        pays header extraction + a hash lookup.
+        pays header extraction + a hash lookup.  A plan is a
+        ``[generation, {scope: entry}]`` pair, dropped once a table
+        change moves the generation past it.
         """
-        flow = descriptor.packet.flow
         generation = self.flow_table.generation
+        plans = self._plans
         if self.lookup_cache:
-            plan = self._plans.get(flow)
-            if plan is not None and plan["generation"] == generation:
-                cached = plan["entries"].get(descriptor.scope)
-                if cached is not None:
-                    return cached, 0
-            elif plan is not None:
-                del self._plans[flow]
-        cost = self.costs.header_extract_ns + self.costs.flow_lookup_ns
-        entry = self.flow_table.lookup(descriptor.scope, flow,
-                                       now_ns=self.sim.now)
+            plan = plans.get(flow)
+            if plan is not None:
+                if plan[0] == generation:
+                    cached = plan[1].get(scope)
+                    if cached is not None:
+                        return cached, 0
+                else:
+                    del plans[flow]
+        costs = self.costs
+        cost = costs.header_extract_ns + costs.flow_lookup_ns
+        entry = self.flow_table.lookup(scope, flow, now_ns=self.sim.now)
         if entry is not None:
             if flow not in self._classified:
                 self._classify_first_contact(flow, entry)
             if self.lookup_cache:
-                if len(self._plans) >= _PLAN_CACHE_LIMIT:
-                    self._plans.pop(next(iter(self._plans)))
-                plan = self._plans.setdefault(
-                    flow, {"generation": generation, "entries": {}})
-                if plan["generation"] != generation:
-                    plan["generation"] = generation
-                    plan["entries"] = {}
-                plan["entries"][descriptor.scope] = entry
+                if len(plans) >= _PLAN_CACHE_LIMIT:
+                    plans.pop(next(iter(plans)))
+                # Any plan still here is current: a stale one was
+                # deleted above.
+                plan = plans.get(flow)
+                if plan is None:
+                    plans[flow] = [generation, {scope: entry}]
+                else:
+                    plan[1][scope] = entry
         return entry, cost
 
     def _classify_first_contact(self, flow: FiveTuple,
@@ -857,30 +861,31 @@ class NfManager:
 
     def _route(self, descriptor: PacketDescriptor,
                destination: Destination) -> int:
-        if isinstance(destination, Drop):
-            self._drop(descriptor, "dropped_by_nf")
-            return 0
+        # Most hops are service hops, so that test comes first.
+        if isinstance(destination, ToService):
+            service_id = destination.service_id
+            if self._parallel_chains and descriptor.group_id is None:
+                chain = self._parallel_chains.get(service_id)
+                if chain is not None:
+                    return self._fan_out_members(
+                        descriptor, chain,
+                        plan=self._chain_merge_plans.get(service_id))
+            replicas = self.vms_by_service.get(service_id, ())
+            if not replicas:
+                self._drop(descriptor, "dropped_no_vm")
+                return 0
+            vm, scan_cost = self._balancers[service_id].choose(
+                replicas, descriptor.packet.flow)
+            self.stats.record_service(service_id)
+            if not vm.rx_ring.try_enqueue(descriptor):
+                self._drop(descriptor, "dropped_ring_full")
+            return scan_cost
         if isinstance(destination, ToPort):
             self._egress(descriptor, destination.port)
             return 0
-        assert isinstance(destination, ToService)
-        if self._parallel_chains and descriptor.group_id is None:
-            chain = self._parallel_chains.get(destination.service_id)
-            if chain is not None:
-                return self._fan_out_members(
-                    descriptor, chain,
-                    plan=self._chain_merge_plans.get(
-                        destination.service_id))
-        replicas = self.vms_by_service.get(destination.service_id, ())
-        if not replicas:
-            self._drop(descriptor, "dropped_no_vm")
-            return 0
-        balancer = self._balancers[destination.service_id]
-        vm, scan_cost = balancer.choose(replicas, descriptor.packet.flow)
-        self.stats.record_service(destination.service_id)
-        if not vm.rx_ring.try_enqueue(descriptor):
-            self._drop(descriptor, "dropped_ring_full")
-        return scan_cost
+        assert isinstance(destination, Drop)
+        self._drop(descriptor, "dropped_by_nf")
+        return 0
 
     def _fan_out(self, descriptor: PacketDescriptor,
                  entry: FlowTableEntry) -> int:
@@ -951,14 +956,18 @@ class NfManager:
         pre-burst event sequence exactly (including the unconditional
         merge delay after a group completes).
         """
+        sim = self.sim
+        stats = self.stats
         costs = self.costs
+        classify = self._classify
         while True:
             head: PacketDescriptor = yield queue.get()
             batch = [head]
-            if self.burst_size > 1:
-                batch.extend(queue.dequeue_burst(self.burst_size - 1))
-            self.stats.record_tx_batch(len(batch))
-            yield self.sim.sleep(costs.tx_service_ns * len(batch))
+            burst = self.burst_size
+            if burst > 1 and queue.items:
+                batch.extend(queue.dequeue_burst(burst - 1))
+            stats.record_tx_batch(len(batch))
+            yield sim.sleep(costs.tx_service_ns * len(batch))
             merged_any = False
             merge_cost = 0
             survivors: list[PacketDescriptor] = []
@@ -973,24 +982,37 @@ class NfManager:
                                    * max(0, member_count - 1))
                 survivors.append(descriptor)
             if merged_any:
-                yield self.sim.sleep(merge_cost)
-            burst_plans: dict = {}
+                yield sim.sleep(merge_cost)
+            # Per-burst plan: each distinct (scope, flow) pays for at
+            # most one table lookup.
+            burst_plans: dict[tuple[str, FiveTuple],
+                              FlowTableEntry | None] = {}
             lookup_total = 0
             resolved: list[tuple[PacketDescriptor,
                                  FlowTableEntry | None]] = []
             for descriptor in survivors:
                 assert descriptor.verdict is not None
-                entry, lookup_cost = self._classify_in_burst(descriptor,
-                                                             burst_plans)
-                lookup_total += lookup_cost
+                scope = descriptor.scope
+                flow = descriptor.packet.flow
+                key = (scope, flow)
+                if key in burst_plans:
+                    entry = burst_plans[key]
+                else:
+                    entry, lookup_cost = classify(scope, flow)
+                    burst_plans[key] = entry
+                    lookup_total += lookup_cost
                 resolved.append((descriptor, entry))
             if lookup_total:
-                yield self.sim.sleep(lookup_total)
+                yield sim.sleep(lookup_total)
             extra = 0
             for descriptor, entry in resolved:
-                extra += self._resolve_verdict(descriptor, entry)
+                if (entry is not None and not entry.parallel
+                        and descriptor.verdict.kind is NfVerdict.DEFAULT):
+                    extra += self._route(descriptor, entry.actions[0])
+                else:
+                    extra += self._resolve_verdict(descriptor, entry)
             if extra:
-                yield self.sim.sleep(extra)
+                yield sim.sleep(extra)
 
     def _capture_group_writes(self, descriptor: PacketDescriptor) -> None:
         """Journal a parallel member's packet writes (merge stage).
@@ -1062,7 +1084,8 @@ class NfManager:
             return False
         if group.member_lost():
             merged = self._merge_group(group, descriptor)
-            entry, _cost = self._classify(merged)
+            entry, _cost = self._classify(merged.scope,
+                                          merged.packet.flow)
             self._resolve_verdict(merged, entry)
             return True
         if group.expected <= 0:
@@ -1130,7 +1153,8 @@ class NfManager:
             self.install_rule(rule)
         buffered = self._pending_flows.pop(key)
         for descriptor in buffered:
-            entry, _cost = self._classify(descriptor)
+            entry, _cost = self._classify(descriptor.scope,
+                                          descriptor.packet.flow)
             if entry is None:
                 self._drop(descriptor, "dropped_no_rule")
             else:

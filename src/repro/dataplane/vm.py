@@ -152,62 +152,76 @@ class NfVm:
         that dies on a crash); the tail stays in ``_pending`` until the
         batch completes, so mid-batch failures salvage it intact.  At
         ``burst_size=1`` this is event-for-event the single-packet loop.
+
+        Only data and private helpers are bound to locals.  Ring and NF
+        methods are looked up at each call, because the ownership
+        verifier and simbench's tracer patch them while the loop runs;
+        cost fields are read at each wake, because a ``HostOverload``
+        fault rescales them in place.
         """
-        costs: HostCosts = self.manager.costs
+        sim = self.sim
+        nf = self.nf
+        ctx = self.ctx
+        ring = self.rx_ring
+        manager = self.manager
+        stats = manager.stats
+        costs: HostCosts = manager.costs
+        service_id = nf.service_id
+        submit = self._submit_batch
         try:
             while True:
-                descriptor: PacketDescriptor = yield self.rx_ring.get()
+                descriptor: PacketDescriptor = yield ring.get()
                 batch = [descriptor]
-                if self.manager.burst_size > 1:
-                    batch.extend(
-                        self.rx_ring.dequeue_burst(
-                            self.manager.burst_size - 1))
-                self.manager.stats.record_vm_batch(len(batch))
-                self.inflight = batch[0]
+                burst = manager.burst_size
+                if burst > 1 and ring.items:
+                    batch.extend(ring.dequeue_burst(burst - 1))
+                stats.record_vm_batch(len(batch))
+                self.inflight = descriptor
                 self._pending = batch[1:]
-                self.last_progress_ns = self.sim.now
+                self.last_progress_ns = sim.now
                 if self._hung:
                     # Wedged mid-packet: block on an event that never
                     # fires.  Only an interrupt (watchdog kill) resumes us.
-                    yield self.sim.event()
-                work = 0
+                    yield sim.event()
+                work = costs.vm_service_ns * len(batch)
                 for item in batch:
-                    work += (costs.vm_service_ns
-                             + self.nf.processing_cost_ns(item.packet,
-                                                          self.ctx))
-                self._busy_until_ns = self.sim.now + work
-                yield self.sim.sleep(work)
+                    work += nf.processing_cost_ns(item.packet, ctx)
+                self._busy_until_ns = sim.now + work
+                yield sim.sleep(work)
                 self.busy_ns += work
                 # Batch complete: emit verdicts and group the handoff by
                 # delivery delay (one timer per distinct delay, not one
-                # per packet).
+                # per packet).  Ring hops + poll-batching pickup are
+                # latency, not occupancy: the TX tier gets the batch
+                # after a non-blocking delay.  Parallel-group members are
+                # staggered by their index, modeling cache contention on
+                # the shared packet buffer.
+                priority = self.priority
+                pipeline_ns = costs.vm_pipeline_latency_ns
                 handoff: dict[int, list[PacketDescriptor]] = {}
                 for item in batch:
                     self.packets_processed += 1
-                    item.verdict = self.nf.handle_packet(item.packet,
-                                                         self.ctx)
-                    item.scope = self.service_id
-                    item.vm_priority = self.priority
-                    # Ring hops + poll-batching pickup are latency, not
-                    # occupancy: hand the descriptor to the TX tier after
-                    # a non-blocking delay.  Parallel-group members are
-                    # staggered by their index, modeling cache contention
-                    # on the shared packet buffer.
-                    delay = costs.vm_pipeline_latency_ns
+                    item.verdict = nf.handle_packet(item.packet, ctx)
+                    item.scope = service_id
+                    item.vm_priority = priority
+                    delay = pipeline_ns
                     if item.group_id is not None:
                         # Merge stage: journal this member's writes while
                         # still in the handler's event (before any other
                         # member can touch the shared packet).
-                        self.manager._capture_group_writes(item)
-                        delay += (costs.parallel_stagger_ns
-                                  * item.group_index)
-                    handoff.setdefault(delay, []).append(item)
+                        manager._capture_group_writes(item)
+                        delay += costs.parallel_stagger_ns * item.group_index
+                    done = handoff.get(delay)
+                    if done is None:
+                        handoff[delay] = [item]
+                    else:
+                        done.append(item)
                 self._pending = []
                 self.inflight = None
-                self.last_progress_ns = self.sim.now
+                self.last_progress_ns = sim.now
                 for delay, done in handoff.items():
                     # Bare timer lane: the handoff needs no Event object.
-                    self.sim.call_later(delay, self._submit_batch, done)
+                    sim.call_later(delay, submit, done)
         except Interrupt as interrupt:
             self._on_killed(str(interrupt.cause or "crash"))
 

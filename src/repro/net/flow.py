@@ -231,6 +231,11 @@ class FlowMatch:
 
     def exact_key(self) -> FiveTuple | None:
         """The FiveTuple if this match is exact, else None."""
+        return self._exact_key
+
+    @functools.cached_property
+    def _exact_key(self) -> FiveTuple | None:
+        """:meth:`exact_key`'s answer, built once per match."""
         if not self.is_exact:
             return None
         return FiveTuple(src_ip=self.src_ip, dst_ip=self.dst_ip,

@@ -116,15 +116,18 @@ class PktGen:
         self.received += 1
         self.rx_meter.record(now, packet.size)
         costs = self.host.costs
-        jitter = 0
-        if costs.wire_jitter_ns:
-            jitter = int(self._rng.integers(-costs.wire_jitter_ns,
-                                            costs.wire_jitter_ns + 1))
-        rtt = (now - packet.created_at) + costs.wire_base_rtt_ns + jitter
-        self.latency.record(max(0, rtt))
+        jitter_ns = costs.wire_jitter_ns
+        rtt = now - packet.created_at + costs.wire_base_rtt_ns
+        if jitter_ns:
+            # One scalar draw per packet: a batched draw would yield a
+            # different sequence.
+            rtt += int(self._rng.integers(-jitter_ns, jitter_ns + 1))
+        if rtt < 0:
+            rtt = 0
+        self.latency.record(rtt)
         recorder = self.per_flow_latency.get(packet.flow)
         if recorder is not None:
-            recorder.record(max(0, rtt))
+            recorder.record(rtt)
         # The measurement sink is the buffer's terminal owner: once the
         # RTT is recorded, a zero-ref pooled buffer goes back to the slab
         # (ignored for plain heap packets and still-referenced buffers).
@@ -164,16 +167,19 @@ class PktGen:
         spec, sequence = state
         if self._stopped:
             return
-        now = self.sim.now
-        if spec.stop_ns is not None and now >= spec.stop_ns:
+        sim = self.sim
+        now = sim.now
+        stop_ns = spec.stop_ns
+        if stop_ns is not None and now >= stop_ns:
             return
-        flow = spec.flow_for(sequence)
-        packet = self.host.packet_pool.alloc(
-            flow=flow, size=spec.packet_size,
+        size = spec.packet_size
+        host = self.host
+        packet = host.packet_pool.alloc(
+            flow=spec.flow_for(sequence), size=size,
             payload=spec.payload_for(sequence), created_at=now)
-        self.host.inject(self.ingress_port, packet)
+        host.inject(self.ingress_port, packet)
         self.sent += 1
-        self.tx_meter.record(now, spec.packet_size)
+        self.tx_meter.record(now, size)
         # mean_gap() is recomputed every tick on purpose: rate_mbps is
         # documented as mutable mid-run (Fig. 9 rate steps).
         mean_gap = spec.mean_gap()
@@ -181,7 +187,7 @@ class PktGen:
             gap = max(1, round(self._rng.exponential(mean_gap)))
         else:
             gap = max(1, round(mean_gap))
-        self.sim.call_later(gap, self._drive_tick, (spec, sequence + 1))
+        sim.call_later(gap, self._drive_tick, (spec, sequence + 1))
 
     # ------------------------------------------------------------------
     def offered_gbps(self) -> float:

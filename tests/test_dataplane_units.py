@@ -2,6 +2,8 @@
 stats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataplane import (
     HostCosts,
@@ -106,6 +108,37 @@ class TestParallelConflicts:
         with pytest.raises(ValueError):
             resolve_parallel_verdicts([(0, Verdict.default())],
                                       policy="coin_flip")
+
+    @settings(max_examples=200, deadline=None)
+    @given(verdicts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.one_of(
+                st.just(Verdict.default()),
+                st.just(Verdict.discard()),
+                st.builds(Verdict.send_to_service,
+                          st.sampled_from(["ids", "scrubber"])),
+                st.builds(Verdict.send_to_port,
+                          st.sampled_from(["eth0", "eth1"])))),
+        min_size=1, max_size=6),
+        policy=st.sampled_from(["action_priority", "vm_priority"]))
+    def test_matches_full_rank_min(self, verdicts, policy):
+        """The all-members-agree shortcut picks the very object the full
+        rank-based ``min`` picks, under either policy."""
+        if policy == "action_priority":
+            rank = {NfVerdict.DISCARD: 0, NfVerdict.SEND: 1,
+                    NfVerdict.DEFAULT: 2}
+
+            def key(pair):
+                priority, verdict = pair
+                port_first = (0 if isinstance(verdict.destination, ToPort)
+                              else 1)
+                return (rank[verdict.kind], port_first, priority)
+        else:
+            def key(pair):
+                return pair[0]
+        expected = min(verdicts, key=key)[1]
+        assert resolve_parallel_verdicts(verdicts, policy=policy) is expected
 
 
 class _FakeVm:
