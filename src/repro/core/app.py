@@ -319,7 +319,7 @@ class SdnfvApp:
         if isinstance(message, ChangeDefault):
             for deployment in self.deployments:
                 graph = deployment.graph
-                if message.service not in graph.services:
+                if not graph.has_service(message.service):
                     continue
                 if message.target.startswith("port:"):
                     return graph.has_edge(message.service, EXIT)
@@ -328,7 +328,7 @@ class SdnfvApp:
                 return graph.has_edge(message.service, message.target)
             return False
         if isinstance(message, (SkipMe, RequestMe)):
-            return any(message.service in deployment.graph.services
+            return any(deployment.graph.has_service(message.service)
                        for deployment in self.deployments)
         return False
 

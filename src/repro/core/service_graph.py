@@ -93,6 +93,12 @@ class ServiceGraph:
         return [node for node in self._graph.nodes
                 if node not in _SENTINELS]
 
+    def has_service(self, service_id: str) -> bool:
+        """Whether ``service_id`` is one of :attr:`services` (without
+        building that list)."""
+        return (service_id not in _SENTINELS
+                and self._graph.has_node(service_id))
+
     def is_read_only(self, service_id: str) -> bool:
         return self._read_only.get(service_id, False)
 

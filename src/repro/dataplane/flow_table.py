@@ -74,17 +74,38 @@ class FlowTableEntry:
         """Whether an NF may Send-to this destination under this rule."""
         return destination in self.actions or isinstance(destination, Drop)
 
-    def with_default(self, destination: Destination) -> FlowTableEntry:
-        """A copy whose default action is ``destination``.
+    def copy(self, match: FlowMatch | None = None,
+             actions: tuple[Destination, ...] | None = None,
+             ) -> FlowTableEntry:
+        """A copy with a fresh ``entry_id`` and, when given, a new
+        ``match`` or ``actions``; ``__post_init__`` validates it.
+
+        The one way a rule is cloned.  A direct constructor call costs a
+        fraction of ``dataclasses.replace`` and, unlike writing the
+        instance dict, keeps the copy as compact as a built rule (per-flow
+        rules are the bulk of a churned table).
+        """
+        return type(self)(
+            scope=self.scope,
+            match=self.match if match is None else match,
+            actions=self.actions if actions is None else actions,
+            parallel=self.parallel, priority=self.priority,
+            idle_timeout_ns=self.idle_timeout_ns,
+            hard_timeout_ns=self.hard_timeout_ns, proactive=self.proactive,
+            installed_at_ns=self.installed_at_ns,
+            last_hit_ns=self.last_hit_ns)
+
+    def with_default(self, destination: Destination,
+                     match: FlowMatch | None = None) -> FlowTableEntry:
+        """A copy whose default action is ``destination`` (and whose
+        match is ``match``, when given).
 
         The destination is moved to the front if already allowed, prepended
         otherwise (callers enforce service-graph validity).
         """
         rest = tuple(action for action in self.actions
                      if action != destination)
-        return dataclasses.replace(
-            self, actions=(destination,) + rest,
-            entry_id=next(_entry_ids))
+        return self.copy(match=match, actions=(destination,) + rest)
 
 
 class FlowTable:
@@ -108,9 +129,8 @@ class FlowTable:
         if exact_key is not None:
             self._exact[(entry.scope, exact_key)] = entry
         else:
-            rules = self._wildcards.setdefault(entry.scope, [])
-            rules[:] = [rule for rule in rules if rule.match != entry.match]
-            rules.append(entry)
+            self._drop_wildcards(entry.scope, entry.match)
+            self._wildcards.setdefault(entry.scope, []).append(entry)
             self._wildcard_order[entry.entry_id] = next(self._insert_seq)
         self.generation += 1
 
@@ -120,10 +140,7 @@ class FlowTable:
         if exact_key is not None:
             removed = self._exact.pop((scope, exact_key), None) is not None
         else:
-            rules = self._wildcards.get(scope, [])
-            before = len(rules)
-            rules[:] = [rule for rule in rules if rule.match != match]
-            removed = len(rules) != before
+            removed = self._drop_wildcards(scope, match)
         if removed:
             self.generation += 1
         return removed
@@ -131,7 +148,26 @@ class FlowTable:
     def clear(self) -> None:
         self._exact.clear()
         self._wildcards.clear()
+        self._wildcard_order.clear()
         self.generation += 1
+
+    def _drop_wildcards(self, scope: str, match: FlowMatch) -> bool:
+        """Remove ``scope``'s wildcard rules with this ``match``, and their
+        insertion order, so the order map holds only listed rules.  True
+        if any was removed."""
+        rules = self._wildcards.get(scope)
+        if not rules:
+            return False
+        kept = []
+        for rule in rules:
+            if rule.match == match:
+                del self._wildcard_order[rule.entry_id]
+            else:
+                kept.append(rule)
+        if len(kept) == len(rules):
+            return False
+        rules[:] = kept
+        return True
 
     # ------------------------------------------------------------------
     # Lookup
@@ -175,24 +211,33 @@ class FlowTable:
     # ------------------------------------------------------------------
     # Per-flow specialisation (cross-layer message support)
     # ------------------------------------------------------------------
-    def specialize(self, scope: str,
-                   flow: FiveTuple) -> FlowTableEntry | None:
-        """Ensure an exact rule exists for ``flow`` in ``scope``.
+    def specialization_template(self, scope: str,
+                                flow: FiveTuple) -> FlowTableEntry | None:
+        """The rule a per-flow rewrite of ``flow`` in ``scope`` copies.
 
-        Cross-layer messages like ChangeDefault apply to specific flows; if
-        the current behaviour comes from a wildcard rule, it is cloned into
-        an exact rule first so the modification doesn't leak to other flows.
-        Returns the exact rule (or None when nothing matches the flow).
+        The flow's exact rule when it has one (no lookup counted), else
+        the rule :meth:`lookup` finds for it (one lookup, counted, and no
+        idle-timer refresh).  None when nothing matches the flow.
         """
         existing = self._exact.get((scope, flow))
         if existing is not None:
             return existing
-        template = self.lookup(scope, flow)
-        if template is None:
-            return None
-        exact = dataclasses.replace(
-            template, match=FlowMatch.exact(flow),
-            entry_id=next(_entry_ids))
+        return self.lookup(scope, flow)
+
+    def specialize(self, scope: str,
+                   flow: FiveTuple) -> FlowTableEntry | None:
+        """Ensure an exact rule exists for ``flow`` in ``scope``.
+
+        If the flow's behaviour comes from a wildcard rule, it is cloned
+        into an exact rule so a later per-flow change doesn't leak to
+        other flows.  Returns the exact rule (or None when nothing
+        matches the flow).  The NF Manager's cross-layer messages copy
+        :meth:`specialization_template` once, with the new default, instead.
+        """
+        template = self.specialization_template(scope, flow)
+        if template is None or template.match.is_exact:
+            return template
+        exact = template.copy(match=FlowMatch.exact(flow))
         self.install(exact)
         return exact
 

@@ -1284,9 +1284,8 @@ class NfManager:
             if exact is not None:
                 entry = self.flow_table.lookup(scope, exact)
                 if entry is not None and entry.default_action == bypass:
-                    specialized = self.flow_table.specialize(scope, exact)
-                    self.install_rule(
-                        specialized.with_default(bypass_default))
+                    self._specialize(scope, message.flows, exact,
+                                     bypass_default)
                 continue
             for entry in list(self.flow_table.entries(scope)):
                 if (entry.default_action == bypass
@@ -1305,8 +1304,7 @@ class NfManager:
                 entry = self.flow_table.lookup(scope, exact)
                 if (entry is not None and wanted in entry.actions
                         and entry.default_action != wanted):
-                    specialized = self.flow_table.specialize(scope, exact)
-                    self.install_rule(specialized.with_default(wanted))
+                    self._specialize(scope, message.flows, exact, wanted)
                 continue
             for entry in list(self.flow_table.entries(scope)):
                 if (wanted in entry.actions
@@ -1335,17 +1333,14 @@ class NfManager:
                           new_default: Destination) -> None:
         """Make ``new_default`` the default for ``flows`` within ``scope``.
 
-        Exact flows get a specialised per-flow rule (cloning the wildcard
-        template so the change doesn't leak to other flows); wildcard flows
-        rewrite matching rules in place, or install an overriding rule at
-        higher priority when no rule has that exact match.
+        Exact flows get a specialised per-flow rule (see
+        :meth:`_specialize`); wildcard flows rewrite matching rules in
+        place, or install an overriding rule at higher priority when no
+        rule has that exact match.
         """
         exact = flows.exact_key()
         if exact is not None:
-            entry = self.flow_table.specialize(scope, exact)
-            if entry is None:
-                return
-            self.install_rule(entry.with_default(new_default))
+            self._specialize(scope, flows, exact, new_default)
             return
         entries = self.flow_table.entries(scope)
         # Rules entirely inside F (including per-flow specializations) are
@@ -1367,6 +1362,21 @@ class NfManager:
                 parallel=template.parallel,
                 priority=template.priority + 1)
             self.install_rule(override)
+
+    def _specialize(self, scope: str, flows: FlowMatch, exact: FiveTuple,
+                    new_default: Destination) -> None:
+        """Give one flow its own rule in ``scope`` with ``new_default``
+        first.
+
+        The rule is one copy of the flow's exact rule, or of the wildcard
+        rule it hits (cloned, so the change doesn't leak to other flows),
+        installed once.  ``flows`` is the message's exact criteria and
+        ``exact`` its key.
+        """
+        template = self.flow_table.specialization_template(scope, exact)
+        if template is not None:
+            self.install_rule(template.with_default(new_default,
+                                                    match=flows))
 
     # ------------------------------------------------------------------
     # Terminal actions

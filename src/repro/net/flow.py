@@ -119,6 +119,10 @@ class FiveTuple:
     vars(FiveTuple)[name].__set__ for name in FiveTuple.__slots__)
 
 
+# How a frozen dataclass sets its own fields; FlowMatch.exact uses it too.
+_object_setattr = object.__setattr__
+
+
 @dataclasses.dataclass(frozen=True)
 class FlowMatch:
     """Wildcard-capable match over a 5-tuple.
@@ -149,10 +153,24 @@ class FlowMatch:
 
     @classmethod
     def exact(cls, flow: FiveTuple) -> FlowMatch:
-        """An exact match for one flow."""
-        return cls(src_ip=flow.src_ip, dst_ip=flow.dst_ip,
-                   protocol=flow.protocol, src_port=flow.src_port,
-                   dst_port=flow.dst_port)
+        """An exact match for one flow.
+
+        Built per message on the churn path, so the fields are set
+        directly, in declaration order as ``__init__`` sets them (a /32
+        source needs none of ``__post_init__``'s checks), and ``flow``
+        itself becomes the cached :meth:`exact_key` when all five fields
+        are set.
+        """
+        match = object.__new__(cls)
+        _object_setattr(match, "src_ip", flow.src_ip)
+        _object_setattr(match, "dst_ip", flow.dst_ip)
+        _object_setattr(match, "protocol", flow.protocol)
+        _object_setattr(match, "src_port", flow.src_port)
+        _object_setattr(match, "dst_port", flow.dst_port)
+        _object_setattr(match, "src_prefix_bits", 32)
+        if match.is_exact:
+            _object_setattr(match, "_exact_key", flow)
+        return match
 
     @classmethod
     def any(cls) -> FlowMatch:
@@ -230,7 +248,8 @@ class FlowMatch:
         return True
 
     def exact_key(self) -> FiveTuple | None:
-        """The FiveTuple if this match is exact, else None."""
+        """The FiveTuple if this match is exact, else None (for a match
+        built by :meth:`exact`, the very flow it was built from)."""
         return self._exact_key
 
     @functools.cached_property

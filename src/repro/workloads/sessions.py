@@ -11,6 +11,7 @@ by a new flow".
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import typing
 
@@ -48,8 +49,10 @@ def _attach_egress_hook(host, measure_ports, hook) -> None:
         host.on_egress = hook
 
 
+@functools.cache
 def video_reply_payload(bitrate_kbps: int = 2000) -> str:
-    """An HTTP response header announcing video content."""
+    """An HTTP response header announcing video content (built once per
+    bitrate: every flow of a workload carries the same one)."""
     return HttpResponse(
         status=200, reason="OK",
         headers={"Content-Type": "video/mp4",

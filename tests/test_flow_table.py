@@ -1,5 +1,7 @@
 """Flow table semantics: scoping, precedence, specialization, generations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,41 @@ class TestEntry:
         rule = entry(actions=(ToService("a"),))
         updated = rule.with_default(ToPort("fast"))
         assert updated.actions == (ToPort("fast"), ToService("a"))
+
+    def test_copy_draws_fresh_entry_id(self):
+        rule = entry(actions=(ToService("a"), ToService("b")))
+        copies = [rule.copy(), rule.with_default(ToService("b")),
+                  rule.copy(match=FlowMatch(dst_port=80))]
+        ids = [rule.entry_id] + [copy.entry_id for copy in copies]
+        assert len(set(ids)) == len(ids)
+        assert copies[0] is not rule and copies[0].actions == rule.actions
+        assert copies[2].match == FlowMatch(dst_port=80)
+        assert copies[2].actions == rule.actions
+
+    def test_copy_keeps_every_other_field(self):
+        rule = entry(actions=(ToService("a"), ToService("b")), priority=3,
+                     idle_timeout_ns=5, hard_timeout_ns=7, proactive=True,
+                     installed_at_ns=11, last_hit_ns=13)
+        updated = rule.with_default(ToService("b"), match=FlowMatch(
+            dst_port=80))
+        assert updated.actions == (ToService("b"), ToService("a"))
+        kept = {field.name for field in dataclasses.fields(FlowTableEntry)}
+        kept -= {"match", "actions", "entry_id"}
+        # copy() names each field: a new one must be added there too.
+        assert kept == {"scope", "parallel", "priority", "idle_timeout_ns",
+                        "hard_timeout_ns", "proactive", "installed_at_ns",
+                        "last_hit_ns"}
+        for field in kept:
+            assert getattr(updated, field) == getattr(rule, field)
+        assert rule.actions == (ToService("a"), ToService("b"))
+        assert rule.match == FlowMatch.any()
+
+    def test_copy_validates_parallel_rule(self):
+        rule = entry(actions=(ToService("a"), ToService("b")), parallel=True)
+        with pytest.raises(ValueError, match="must all target services"):
+            rule.with_default(ToPort("eth1"))
+        with pytest.raises(ValueError, match="at least one action"):
+            rule.copy(actions=())
 
     def test_parallel_requires_multiple_service_actions(self):
         with pytest.raises(ValueError):
@@ -131,6 +168,42 @@ class TestMutation:
         assert table.generation == generation
 
 
+class TestWildcardOrder:
+    """The insertion order that breaks full wildcard ties holds an entry
+    only for each rule in the table."""
+
+    def test_replaced_rules_leave_the_order_map(self, table, flow):
+        for index in range(1000):
+            table.install(entry(actions=(ToPort(f"p{index}"),)))
+        assert len(table) == 1
+        assert len(table._wildcard_order) == 1
+        assert table.lookup("svc", flow).default_action == ToPort("p999")
+
+    def test_remove_and_clear_empty_the_order_map(self, table):
+        table.install(entry())
+        table.install(entry(match=FlowMatch(dst_port=80)))
+        table.install(entry(scope="other"))
+        assert table.remove("svc", FlowMatch.any())
+        assert len(table._wildcard_order) == 2
+        table.clear()
+        assert table._wildcard_order == {}
+
+    def test_reinstall_moves_rule_to_newest(self, table, flow):
+        first = entry(match=FlowMatch(dst_port=80),
+                      actions=(ToPort("first"),))
+        table.install(first)
+        table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
+                            actions=(ToPort("second"),)))
+        assert table.lookup("svc", flow).default_action == ToPort("second")
+        table.install(first)
+        assert table.lookup("svc", flow).default_action == ToPort("first")
+        assert len(table._wildcard_order) == 2
+        table.remove("svc", FlowMatch(protocol=PROTO_TCP))
+        table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
+                            actions=(ToPort("third"),)))
+        assert table.lookup("svc", flow).default_action == ToPort("third")
+
+
 class TestSpecialize:
     def test_clones_wildcard_into_exact(self, table, flow):
         table.install(entry(actions=(ToService("a"), ToService("b"))))
@@ -146,6 +219,23 @@ class TestSpecialize:
         assert first is second
         assert len(table) == 1
 
+    def test_template_is_exact_rule_without_a_lookup(self, table, flow):
+        table.install(entry())
+        exact = entry(match=FlowMatch.exact(flow))
+        table.install(exact)
+        assert table.specialization_template("svc", flow) is exact
+        assert table.lookups == 0
+
+    def test_template_is_wildcard_after_one_lookup(self, table, flow):
+        wildcard = entry()
+        table.install(wildcard)
+        generation = table.generation
+        assert table.specialization_template("svc", flow) is wildcard
+        assert (table.lookups, table.misses) == (1, 0)
+        assert table.generation == generation and len(table) == 1
+        assert table.specialization_template("other", flow) is None
+        assert (table.lookups, table.misses) == (2, 1)
+
     def test_specialize_without_match_returns_none(self, table, flow):
         assert table.specialize("svc", flow) is None
 
@@ -156,6 +246,36 @@ class TestSpecialize:
         table.install(exact.with_default(ToService("b")))
         assert table.lookup("svc", flow).default_action == ToService("b")
         assert table.lookup("svc", udp_flow).default_action == ToService("a")
+
+
+class TestExactMatch:
+    def test_exact_key_is_the_flow(self, flow):
+        assert FlowMatch.exact(flow).exact_key() is flow
+
+    def test_equals_and_hashes_like_field_built_match(self, flow):
+        built = FlowMatch(src_ip=flow.src_ip, dst_ip=flow.dst_ip,
+                          protocol=flow.protocol, src_port=flow.src_port,
+                          dst_port=flow.dst_port)
+        exact = FlowMatch.exact(flow)
+        assert exact == built and built == exact
+        assert hash(exact) == hash(built)
+        assert repr(exact) == repr(built)
+        assert exact.is_exact and exact.specificity == 5
+        assert exact.matches(flow)
+        assert built.exact_key() == flow
+        assert {exact: 1}[built] == 1
+
+    def test_exact_match_stays_frozen(self, flow):
+        with pytest.raises(AttributeError):
+            FlowMatch.exact(flow).dst_port = 1
+
+    def test_partial_flow_has_no_exact_key(self):
+        partial = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, None, 80)
+        match = FlowMatch.exact(partial)
+        assert not match.is_exact
+        assert match.exact_key() is None
+        assert match == FlowMatch(src_ip="10.0.0.1", dst_ip="10.0.0.2",
+                                  protocol=PROTO_TCP, dst_port=80)
 
 
 class TestIntrospection:

@@ -384,6 +384,40 @@ class TestCrossLayerMessages:
         assert len(fast_out) == 1 and fast_out[0].flow == flow
         assert len(slow_out) == 1 and slow_out[0].flow == udp_flow
 
+    def test_exact_change_default_is_one_copy_and_one_install(
+            self, sim, flow):
+        host = self._two_path_host(sim)
+        manager, table = host.manager, host.flow_table
+        template = table.lookup("det", flow)
+        template_state = dict(vars(template))
+        installed = []
+        install_rule = manager.install_rule
+
+        def counting(entry):
+            installed.append(entry)
+            install_rule(entry)
+
+        manager.install_rule = counting
+        for target, lookups in (("port:fast", 1), ("drop", 0)):
+            before = table.lookups, table.generation
+            manager.apply_message(ChangeDefault(
+                sender_service="det", flows=FlowMatch.exact(flow),
+                service="det", target=target))
+            # Only a wildcard matches at first: one lookup finds it; then
+            # the per-flow rule exists and is copied without a lookup.
+            assert len(installed) == 1
+            assert table.lookups - before[0] == lookups
+            assert table.generation == before[1] + 1
+            rule = installed.pop()
+            assert table.lookup("det", flow) is rule
+            assert rule.match == FlowMatch.exact(flow)
+            assert rule.entry_id != template.entry_id
+        assert rule.actions == (Drop(), ToPort("fast"), ToPort("slow"))
+        assert table.lookup("det", FiveTuple(
+            "10.9.9.9", "10.0.0.2", PROTO_TCP, 1, 80)) is template
+        assert vars(template) == template_state
+        assert len(table.entries("det")) == 2
+
     def test_change_default_wildcard_rewrites_rule(self, sim, flow):
         host = self._two_path_host(sim)
         host.manager.apply_message(ChangeDefault(
