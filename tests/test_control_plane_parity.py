@@ -10,7 +10,14 @@ timeline, and the kernel's event odometers.
 A second suite pins the hybrid pipeline's endpoints: a full proactive
 cover drives the reactive slow path to zero, and the two controller
 front-ends install identical proactive rule sets.
+
+``PINNED`` freezes the plain controller's observables as one SHA-256
+per run (see :func:`digest`), so the comparison still has a reference
+if the plain front end goes.
 """
+
+import hashlib
+import json
 
 from repro.control import ControlPlane, SdnController
 from repro.core import EXIT, SdnfvApp, ServiceGraph
@@ -22,6 +29,12 @@ from repro.topology import Link, NodeSpec, Topology, build_network
 from repro.workloads import FlowSpec, PktGen
 
 DURATION = 120 * MS
+
+#: :func:`digest` of ``run_network(SdnController, proactive=...)``.
+PINNED = {
+    False: "35a67fbff6b33bf83dd8f4c29a9bf22c90b40f466de97c9cbc553178c3350cbe",
+    True: "379254c795c09b7a0f69ebb7c52879003954441c00f817d8ed402e2df20c153d",
+}
 
 FLOWS = (
     FiveTuple("10.0.0.1", "10.0.0.2", 6, 1, 80),
@@ -96,6 +109,36 @@ def run_network(controller_factory, proactive: bool) -> dict:
         "sent": gen.sent,
         "frames_carried": network.fabric.frames_carried,
     }
+
+
+def digest(result: dict) -> str:
+    """SHA-256 over deliveries, latency samples, per-host summaries,
+    the event log's records and the kernel's three odometers."""
+    pinned = {
+        "deliveries": result["deliveries"],
+        "latency_samples": result["latency_samples"],
+        "summaries": result["summaries"],
+        "events": [(event.timestamp_ns, event.category, event.host,
+                    [(name, repr(value)) for name, value in event.detail])
+                   for event in result["events"]],
+        "events_scheduled": result["events_scheduled"],
+        "timers_scheduled": result["timers_scheduled"],
+        "events_cancelled": result["events_cancelled"],
+    }
+    blob = json.dumps(pinned, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestPinnedDigests:
+    """The plain controller's runs reproduce their committed digests."""
+
+    def test_reactive_run_matches_pin(self):
+        assert digest(run_network(SdnController, proactive=False)) \
+            == PINNED[False]
+
+    def test_proactive_run_matches_pin(self):
+        assert digest(run_network(SdnController, proactive=True)) \
+            == PINNED[True]
 
 
 class TestReactiveGoldenParity:
