@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import typing
 
 from repro.dataplane.actions import Destination, Drop, ToService
 from repro.net.flow import FiveTuple, FlowMatch
@@ -253,10 +254,13 @@ class FlowTable:
                 result.extend(rules)
         return result
 
-    def scopes(self) -> set[str]:
-        scopes = {key[0] for key in self._exact}
-        scopes.update(self._wildcards)
-        return scopes
+    def scopes(self) -> typing.KeysView[str]:
+        """Every scope holding a rule: exact rules' scopes, then wildcard
+        rules', each in insertion order, so walking it does not depend on
+        ``PYTHONHASHSEED``.  Compares equal to a set of the names."""
+        scopes = dict.fromkeys(key[0] for key in self._exact)
+        scopes.update(dict.fromkeys(self._wildcards))
+        return scopes.keys()
 
     def __len__(self) -> int:
         return len(self._exact) + sum(len(rules) for rules
