@@ -13,7 +13,7 @@ edge) or counted as dropped, and the whole timeline is deterministic for
 a given seed.  Reported: the recovery-time distribution across seeds.
 """
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import SdnfvApp
 from repro.dataplane import NfvHost, ToService
 from repro.faults import FaultInjector, FaultPlan, NfCrash
@@ -37,7 +37,7 @@ WATCHDOG_INTERVAL_NS = 10 * MS
 
 def run_scenario(seed: int, jitter_ns: int = 0):
     sim = Simulator()
-    controller = SdnController(sim, service_time_ns=100 * US,
+    controller = ControlPlane(sim, service_time_ns=100 * US,
                                propagation_ns=100 * US)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)

@@ -14,7 +14,7 @@ concurrent flows; per-flow rate chosen so event counts stay tractable.
 import pytest
 
 from repro.baselines import SdnVideoSystem
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import NfvHost
@@ -70,7 +70,7 @@ def run_sdnfv():
 
 def run_sdn():
     sim = Simulator()
-    controller = SdnController(sim, service_time_ns=500_000,
+    controller = ControlPlane(sim, service_time_ns=500_000,
                                propagation_ns=500_000)
     system = SdnVideoSystem(sim, controller)
     workload = _workload(sim, system)

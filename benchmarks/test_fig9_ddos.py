@@ -14,7 +14,7 @@ is unscaled.
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import NfvHost
@@ -33,7 +33,7 @@ RUN_S = 120
 
 def run_fig9():
     sim = Simulator()
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     host = NfvHost(sim, name="ddos0", controller=controller)

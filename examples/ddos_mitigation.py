@@ -10,7 +10,7 @@ the scrubber issues RequestMe to capture the traffic, and the attack dies
 while legitimate traffic keeps flowing.
 """
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost
 from repro.nfs import DdosDetector, DdosScrubber
@@ -21,7 +21,7 @@ from repro.workloads import DdosRampWorkload
 
 def main() -> None:
     sim = Simulator()
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     host = NfvHost(sim, name="scrub0", controller=controller)

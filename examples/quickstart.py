@@ -8,7 +8,7 @@ and one counter NF chained in a service graph, and a traffic generator
 measuring round-trip latency.
 """
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost
 from repro.net import FiveTuple, FlowMatch
@@ -21,7 +21,7 @@ def main() -> None:
     sim = Simulator()
 
     # Control plane: POX-like controller + the SDNFV Application.
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     app = SdnfvApp(sim, controller=controller)
 
     # Data plane: one host with two NFs.

@@ -63,7 +63,7 @@ from repro.dataplane.messages import (
 from repro.nfs import NetworkFunction, NfContext, action_profile
 
 # Control tier
-from repro.control import ControlPlane, NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 
 # Global tier: graphs, the application, placement
 from repro.core import (
@@ -164,7 +164,6 @@ __all__ = [
     # control tier
     "ControlPlane",
     "NfvOrchestrator",
-    "SdnController",
     # global tier
     "DROP",
     "EXIT",

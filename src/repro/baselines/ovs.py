@@ -10,7 +10,7 @@ Two forms:
 - :class:`OvsControllerModel` — the closed-form capacity model: achieved
   throughput = min(line rate, switch fast path, controller capacity / p);
 - :class:`OvsSwitchSim` — a discrete-event OVS: a fast-path worker plus a
-  bounded punt queue into an :class:`~repro.control.controller.SdnController`.
+  bounded punt queue into a :class:`~repro.control.plane.ControlPlane`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.control.controller import SdnController
+from repro.control.plane import ControlPlane
 from repro.metrics.throughput import ThroughputMeter
 from repro.net.mempool import PacketPool
 from repro.net.packet import Packet, wire_bits
@@ -69,7 +69,7 @@ class OvsSwitchSim:
     throughput collapse of Fig. 1.
     """
 
-    def __init__(self, sim: Simulator, controller: SdnController,
+    def __init__(self, sim: Simulator, controller: ControlPlane,
                  punt_fraction: float,
                  fast_path_pps: float = 3.3e6,
                  punt_buffer: int = 1024,

@@ -1,13 +1,16 @@
-"""A POX-like SDN controller: single-threaded, queueing, northbound API.
+"""A POX-like SDN controller shard: single-threaded, queueing.
 
 The paper uses POX, "a single threaded python application", deliberately —
-its saturation is the phenomenon behind Fig. 1 and Fig. 10.  We model the
+its saturation is the phenomenon behind Fig. 1 and Fig. 10.  We model one
 controller as a single-server FIFO queue with a configurable per-request
 service time, plus symmetric channel propagation delay.  At idle the total
 flow-setup round trip matches §5.1's measured 31 ms; under load, queueing
 delay grows without bound — exactly the behaviour the experiments show.
 
-Rule content comes from a pluggable *northbound application* (usually the
+:class:`SdnController` is one shard's server inside a
+:class:`~repro.control.plane.ControlPlane`, the only controller object
+hosts, the application, the fault injector and the metrics see.  Rule
+content comes from a pluggable *northbound application* (usually the
 :class:`~repro.core.app.SdnfvApp`) implementing ``rules_for(host, scope,
 flow)``.  The controller serves only those flow-table misses: proactive
 rules are installed by the application at deploy time, before traffic,
@@ -52,39 +55,30 @@ class _Job:
 
 
 class SdnController:
-    """Single-threaded controller with a FIFO request queue."""
+    """One controller shard: a single-threaded server with a FIFO queue."""
 
     def __init__(self, sim: Simulator,
                  service_time_ns: int = 500 * US,
                  propagation_ns: int = 15_250 * US,
-                 northbound: typing.Any | None = None,
-                 workers: int = 1) -> None:
-        """``workers=1`` models POX.  The paper expects "a similar trend
-        even with higher performance SDN Controllers" — raise ``workers``
-        to model a multi-threaded controller and check that the
-        saturation point shifts but the shape stays."""
+                 northbound: typing.Any | None = None) -> None:
         if service_time_ns <= 0:
             raise ValueError("service time must be positive")
-        if workers < 1:
-            raise ValueError("need at least one worker")
         self.sim = sim
         self.service_time_ns = service_time_ns
         self.propagation_ns = propagation_ns
         self.northbound = northbound
-        self.workers = workers
         self.stats = ControllerStats()
         self.down = False
         self._restored: Event | None = None
         self._queue = Store(sim)
-        for _ in range(workers):
-            sim.process(self._serve())
+        sim.process(self._serve())
 
     # ------------------------------------------------------------------
-    # Outages (repro.faults.ControllerOutage)
+    # Outages (ControlPlane.set_down / ControlPlane.outage)
     # ------------------------------------------------------------------
     def set_down(self, down: bool) -> None:
-        """Take the controller down / bring it back.  While down, requests
-        still propagate and queue, but no worker serves them — hosts see
+        """Take the shard down / bring it back.  While down, requests
+        still propagate and queue, but nothing serves them — hosts see
         unbounded response times (what their retry policies must absorb).
         """
         if down == self.down:
@@ -97,14 +91,6 @@ class SdnController:
             if restored is not None:
                 restored.succeed()
 
-    def outage(self, duration_ns: int) -> None:
-        """A bounded outage: down now, back after ``duration_ns``."""
-        if duration_ns <= 0:
-            raise ValueError("outage duration must be positive")
-        self.stats.outages += 1
-        self.set_down(True)
-        self.sim.schedule(duration_ns, lambda: self.set_down(False))
-
     @property
     def idle_lookup_ns(self) -> int:
         """Flow-setup round trip with an empty queue (§5.1: 31 ms)."""
@@ -112,8 +98,8 @@ class SdnController:
 
     @property
     def capacity_per_second(self) -> float:
-        """Saturation request rate across all worker threads."""
-        return self.workers * 1e9 / self.service_time_ns
+        """Saturation request rate of the single server."""
+        return 1e9 / self.service_time_ns
 
     @property
     def queue_depth(self) -> int:

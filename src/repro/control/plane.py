@@ -1,10 +1,11 @@
-"""A sharded control plane: N controllers partitioned over flow space.
+"""The control plane: N controller shards partitioned over flow space.
 
 The paper deliberately bottlenecks flow setup on one single-threaded POX
-controller (Figs. 1 and 10).  Dragonflow-style distribution is the escape
-hatch: split the controller into *shards*, each an unmodified
-:class:`~repro.control.controller.SdnController` with its own FIFO queue,
-capacity, and outage state, and partition the work:
+controller (Figs. 1 and 10); ``shards=1`` is that controller.
+Dragonflow-style distribution is the escape hatch: split the controller
+into *shards*, each a :class:`~repro.control.controller.SdnController`
+with its own FIFO queue, capacity, and outage state, and partition the
+work:
 
 - **Reactive requests** (table-miss ``PacketInMessage``) route by flow:
   ``FiveTuple.hash_bucket(n_shards)`` names the owning shard, so one
@@ -15,9 +16,11 @@ capacity, and outage state, and partition the work:
   installs them at deploy time, so a full proactive cover leaves every
   shard's request counter at zero.
 
-``shards=1`` constructs exactly one :class:`SdnController` and delegates
-every call to it unchanged — byte-identical to today's single-controller
-path (pinned by the control-plane parity suite).
+:class:`ControlPlane` is the one controller object hosts
+(``NfManager.controller``), the application (``SdnfvApp(controller=)``),
+the fault injector, the baselines and the metrics take; ``shards`` is
+its one capacity knob.  ``shards=1`` delegates every call to its one
+shard unchanged (pinned by the control-plane parity suite).
 
 With ``failover=True`` (default), requests owned by a downed shard are
 absorbed by the next live shard in ring order — the surviving shards
@@ -47,20 +50,17 @@ class ControlPlaneStats:
 
 
 class ControlPlane:
-    """N controller shards behind the single-controller interface.
+    """N controller shards behind one request interface.
 
-    Drop-in for :class:`SdnController` wherever one is duck-typed
-    (``NfManager.controller``, ``SdnfvApp(controller=...)``,
-    ``FaultInjector(controller=...)``): ``flow_request`` /
-    ``submit_work`` route to a shard and return that shard's reply
-    event; ``northbound`` fans out to every shard.
+    ``flow_request`` / ``submit_work`` route to a shard and return that
+    shard's reply event; ``northbound`` fans out to every shard;
+    ``shards[i]`` is shard ``i``'s server and load counters.
     """
 
     def __init__(self, sim: Simulator, shards: int = 1,
                  service_time_ns: int = 500 * US,
                  propagation_ns: int = 15_250 * US,
                  northbound: typing.Any | None = None,
-                 workers_per_shard: int = 1,
                  failover: bool = True,
                  event_log: typing.Any | None = None) -> None:
         if shards < 1:
@@ -75,12 +75,11 @@ class ControlPlane:
         self.shards: tuple[SdnController, ...] = tuple(
             SdnController(sim, service_time_ns=service_time_ns,
                           propagation_ns=propagation_ns,
-                          northbound=northbound,
-                          workers=workers_per_shard)
+                          northbound=northbound)
             for _ in range(shards))
 
     # ------------------------------------------------------------------
-    # Single-controller compatibility surface
+    # Plane-wide view
     # ------------------------------------------------------------------
     @property
     def northbound(self) -> typing.Any | None:
@@ -105,9 +104,6 @@ class ControlPlane:
     def capacity_per_second(self) -> float:
         """Aggregate saturation request rate across all shards."""
         return sum(shard.capacity_per_second for shard in self.shards)
-
-    def attach_event_log(self, event_log: typing.Any) -> None:
-        self.event_log = event_log
 
     # ------------------------------------------------------------------
     # Flow-space partition

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.control.controller import SdnController
+from repro.control.plane import ControlPlane
 from repro.control.orchestrator import NfvOrchestrator
 from repro.dataplane.flow_table import FlowTableEntry
 from repro.dataplane.host import NfvHost
@@ -62,7 +62,7 @@ class SdnfvApp:
     """Global policies, graph deployment, and cross-layer coordination."""
 
     def __init__(self, sim: Simulator,
-                 controller: SdnController | None = None,
+                 controller: ControlPlane | None = None,
                  orchestrator: NfvOrchestrator | None = None,
                  validation_latency_ns: int = 0,
                  trust_nfs: bool = True) -> None:
@@ -89,15 +89,14 @@ class SdnfvApp:
     # ------------------------------------------------------------------
     def attach_event_log(self, event_log: typing.Any) -> None:
         """Attach one control-event log to the app, every registered
-        host, and the orchestrator."""
+        host, the orchestrator and the control plane."""
         self.event_log = event_log
         for host in self.hosts.values():
             host.manager.event_log = event_log
         if self.orchestrator is not None:
             self.orchestrator.event_log = event_log
-        if (self.controller is not None
-                and hasattr(self.controller, "attach_event_log")):
-            self.controller.attach_event_log(event_log)
+        if self.controller is not None:
+            self.controller.event_log = event_log
 
     # ------------------------------------------------------------------
     # Host / infrastructure registration

@@ -13,7 +13,7 @@ these constants; everything else is architecture.  Two cost families:
 Defaults are calibrated against the paper's own measurements:
 
 - flow-table lookup 30 ns, min-queue scan 15 ns (§5.1); the 31 ms SDN
-  lookup is the controller's ``SdnController.idle_lookup_ns``;
+  lookup is the control plane's ``ControlPlane.idle_lookup_ns``;
 - Table 2 round trips: 0 VM (DPDK) 26.66 µs; first VM +1.12 µs; each extra
   sequential VM ≈ +1.1 µs; each extra parallel VM ≈ +0.25–0.3 µs;
 - Fig. 7: one socket sustains ≈5 Gbps at 64 B through a VM and line rate

@@ -26,13 +26,16 @@ from repro.nfs.base import NetworkFunction
 from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.control.plane import ControlPlane
+
 
 class NfvHost:
     """A simulated SDNFV host."""
 
     def __init__(self, sim: Simulator, name: str = "host0",
                  costs: HostCosts | None = None,
-                 controller: typing.Any | None = None,
+                 controller: ControlPlane | None = None,
                  ports: typing.Sequence[str] = ("eth0", "eth1"),
                  line_rate_gbps: float = 10.0,
                  tx_threads: int = 2,

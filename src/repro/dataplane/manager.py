@@ -56,6 +56,9 @@ from repro.sim.simulator import Simulator
 from repro.sim.store import Store
 from repro.sim.units import MS
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.control.plane import ControlPlane
+
 _group_ids = itertools.count()
 
 # Bound on the per-flow lookup-plan cache (entries, not bytes).
@@ -342,7 +345,7 @@ class NfManager:
 
     def __init__(self, sim: Simulator, name: str = "host0",
                  costs: HostCosts | None = None,
-                 controller: typing.Any | None = None,
+                 controller: ControlPlane | None = None,
                  tx_threads: int = 2,
                  load_balance: LoadBalancePolicy = (
                      LoadBalancePolicy.LEAST_QUEUE),

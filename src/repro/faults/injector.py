@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.control.plane import ControlPlane
 from repro.dataplane.host import NfvHost
 from repro.dataplane.vm import NfVm
 from repro.faults.plan import (
@@ -25,6 +26,9 @@ from repro.faults.plan import (
 )
 from repro.sim.simulator import Simulator
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.app import SdnfvApp
+
 # HostCosts fields scaled by a HostOverload fault.
 _OVERLOAD_FIELDS = ("rx_service_ns", "tx_service_ns", "vm_service_ns")
 
@@ -34,17 +38,17 @@ class FaultInjector:
 
     def __init__(self, sim: Simulator, plan: FaultPlan,
                  hosts: typing.Iterable[NfvHost] = (),
-                 controller: typing.Any | None = None,
-                 app: typing.Any | None = None,
+                 controller: ControlPlane | None = None,
+                 app: SdnfvApp | None = None,
                  only_hosts: typing.Iterable[str] | None = None) -> None:
         self.sim = sim
         self.plan = plan
         self.hosts: dict[str, NfvHost] = {host.name: host for host in hosts}
         if app is not None:
-            for name, host in getattr(app, "hosts", {}).items():
+            for name, host in app.hosts.items():
                 self.hosts.setdefault(name, host)
             if controller is None:
-                controller = getattr(app, "controller", None)
+                controller = app.controller
         self.controller = controller
         # Shard routing: arm only the faults targeting these hosts.
         # Fire times stay a pure function of (plan seed, plan index), so
@@ -149,17 +153,11 @@ class FaultInjector:
         if self.controller is None:
             self._skip(fault, "no controller")
             return
-        if fault.shard is None:
-            self.controller.outage(fault.down_ns)
-        else:
-            shards = getattr(self.controller, "shards", None)
-            if shards is None:
-                self._skip(fault, "controller is not sharded")
-                return
-            if fault.shard >= len(shards):
-                self._skip(fault, "no such controller shard")
-                return
-            self.controller.outage(fault.down_ns, shard=fault.shard)
+        if (fault.shard is not None
+                and fault.shard >= len(self.controller.shards)):
+            self._skip(fault, "no such controller shard")
+            return
+        self.controller.outage(fault.down_ns, shard=fault.shard)
         self._record(fault, None, down_ns=fault.down_ns,
                      shard=fault.shard)
 

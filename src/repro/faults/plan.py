@@ -72,11 +72,10 @@ class LinkFlap(Fault):
 class ControllerOutage(Fault):
     """The SDN controller stops serving for ``down_ns`` (requests queue).
 
-    With a sharded :class:`~repro.control.plane.ControlPlane`,
-    ``shard=`` retargets the outage at one controller shard — the other
-    shards keep serving their slices of flow space (and, with failover,
-    absorb the dead shard's).  ``shard=None`` takes the whole plane (or
-    a plain single controller) down.
+    ``shard=`` targets one shard of the
+    :class:`~repro.control.plane.ControlPlane` — the other shards keep
+    serving their slices of flow space (and, with failover, absorb the
+    dead shard's).  ``shard=None`` takes the whole plane down.
     """
 
     down_ns: int

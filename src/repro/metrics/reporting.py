@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import typing
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.control.plane import ControlPlane
+
 
 def comparison_table(title: str,
                      rows: typing.Sequence[tuple[str, str, str]],
@@ -52,7 +55,7 @@ def counters_table(title: str,
     return "\n".join(lines)
 
 
-def control_plane_counters(plane: typing.Any,
+def control_plane_counters(plane: ControlPlane,
                            hosts: typing.Iterable[typing.Any] = (),
                            elapsed_ns: int | None = None
                            ) -> dict[str, int | float]:
@@ -60,13 +63,12 @@ def control_plane_counters(plane: typing.Any,
 
     One dict mixing the hosts' miss-classifier rollup (reactive miss
     rate, proactive/reactive hit counts) with per-shard controller load
-    (requests, queue depth, utilization).  ``plane`` may be a
-    :class:`~repro.control.plane.ControlPlane` or a plain
-    :class:`~repro.control.controller.SdnController` (one shard).
+    (requests, queue depth, utilization) and the plane's failover and
+    outage counts.
     """
     from repro.metrics.controlplane import aggregate_miss_rate
 
-    shards = list(getattr(plane, "shards", None) or (plane,))
+    shards = plane.shards
     rate, misses, setups = aggregate_miss_rate(hosts)
     hits_proactive = 0
     hits_reactive = 0
@@ -92,10 +94,8 @@ def control_plane_counters(plane: typing.Any,
         if elapsed_ns is not None:
             counters[f"shard{index}_utilization"] = (
                 shard.stats.utilization(elapsed_ns))
-    stats = getattr(plane, "stats", None)
-    if stats is not None and hasattr(stats, "failovers"):
-        counters["failovers"] = stats.failovers
-        counters["shard_outages"] = stats.outages
+    counters["failovers"] = plane.stats.failovers
+    counters["shard_outages"] = plane.stats.outages
     return counters
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import HierarchySnapshot, SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.core.state import StateKind, StateTier, classify_state
@@ -21,7 +21,7 @@ from repro.dataplane import (
     ToService,
     UserMessage,
 )
-from repro.net import FlowMatch, Packet
+from repro.net import FiveTuple, FlowMatch, Packet
 from repro.nfs import CounterNf, NoOpNf
 from repro.sim import MS, S
 
@@ -30,7 +30,7 @@ from tests.test_service_graph import anomaly_graph, video_graph
 
 @pytest.fixture
 def app_env(sim):
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     host = NfvHost(sim, name="h0", controller=controller)
@@ -82,7 +82,7 @@ class TestDeployment:
         # misses, and a full proactive cover has none.
         assert len(host.flow_table) == 5  # eth0 + 4 services
         sim.run(until=controller.idle_lookup_ns + 1 * MS)
-        assert controller.stats.requests == 0
+        assert controller.requests == 0
 
     def test_deploy_registers_parallel_chains(self, sim, app_env):
         app, _controller, _orch, host = app_env
@@ -143,7 +143,7 @@ class TestDeployment:
 
 class TestOnDemandRules:
     def test_miss_pulls_rules_from_deployment(self, sim, flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
@@ -159,7 +159,7 @@ class TestOnDemandRules:
         assert len(host.flow_table) == 5
 
     def test_uncovered_flow_gets_no_rules(self, sim, flow, udp_flow):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
@@ -178,7 +178,7 @@ class TestOnDemandRules:
                                                      proactive):
         """A flow covered by two deployments takes the higher-priority
         one, whether its rules were pre-installed or pulled on a miss."""
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         app = SdnfvApp(sim, controller=controller)
         host = NfvHost(sim, name="h0", controller=controller)
         app.register_host(host)
@@ -340,3 +340,22 @@ class TestStateHierarchy:
         assert snapshot.controller is not None
         rx, tx = snapshot.total_packets()
         assert rx == tx == 0
+
+    def test_snapshot_formats_a_sharded_plane(self, sim):
+        """Requests sum over shards; max_queue is the deepest shard's."""
+        plane = ControlPlane(sim, shards=2)
+        app = SdnfvApp(sim, controller=plane)
+        host = NfvHost(sim, name="h0", controller=plane)
+        app.register_host(host)
+        flows = {}
+        for port in range(1, 64):
+            flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, port, 80)
+            flows.setdefault(plane.owner_of(flow), []).append(flow)
+        # Two flows owned by shard 0, one by shard 1: all miss.
+        for flow in (*flows[0][:2], flows[1][0]):
+            host.inject("eth0", Packet(flow=flow, size=128))
+        sim.run(until=100 * MS)
+        assert [shard.stats.requests for shard in plane.shards] == [2, 1]
+        assert [shard.stats.max_queue for shard in plane.shards] == [2, 1]
+        text = HierarchySnapshot.gather(app).format()
+        assert text.endswith("  controller: requests=3 max_queue=2")

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.control import ControlPlane, SdnController
+from repro.control import ControlPlane
 from repro.dataplane import (
     ControlPlanePolicy,
     FlowTableEntry,
@@ -75,14 +75,14 @@ def entry_for(flow: FiveTuple, scope: str = "eth0",
 
 
 class TestCompatSurface:
-    """ControlPlane is a drop-in for SdnController."""
+    """The plane's controller surface: round trip, capacity, northbound."""
 
     def test_single_shard_idle_round_trip_is_31ms(self, sim, flow):
         plane = ControlPlane(sim, shards=1, northbound=StaticApp())
         reply = plane.flow_request("h0", "eth0", flow)
         sim.run(reply)
         assert sim.now == plane.idle_lookup_ns
-        assert plane.idle_lookup_ns == SdnController(sim).idle_lookup_ns
+        assert plane.idle_lookup_ns == 31 * MS
         assert len(reply.value) == 1
 
     def test_needs_at_least_one_shard(self, sim):
@@ -225,14 +225,16 @@ class TestShardOutages:
         sim.run(until=40 * MS)
         assert not plane.shards[0].down
 
-    def test_shard_outage_on_plain_controller_is_skipped(self, sim):
-        controller = SdnController(sim)
+    def test_outage_of_a_missing_shard_is_skipped(self, sim):
+        plane = ControlPlane(sim, shards=2)
         plan = FaultPlan()
-        plan.add(ControllerOutage(at_ns=1 * MS, down_ns=1 * MS, shard=0))
-        injector = FaultInjector(sim, plan, controller=controller)
+        plan.add(ControllerOutage(at_ns=1 * MS, down_ns=1 * MS, shard=2))
+        injector = FaultInjector(sim, plan, controller=plane)
         injector.arm()
         sim.run(until=5 * MS)
-        assert not controller.down  # fault skipped, not misapplied
+        assert [reason for _, _, reason in injector.skipped] == [
+            "no such controller shard"]
+        assert plane.stats.outages == 0  # skipped, not misapplied
 
     def test_plane_wide_outage_downs_every_shard(self, sim):
         plane = ControlPlane(sim, shards=3)
@@ -311,12 +313,6 @@ class TestMonitorAndReporting:
         assert summary["reactive_misses"] == 1
         owner = plane.owner_of(flow)
         assert summary[f"shard{owner}_requests"] == 1
-
-    def test_monitor_accepts_plain_controller(self, sim):
-        controller = SdnController(sim)
-        monitor = ControlPlaneMonitor(sim, controller)
-        monitor.sample()
-        assert len(monitor.utilization) == 1
 
     def test_counters_flatten_into_table(self, sim, flow):
         plane = ControlPlane(sim, shards=2, northbound=StaticApp())

@@ -1,25 +1,21 @@
 """Golden parity: ``ControlPlane(shards=1)`` IS the legacy controller.
 
-The distributed control plane must be a pure superset: with one shard
-and no proactive pre-population, a full reactive run — misses, controller
-round trips, rule pulls, deliveries — is *byte-identical* to the same
-run against a plain :class:`SdnController`: packet-for-packet delivery
-order, every latency sample, every stats counter, the control-event
-timeline, and the kernel's event odometers.
+With one shard and no proactive pre-population, a full reactive run —
+misses, controller round trips, rule pulls, deliveries — is
+*byte-identical* to the same run against the single controller the plane
+replaced: packet-for-packet delivery order, every latency sample, every
+stats counter, the control-event timeline, and the kernel's event
+odometers.  ``PINNED`` holds that controller's runs as one SHA-256 each
+(see :func:`digest`), computed before the plain front end was deleted.
 
 A second suite pins the hybrid pipeline's endpoints: a full proactive
-cover drives the reactive slow path to zero, and the two controller
-front-ends install identical proactive rule sets.
-
-``PINNED`` freezes the plain controller's observables as one SHA-256
-per run (see :func:`digest`), so the comparison still has a reference
-if the plain front end goes.
+cover drives the reactive slow path to zero and reproduces its pin too.
 """
 
 import hashlib
 import json
 
-from repro.control import ControlPlane, SdnController
+from repro.control import ControlPlane
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.metrics import EventLog
 from repro.net import FiveTuple
@@ -30,7 +26,7 @@ from repro.workloads import FlowSpec, PktGen
 
 DURATION = 120 * MS
 
-#: :func:`digest` of ``run_network(SdnController, proactive=...)``.
+#: :func:`digest` of the single controller's run, keyed by ``proactive``.
 PINNED = {
     False: "35a67fbff6b33bf83dd8f4c29a9bf22c90b40f466de97c9cbc553178c3350cbe",
     True: "379254c795c09b7a0f69ebb7c52879003954441c00f817d8ed402e2df20c153d",
@@ -129,52 +125,33 @@ def digest(result: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class TestPinnedDigests:
-    """The plain controller's runs reproduce their committed digests."""
-
-    def test_reactive_run_matches_pin(self):
-        assert digest(run_network(SdnController, proactive=False)) \
-            == PINNED[False]
-
-    def test_proactive_run_matches_pin(self):
-        assert digest(run_network(SdnController, proactive=True)) \
-            == PINNED[True]
+def single_shard(sim: Simulator) -> ControlPlane:
+    return ControlPlane(sim, shards=1)
 
 
 class TestReactiveGoldenParity:
     """shards=1, proactive=False — byte-identical to the legacy path."""
 
     def test_single_shard_plane_matches_plain_controller(self):
-        legacy = run_network(SdnController, proactive=False)
-        plane = run_network(lambda sim: ControlPlane(sim, shards=1),
-                            proactive=False)
-        assert plane["deliveries"] == legacy["deliveries"]
-        assert plane["latency_samples"] == legacy["latency_samples"]
-        assert plane["summaries"] == legacy["summaries"]
-        assert plane["events"] == legacy["events"]
-        assert plane["events_scheduled"] == legacy["events_scheduled"]
-        assert plane["timers_scheduled"] == legacy["timers_scheduled"]
-        assert plane["events_cancelled"] == legacy["events_cancelled"]
-        assert plane["frames_carried"] == legacy["frames_carried"]
+        plane = run_network(single_shard, proactive=False)
+        assert digest(plane) == PINNED[False]
         # Sanity: this really was the reactive slow path end to end.
-        assert legacy["deliveries"]
-        assert legacy["summaries"]["h0"]["sdn_requests"] == len(FLOWS)
-        assert legacy["summaries"]["h0"]["reactive_misses"] == len(FLOWS)
+        assert plane["deliveries"]
+        assert plane["summaries"]["h0"]["sdn_requests"] == len(FLOWS)
+        assert plane["summaries"]["h0"]["reactive_misses"] == len(FLOWS)
 
     def test_reactive_run_classifies_every_flow_as_miss(self):
-        legacy = run_network(SdnController, proactive=False)
-        h0 = legacy["summaries"]["h0"]
+        h0 = run_network(single_shard, proactive=False)["summaries"]["h0"]
         assert h0["proactive_hits"] == 0
         assert h0["reactive_misses"] == len(FLOWS)
 
 
 class TestProactiveParity:
-    """Full pre-population: the slow path never fires, under either
-    controller front-end, with identical rule covers."""
+    """Full pre-population: the slow path never fires, and the run
+    reproduces the single controller's."""
 
     def test_proactive_cover_eliminates_misses(self):
-        result = run_network(lambda sim: ControlPlane(sim, shards=1),
-                             proactive=True)
+        result = run_network(single_shard, proactive=True)
         for name in ("h0", "h1"):
             summary = result["summaries"][name]
             assert summary["sdn_requests"] == 0
@@ -183,18 +160,12 @@ class TestProactiveParity:
         assert result["deliveries"]
 
     def test_proactive_runs_identical_across_front_ends(self):
-        legacy = run_network(SdnController, proactive=True)
-        plane = run_network(lambda sim: ControlPlane(sim, shards=1),
-                            proactive=True)
-        assert plane["deliveries"] == legacy["deliveries"]
-        assert plane["latency_samples"] == legacy["latency_samples"]
-        assert plane["summaries"] == legacy["summaries"]
-        assert plane["events"] == legacy["events"]
-        assert plane["events_scheduled"] == legacy["events_scheduled"]
+        assert digest(run_network(single_shard, proactive=True)) \
+            == PINNED[True]
 
     def test_proactive_beats_reactive_first_packet_latency(self):
-        reactive = run_network(SdnController, proactive=False)
-        proactive = run_network(SdnController, proactive=True)
+        reactive = run_network(single_shard, proactive=False)
+        proactive = run_network(single_shard, proactive=True)
         # Same flows delivered, but the reactive run's first packets ate
         # a 31 ms controller round trip the proactive run never paid.
         def latencies(result):

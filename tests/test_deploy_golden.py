@@ -13,7 +13,7 @@ The cases are the single-host video graph, Table 2's two exact-match
 deployments, ``auto_parallel`` over Firewall -> FlowMonitor ->
 DscpMarker -> Sampler, a hand-wired 2-host placement, a routed 3-host
 line whose middle host is a pure transit hop (proactive and reactive),
-and a hand-wired deploy through an :class:`SdnController`, snapshotted
+and a hand-wired deploy through a :class:`ControlPlane`, snapshotted
 after one idle flow-setup round trip plus 1 ms.
 
 Only per-host tables are pinned, never the order in which hosts were
@@ -31,7 +31,7 @@ import pathlib
 
 import pytest
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.core import EXIT, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost
 from repro.net import FiveTuple, FlowMatch
@@ -156,7 +156,7 @@ def case_routed_reactive(sim):
 
 
 def case_controller(sim):
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     app, hosts = app_with_hosts(sim, ["host1", "host2"],
                                 controller=controller,
                                 ports=("eth0", "eth1", "trunk"))

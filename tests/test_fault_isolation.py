@@ -3,7 +3,7 @@ controller or the data plane; miss resolution preserves packet order;
 the plan cache stays bounded."""
 
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.dataplane import FlowTableEntry, NfvHost, ToPort
 from repro.dataplane import manager as manager_module
 from repro.net import FiveTuple, FlowMatch, Packet
@@ -23,7 +23,7 @@ class FlakyApp:
 
 class TestControllerFaultIsolation:
     def test_app_exception_fails_only_that_request(self, sim):
-        controller = SdnController(sim, northbound=FlakyApp(),
+        controller = ControlPlane(sim, northbound=FlakyApp(),
                                    service_time_ns=100_000,
                                    propagation_ns=100_000)
         good_flow = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1, 80)
@@ -34,14 +34,14 @@ class TestControllerFaultIsolation:
         sim.run()
         assert not bad_reply.ok
         assert good_reply.ok and len(good_reply.value) == 1
-        assert controller.stats.failures == 1
+        assert controller.shards[0].stats.failures == 1
         # The controller survived and can serve further requests.
         another = controller.flow_request("h0", "eth0", good_flow)
         sim.run(another)
         assert another.value
 
     def test_dataplane_survives_controller_failure(self, sim):
-        controller = SdnController(sim, northbound=FlakyApp())
+        controller = ControlPlane(sim, northbound=FlakyApp())
         host = NfvHost(sim, name="h0", controller=controller)
         out = []
         host.port("eth1").on_egress = out.append
@@ -63,7 +63,7 @@ class TestMissResolutionOrdering:
                     scope=scope, match=FlowMatch.exact(missed_flow),
                     actions=(ToPort("eth1"),))]
 
-        controller = SdnController(sim, northbound=SlowApp())
+        controller = ControlPlane(sim, northbound=SlowApp())
         host = NfvHost(sim, name="h0", controller=controller)
         out = []
         host.port("eth1").on_egress = out.append

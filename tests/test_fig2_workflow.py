@@ -13,7 +13,7 @@ One test drives all five in order and asserts the recorded timeline.
 """
 
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import EXIT, HierarchySnapshot, SdnfvApp, ServiceGraph
 from repro.dataplane import NfvHost, UserMessage
 from repro.metrics import EventLog
@@ -44,7 +44,7 @@ class AlarmAfterN(NetworkFunction):
 
 
 def test_fig2_five_step_workflow(sim, flow):
-    controller = SdnController(sim)
+    controller = ControlPlane(sim)
     orchestrator = NfvOrchestrator(sim)
     app = SdnfvApp(sim, controller=controller, orchestrator=orchestrator)
     log = EventLog(sim)

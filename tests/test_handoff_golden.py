@@ -5,8 +5,8 @@ The kernel, object-path and firewall goldens cover the data plane's
 rings, RX/TX loops and sleeps.  These cases cover everything else that
 parks a process in a :class:`~repro.sim.store.Store` or waits for time:
 
-- ``ovs_punt``: an ``OvsSwitchSim`` punting reactive flows to an
-  ``SdnController`` (ingress store, punt queue, controller queue);
+- ``ovs_punt``: an ``OvsSwitchSim`` punting reactive flows to a
+  one-shard ``ControlPlane`` (ingress store, punt queue, controller queue);
 - ``sdn_video``: ``SdnVideoSystem`` under flow churn (setup slots,
   two controller transactions per flow);
 - ``twemproxy``: ``TwemproxySim`` driven past saturation (its queue);
@@ -42,7 +42,7 @@ import pytest
 
 from repro.baselines import OvsSwitchSim, SdnVideoSystem
 from repro.baselines.twemproxy import TwemproxySim
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import NfvHost
@@ -123,7 +123,7 @@ def _noop_host(sim: Simulator) -> NfvHost:
 
 
 def ovs_punt(sim: Simulator) -> tuple:
-    controller = SdnController(sim, service_time_ns=100 * US,
+    controller = ControlPlane(sim, service_time_ns=100 * US,
                                propagation_ns=50 * US)
     switch = OvsSwitchSim(sim, controller, punt_fraction=0.5,
                           punt_buffer=16, seed=SEED)
@@ -142,7 +142,7 @@ def ovs_punt(sim: Simulator) -> tuple:
         "forwarded": switch.forwarded,
         "dropped_punts": switch.dropped_punts,
         "punts_completed": switch.punts_completed,
-        "controller": controller.snapshot(),
+        "controller": controller.shards[0].snapshot(),
     }
     facts = {"dropped_punts": switch.dropped_punts,
              "punts_completed": switch.punts_completed}
@@ -150,7 +150,7 @@ def ovs_punt(sim: Simulator) -> tuple:
 
 
 def sdn_video(sim: Simulator) -> tuple:
-    controller = SdnController(sim, service_time_ns=200 * US,
+    controller = ControlPlane(sim, service_time_ns=200 * US,
                                propagation_ns=200 * US)
     system = SdnVideoSystem(sim, controller, flow_setup_buffer=16)
     workload = FlowChurnWorkload(sim, system, new_flows_per_second=3000,
@@ -163,7 +163,7 @@ def sdn_video(sim: Simulator) -> tuple:
         "transcode_dropped": system.transcode_dropped,
         "flows_started": workload.flows_started,
         "workload_completed": workload.completed_flows,
-        "controller": controller.snapshot(),
+        "controller": controller.shards[0].snapshot(),
     }
     facts = {"completed_flows": system.completed_flows,
              "transcode_dropped": system.transcode_dropped}
@@ -317,7 +317,7 @@ def memcached(sim: Simulator) -> tuple:
 
 
 def reactive_telemetry(sim: Simulator) -> tuple:
-    controller = SdnController(sim, service_time_ns=200 * US,
+    controller = ControlPlane(sim, service_time_ns=200 * US,
                                propagation_ns=300 * US)
     app = SdnfvApp(sim, controller=controller)
     host = NfvHost(sim, name="r0", controller=controller, seed=SEED)
@@ -347,7 +347,7 @@ def reactive_telemetry(sim: Simulator) -> tuple:
         "telemetry": len(app.telemetry),
     }
     facts = {"received": gen.received, "telemetry": len(app.telemetry),
-             "requests": controller.stats.requests}
+             "requests": controller.requests}
     return counters, gen.latency.samples_ns, facts
 
 

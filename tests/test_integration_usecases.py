@@ -3,7 +3,7 @@ running through SDNFV app + controller + orchestrator + dataplane + NFs."""
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import DROP, EXIT
 from repro.dataplane import NfvHost
@@ -122,7 +122,7 @@ class TestDdosMitigationTimeline:
     RequestMe reroute → outgoing traffic recovers."""
 
     def test_full_timeline(self, sim):
-        controller = SdnController(sim)
+        controller = ControlPlane(sim)
         orchestrator = NfvOrchestrator(sim)
         app = SdnfvApp(sim, controller=controller,
                        orchestrator=orchestrator)

@@ -11,7 +11,7 @@ after anyone cares.
 
 import pytest
 
-from repro.control import SdnController
+from repro.control import ControlPlane
 from repro.dataplane import RingBuffer
 from repro.dataplane.manager import NicPort
 from repro.net import FiveTuple, Packet
@@ -159,7 +159,7 @@ class TestDirectWakes:
 
     def test_controller_round_trip_constructs_only_the_reply(
             self, sim, monkeypatch):
-        controller = SdnController(sim, service_time_ns=100 * US,
+        controller = ControlPlane(sim, service_time_ns=100 * US,
                                    propagation_ns=50 * US)
         made = _count_events(monkeypatch)
         reply = controller.flow_request(

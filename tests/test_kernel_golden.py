@@ -35,7 +35,7 @@ import pathlib
 
 import pytest
 
-from repro.control import NfvOrchestrator, SdnController
+from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import SdnfvApp, ServiceGraph
 from repro.core.service_graph import EXIT
 from repro.dataplane import ControlPlanePolicy, NfvHost, ToPort
@@ -65,7 +65,7 @@ FAULT_NS = 20 * MS
 
 def _failover_host(sim: Simulator, dpi_factory) -> tuple:
     """fw -> dpi on one host, with a standby-process failover for dpi."""
-    controller = SdnController(sim, service_time_ns=100 * US,
+    controller = ControlPlane(sim, service_time_ns=100 * US,
                                propagation_ns=100 * US)
     app = SdnfvApp(sim, controller=controller,
                    orchestrator=NfvOrchestrator(sim))
@@ -153,7 +153,7 @@ def link_flap_egress(sim: Simulator) -> tuple:
 
 
 def controller_outage_policy(sim: Simulator) -> tuple:
-    controller = SdnController(sim, service_time_ns=100 * US,
+    controller = ControlPlane(sim, service_time_ns=100 * US,
                                propagation_ns=500 * US)
     app = SdnfvApp(sim, controller=controller)
     host = NfvHost(sim, name="h0", controller=controller, seed=SEED,
