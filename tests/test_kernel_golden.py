@@ -260,6 +260,8 @@ def test_golden_exercises_each_corner(golden):
     outage = golden["controller_outage_policy"]["categories"]
     assert outage["sdn_timeout"] > 0
     assert outage["miss_degraded"] > 0
+    assert outage["controller_shard_down"] == 1
+    assert outage["controller_shard_restored"] == 1
     for run in golden.values():
         assert run["received"] > 0
 
