@@ -225,23 +225,6 @@ class FlowTable:
             return existing
         return self.lookup(scope, flow)
 
-    def specialize(self, scope: str,
-                   flow: FiveTuple) -> FlowTableEntry | None:
-        """Ensure an exact rule exists for ``flow`` in ``scope``.
-
-        If the flow's behaviour comes from a wildcard rule, it is cloned
-        into an exact rule so a later per-flow change doesn't leak to
-        other flows.  Returns the exact rule (or None when nothing
-        matches the flow).  The NF Manager's cross-layer messages copy
-        :meth:`specialization_template` once, with the new default, instead.
-        """
-        template = self.specialization_template(scope, flow)
-        if template is None or template.match.is_exact:
-            return template
-        exact = template.copy(match=FlowMatch.exact(flow))
-        self.install(exact)
-        return exact
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -204,20 +204,24 @@ class TestWildcardOrder:
         assert table.lookup("svc", flow).default_action == ToPort("third")
 
 
+def specialize(table: FlowTable, flow, default) -> FlowTableEntry:
+    """A per-flow rewrite as the NF Manager makes one: one copy of the
+    flow's template with ``default`` first, installed once."""
+    template = table.specialization_template("svc", flow)
+    exact = template.with_default(default, match=FlowMatch.exact(flow))
+    table.install(exact)
+    return exact
+
+
 class TestSpecialize:
     def test_clones_wildcard_into_exact(self, table, flow):
-        table.install(entry(actions=(ToService("a"), ToService("b"))))
-        exact = table.specialize("svc", flow)
+        wildcard = entry(actions=(ToService("a"), ToService("b")))
+        table.install(wildcard)
+        exact = specialize(table, flow, ToService("a"))
         assert exact.match == FlowMatch.exact(flow)
         assert exact.actions == (ToService("a"), ToService("b"))
         assert len(table) == 2
-
-    def test_existing_exact_returned_unchanged(self, table, flow):
-        table.install(entry(match=FlowMatch.exact(flow)))
-        first = table.specialize("svc", flow)
-        second = table.specialize("svc", flow)
-        assert first is second
-        assert len(table) == 1
+        assert table.entries("svc")[1] is wildcard
 
     def test_template_is_exact_rule_without_a_lookup(self, table, flow):
         table.install(entry())
@@ -236,14 +240,10 @@ class TestSpecialize:
         assert table.specialization_template("other", flow) is None
         assert (table.lookups, table.misses) == (2, 1)
 
-    def test_specialize_without_match_returns_none(self, table, flow):
-        assert table.specialize("svc", flow) is None
-
     def test_specialized_flow_diverges_from_wildcard(self, table, flow,
                                                      udp_flow):
         table.install(entry(actions=(ToService("a"), ToService("b"))))
-        exact = table.specialize("svc", flow)
-        table.install(exact.with_default(ToService("b")))
+        specialize(table, flow, ToService("b"))
         assert table.lookup("svc", flow).default_action == ToService("b")
         assert table.lookup("svc", udp_flow).default_action == ToService("a")
 
@@ -326,7 +326,7 @@ class TestProperties:
         before = {flow: table.lookup("svc", flow).default_action
                   for flow in flows}
         for flow in flows:
-            table.specialize("svc", flow)
+            specialize(table, flow, before[flow])
         after = {flow: table.lookup("svc", flow).default_action
                  for flow in flows}
         assert before == after
