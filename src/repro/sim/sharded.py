@@ -814,21 +814,14 @@ class ShardedSimulator:
     # workers=0: every shard in this process
     # ------------------------------------------------------------------
     def _run_inline(self) -> list[dict]:
-        runtimes = [ShardRuntime(self.scenario, self.plan, index)
-                    for index in range(len(self.plan.groups))]
+        runtimes = {index: ShardRuntime(self.scenario, self.plan, index)
+                    for index in range(len(self.plan.groups))}
         pending: dict[int, list[list[tuple[int, list[tuple]]]]] = {}
         for targets in self._rounds():
-            outboxes: dict[int, dict[int, list[tuple]]] = {}
-            for shard_id in sorted(targets):
-                runtime = runtimes[shard_id]
-                for group in pending.pop(shard_id, ()):
-                    runtime.deliver(group)
-                runtime.advance(targets[shard_id])
-                captured = runtime.take_outbox()
-                if captured:
-                    outboxes[shard_id] = captured
-            self._route(outboxes, pending)
-        return [runtime.collect() for runtime in runtimes]
+            orders = {shard_id: (upto, pending.pop(shard_id, ()))
+                      for shard_id, upto in targets.items()}
+            self._route(_step_shards(runtimes, orders), pending)
+        return [runtime.collect() for runtime in runtimes.values()]
 
     # ------------------------------------------------------------------
     # workers=N: shards spread over processes, same protocol
@@ -896,6 +889,31 @@ class ShardedSimulator:
         return payload
 
 
+def _step_shards(runtimes: dict[int, ShardRuntime],
+                 orders: dict[int, tuple[int, typing.Iterable]]
+                 ) -> dict[int, dict[int, list[tuple]]]:
+    """One round's work for the shards in ``orders``, in ascending id
+    order: deliver each shard's queued boundary groups, advance it to
+    its target and take what it sent across boundaries.
+
+    ``orders`` maps shard id -> ``(until_ns, delivery_groups)``; the
+    result maps shard id -> {destination shard: events}, for shards that
+    sent any.  Both conductors run this body.  The runtime's methods are
+    looked up on every call, so a profiler may patch them on the class.
+    """
+    outboxes: dict[int, dict[int, list[tuple]]] = {}
+    for shard_id in sorted(orders):
+        until_ns, groups = orders[shard_id]
+        runtime = runtimes[shard_id]
+        for group in groups:
+            runtime.deliver(group)
+        runtime.advance(until_ns)
+        captured = runtime.take_outbox()
+        if captured:
+            outboxes[shard_id] = captured
+    return outboxes
+
+
 def _shard_worker(conn: typing.Any, scenario: Scenario, plan: ShardPlan,
                   shard_ids: list[int]) -> None:
     """Worker process: owns one or more shards, speaks the pipe protocol.
@@ -913,17 +931,7 @@ def _shard_worker(conn: typing.Any, scenario: Scenario, plan: ShardPlan,
             message = conn.recv()
             if message[0] == "advance":
                 _kind, orders = message
-                outboxes: dict[int, dict[int, list[tuple]]] = {}
-                for shard_id in sorted(orders):
-                    until_ns, groups = orders[shard_id]
-                    runtime = runtimes[shard_id]
-                    for group in groups:
-                        runtime.deliver(group)
-                    runtime.advance(until_ns)
-                    captured = runtime.take_outbox()
-                    if captured:
-                        outboxes[shard_id] = captured
-                conn.send(("ok", outboxes))
+                conn.send(("ok", _step_shards(runtimes, orders)))
             elif message[0] == "finish":
                 conn.send(("result",
                            {shard_id: runtime.collect()
