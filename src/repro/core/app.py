@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.control.plane import ControlPlane
 from repro.control.orchestrator import NfvOrchestrator
+from repro.control.plane import ControlPlane
 from repro.dataplane.flow_table import FlowTableEntry
 from repro.dataplane.host import NfvHost
 from repro.dataplane.messages import (
