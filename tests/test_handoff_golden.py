@@ -23,10 +23,13 @@ Every transmitting port has an egress hook, as in the other goldens.
 Each case pins one SHA-256 over the kernel's three odometers
 (``events_scheduled``, ``timers_scheduled``, ``events_cancelled``), the
 system's counters and its latency samples, plus a few readable facts
-showing the case did its work.  A change to how the kernel hands items
-between processes or wakes them from a time wait must reproduce every
-digest exactly.  Regenerate (only for a deliberate behaviour change)
-with::
+showing the case did its work.  A second SHA-256,
+``sha256_without_odometers``, covers the same fields except
+``events_scheduled`` and ``timers_scheduled``: a change that only
+removes kernel entries moves the first digest and must leave the second
+alone.  A change to how the kernel hands items between processes or
+wakes them from a time wait must reproduce every digest exactly.
+Regenerate (only for a deliberate behaviour change) with::
 
     PYTHONPATH=src python -m tests.test_handoff_golden \\
         > tests/data/handoff_golden.json
@@ -77,6 +80,10 @@ from tests.conftest import install_chain
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent
                / "data" / "handoff_golden.json")
+
+#: Odometers that count kernel entries; ``sha256_without_odometers``
+#: leaves them out.
+ODOMETERS = ("events_scheduled", "timers_scheduled")
 
 SEED = 5
 
@@ -378,8 +385,13 @@ def run_case(name: str) -> dict:
         "samples": samples,
     }
     blob = json.dumps(pinned, sort_keys=True, default=str)
+    behaviour = {key: value for key, value in pinned.items()
+                 if key not in ODOMETERS}
+    behaviour_blob = json.dumps(behaviour, sort_keys=True, default=str)
     result = {
         "sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "sha256_without_odometers":
+            hashlib.sha256(behaviour_blob.encode()).hexdigest(),
         "events_scheduled": sim.events_scheduled,
         "samples": len(samples),
         "facts": facts,

@@ -19,9 +19,13 @@ Each case pins one SHA-256 over the kernel's three odometers
 (``events_scheduled``, ``timers_scheduled``, ``events_cancelled``),
 ``HostStats.summary()``, the event log's ``(time, kind, host, service)``
 records and the RTT samples, plus a few readable facts showing the case
-reached its corner.  A change to how the kernel schedules, resumes or
-abandons a wait must reproduce every digest exactly.  Regenerate (only
-for a deliberate behaviour change) with::
+reached its corner.  A second SHA-256, ``sha256_without_odometers``,
+covers the same fields except ``events_scheduled`` and
+``timers_scheduled``: a change that only removes kernel entries moves
+the first digest and must leave the second alone.  A change to how the
+kernel schedules, resumes or abandons a wait must reproduce every
+digest exactly.  Regenerate (only for a deliberate behaviour change)
+with::
 
     PYTHONPATH=src python -m tests.test_kernel_golden \\
         > tests/data/kernel_golden.json
@@ -57,6 +61,10 @@ from tests.conftest import install_chain
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent
                / "data" / "kernel_golden.json")
+
+#: Odometers that count kernel entries; ``sha256_without_odometers``
+#: leaves them out.
+ODOMETERS = ("events_scheduled", "timers_scheduled")
 
 FLOW = FiveTuple("10.0.0.1", "10.0.0.2", 17, 5000, 5001)
 SEED = 3
@@ -208,6 +216,9 @@ def run_case(name: str) -> dict:
         "rtt_ns": gen.latency.samples_ns,
     }
     blob = json.dumps(pinned, sort_keys=True, default=str)
+    behaviour = {key: value for key, value in pinned.items()
+                 if key not in ODOMETERS}
+    behaviour_blob = json.dumps(behaviour, sort_keys=True, default=str)
     categories: dict[str, int] = {}
     for _time, category, _host, _service in records:
         categories[category] = categories.get(category, 0) + 1
@@ -215,6 +226,8 @@ def run_case(name: str) -> dict:
               if event.category == "nf_failure"]
     result = {
         "sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "sha256_without_odometers":
+            hashlib.sha256(behaviour_blob.encode()).hexdigest(),
         "events_scheduled": sim.events_scheduled,
         "received": gen.received,
         "categories": categories,
