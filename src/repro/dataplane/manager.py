@@ -134,9 +134,11 @@ class NicPort:
         # callback instead of accumulating in the egress store.
         self.on_egress: typing.Callable[[Packet], None] | None = None
         # Wire serialization is a bare timer state machine, not a
-        # generator process: transmit() arms it, each frame costs exactly
-        # one timer per stage, and the steady-state TX path never touches
-        # Event or generator machinery.
+        # generator process: transmit() starts an idle port's frame at
+        # once, _tx_done starts the next backlog frame itself, and the
+        # timer at the end of serialization is each frame's only kernel
+        # entry.  The steady-state TX path never touches Event or
+        # generator machinery.
         self._tx_backlog: collections.deque[Packet] = collections.deque()
         self._tx_busy = False
         self._tx_ns_cache: dict[int, int] = {}
@@ -160,7 +162,7 @@ class NicPort:
             self._tx_backlog.append(packet)
         else:
             self._tx_busy = True
-            self.sim.call_later(0, self._tx_start, packet)
+            self._tx_start(packet)
 
     def _tx_start(self, packet: Packet) -> None:
         """Begin serializing one frame onto the wire at the line rate."""
@@ -185,7 +187,7 @@ class NicPort:
             self.egress.try_put(packet)
         backlog = self._tx_backlog
         if backlog:
-            self.sim.call_later(0, self._tx_start, backlog.popleft())
+            self._tx_start(backlog.popleft())
         else:
             self._tx_busy = False
 

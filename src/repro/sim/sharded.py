@@ -46,6 +46,7 @@ collisions may differ.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
 import typing
 
@@ -453,9 +454,8 @@ class ShardRuntime:
                 raise RuntimeError(
                     f"boundary port {wire.src_host}:{wire.src_port} "
                     "already hooked")
-            port.on_egress = (
-                lambda packet, w=wire, d=owners[wire.dst_host]:
-                self._capture(w, d, packet))
+            port.on_egress = functools.partial(
+                self._capture, wire, owners[wire.dst_host])
 
     # ------------------------------------------------------------------
     # Measurement

@@ -10,6 +10,7 @@ continue through host 2's flow table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.dataplane.host import NfvHost
 from repro.net.packet import Packet
@@ -62,17 +63,17 @@ class Fabric:
         if source.on_egress is not None:
             raise ValueError(
                 f"port {wire.src_host}:{wire.src_port} already wired")
-        source.on_egress = lambda packet, w=wire: self._carry(w, packet)
+        source.on_egress = functools.partial(self._carry, wire)
 
     def _carry(self, wire: Wire, packet: Packet) -> None:
         # Frames leaving the egress still hold zero references (released
         # at egress); re-arm the buffer for the next host.
         packet.ref_count = 1
+        self.sim.call_later(wire.delay_ns, self._deliver, (wire, packet))
 
-        def deliver() -> None:
-            self.frames_carried += 1
-            destination = self.hosts[wire.dst_host]
-            if not destination.inject(wire.dst_port, packet):
-                self.frames_dropped_at_rx += 1
-
-        self.sim.schedule(wire.delay_ns, deliver)
+    def _deliver(self, carried: tuple[Wire, Packet]) -> None:
+        wire, packet = carried
+        self.frames_carried += 1
+        destination = self.hosts[wire.dst_host]
+        if not destination.inject(wire.dst_port, packet):
+            self.frames_dropped_at_rx += 1

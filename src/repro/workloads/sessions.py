@@ -111,6 +111,9 @@ class FlowChurnWorkload:
                                            payload=payload,
                                            created_at=self.sim.now)
 
+    def _inject(self, packet: Packet) -> None:
+        self.host.inject(self.ingress_port, packet)
+
     def _run(self):
         while True:
             flow = _fresh_flow(self._flow_counter)
@@ -121,8 +124,7 @@ class FlowChurnWorkload:
                                 video_reply_payload())
             self._second_packet_ids.add(reply.packet_id)
             # Second packet follows shortly after the first.
-            self.sim.schedule(50_000, lambda p=reply: self.host.inject(
-                self.ingress_port, p))
+            self.sim.call_later(50_000, self._inject, reply)
             gap = max(1, round(self._rng.exponential(self.mean_gap)))
             yield self.sim.sleep(gap)
 
