@@ -30,8 +30,8 @@ DURATION = 120 * MS
 
 #: :func:`digest` of the single controller's run, keyed by ``proactive``.
 PINNED = {
-    False: "35a67fbff6b33bf83dd8f4c29a9bf22c90b40f466de97c9cbc553178c3350cbe",
-    True: "379254c795c09b7a0f69ebb7c52879003954441c00f817d8ed402e2df20c153d",
+    False: "f7f5cd24fbddd1bb2e4ff58264f09493a155c9b43b2dfcf10870bb453dfd81b6",
+    True: "3bd3840fa45a0d77a2b47f151a050e14f640b530e941f0731a317f49e01f811f",
 }
 
 #: The same runs' ``digest(..., odometers=False)``: everything but the
