@@ -12,11 +12,14 @@ after anyone cares.
 import pytest
 
 from repro.control import ControlPlane
-from repro.dataplane import RingBuffer
+from repro.core import EXIT, SdnfvApp, ServiceGraph
+from repro.dataplane import NfvHost, RingBuffer
 from repro.dataplane.manager import NicPort
-from repro.net import FiveTuple, Packet
-from repro.sim import US, Store
+from repro.net import FiveTuple, FlowMatch, Packet
+from repro.nfs import NoOpNf
+from repro.sim import MS, US, Store
 from repro.sim.events import Event, Interrupt
+from repro.workloads import FlowSpec, PktGen
 
 
 class TestTimerLane:
@@ -170,7 +173,8 @@ class TestDirectWakes:
 
     def test_unwired_port_fills_egress_at_line_rate(self, sim):
         """With no ``on_egress`` hook, frames land in ``port.egress``
-        back to back, each costing two heap entries (start, done)."""
+        back to back, each costing one heap entry: the timer at the end
+        of its serialization."""
         port = NicPort(sim, "p", line_rate_gbps=1.0)
         flow = FiveTuple("10.0.0.1", "10.0.0.2", 17, 1, 2)
         for _ in range(10):
@@ -182,8 +186,8 @@ class TestDirectWakes:
             sim.run(until=frame * 8_192 + 1)
             assert len(port.egress) == frame
         assert port.tx_packets == 10
-        assert sim.events_scheduled == 20
-        assert sim.timers_scheduled == 20
+        assert sim.events_scheduled == 10
+        assert sim.timers_scheduled == 10
 
     def test_direct_waits_are_not_timers(self, sim):
         def sleeper():
@@ -231,6 +235,69 @@ class TestDirectWakes:
         assert process.processed and process.ok
         # The abandoned entry still pops (at t=100), as a no-op.
         assert sim.now == 100
+
+
+def _chain_graph(services: list[str], read_only: bool) -> ServiceGraph:
+    graph = ServiceGraph("chain")
+    for service in services:
+        graph.add_service(service, read_only=read_only)
+    for src, dst in zip(services, services[1:]):
+        graph.add_edge(src, dst, default=True)
+    graph.add_edge(services[-1], EXIT, default=True)
+    graph.set_entry(services[0])
+    return graph
+
+
+class TestWireEntries:
+    def test_frames_queued_on_a_down_link_leave_in_order(self, sim):
+        """Frames sent while the link is down wait without a kernel
+        entry; once it comes back they leave back to back, in order,
+        one entry each (plus the restore event itself)."""
+        port = NicPort(sim, "p", line_rate_gbps=1.0)
+        port.set_link(False)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 17, 1, 2)
+        frames = [Packet(flow=flow, size=1000) for _ in range(5)]
+        for frame in frames:
+            port.transmit(frame)
+        sim.run(until=50_000)
+        assert len(port.egress) == 0
+        assert sim.events_scheduled == 0
+        port.set_link(True)
+        # A 1000 B frame takes 8,192 ns on the wire at 1 Gbps.
+        sim.run(until=50_000 + 5 * 8_192)
+        assert len(port.egress) == 4
+        sim.run()
+        assert sim.now == 50_000 + 5 * 8_192
+        assert [port.egress.try_get() for _ in frames] == frames
+        assert port.tx_packets == 5
+        assert sim.events_scheduled == 1 + 5
+        assert sim.timers_scheduled == 5
+
+    @pytest.mark.parametrize(("parallel", "entries"),
+                             [(False, 19), (True, 21)])
+    def test_table2_chain_entries_per_packet(self, sim, parallel,
+                                             entries):
+        """A Table 2-style 3-NoOp chain at 100 Mbps moves one packet at
+        a time; each costs a fixed number of kernel entries, one of them
+        on the wire."""
+        host = NfvHost(sim, name="t2", seed=3)
+        app = SdnfvApp(sim)
+        app.register_host(host)
+        services = ["a", "b", "c"]
+        for service in services:
+            host.add_nf(NoOpNf(service))
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 5000, 80)
+        app.deploy(_chain_graph(services, read_only=parallel),
+                   match=FlowMatch.exact(flow))
+        gen = PktGen(sim, host, seed=3)
+        gen.add_flow(FlowSpec(flow=flow, rate_mbps=100.0,
+                              packet_size=1000))
+        sim.run(until=1 * MS)
+        events, received = sim.events_scheduled, gen.received
+        sim.run(until=11 * MS)
+        packets = gen.received - received
+        assert packets > 100
+        assert sim.events_scheduled - events == entries * packets
 
 
 class TestLazyCancellation:
