@@ -425,6 +425,9 @@ class NfManager:
             [str, UserMessage], None] | None = None
         self.uninterpreted_messages: list[UserMessage] = []
         self.rejected_messages = 0
+        # ChangeDefault targets parsed once: the destinations are frozen,
+        # so every rule rewritten to one target shares one instance.
+        self._change_targets: dict[str, Destination] = {}
         # Optional structured observability (repro.metrics.eventlog).
         self.event_log: typing.Any | None = None
         for queue in self._tx_queues:
@@ -1272,7 +1275,10 @@ class NfManager:
             raise TypeError(f"unknown message type {type(message).__name__}")
 
     def _apply_change_default(self, message: ChangeDefault) -> None:
-        destination = _parse_target(message.target)
+        destination = self._change_targets.get(message.target)
+        if destination is None:
+            destination = _parse_target(message.target)
+            self._change_targets[message.target] = destination
         self._rewrite_defaults(
             scope=message.service, flows=message.flows,
             new_default=destination)
