@@ -39,6 +39,7 @@ cheap to write and expensive to debug:
 from __future__ import annotations
 
 import ast
+import typing
 
 from repro.analysis.lint.engine import LintViolation, register
 from repro.analysis.profiles import (
@@ -488,6 +489,209 @@ class _Sim005:
                         "send the window's events as one list per "
                         "destination shard"))
         return violations
+
+
+# ----------------------------------------------------------------------
+# SIM006 — no iteration in set order
+# ----------------------------------------------------------------------
+
+#: Packages whose iteration order reaches simulated behaviour.
+_SET_ORDER_PACKAGES = ("repro/sim/", "repro/dataplane/", "repro/control/",
+                       "repro/core/")
+
+_SET_TYPES = frozenset({"set", "frozenset", "Set", "FrozenSet",
+                        "AbstractSet", "MutableSet"})
+_SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+_SET_METHODS = frozenset({"union", "intersection", "difference",
+                          "symmetric_difference", "copy"})
+#: Wrappers that keep their argument's (set) order.
+_ORDER_KEEPING = frozenset({"list", "tuple", "enumerate", "iter"})
+#: Consumers whose result does not depend on the order they are fed.
+_ORDER_FREE = frozenset({"sorted", "set", "frozenset", "any", "all",
+                         "len", "sum"})
+
+
+def _is_set_annotation(node: ast.AST | None) -> bool:
+    """``set[...]``, ``frozenset``, ``typing.Set[...]``, ``set[...] |
+    None`` and their string forms."""
+    if node is None:
+        return False
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return False
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return (_is_set_annotation(node.left)
+                or _is_set_annotation(node.right))
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return _qualname(node).rsplit(".", 1)[-1] in _SET_TYPES
+
+
+class _SetScope:
+    """What one function (or the module) annotates as a set."""
+
+    def __init__(self, parent: _SetScope | None = None) -> None:
+        self.parent = parent
+        self.names: set[str] = set()
+
+    def is_set(self, name: str) -> bool:
+        scope: _SetScope | None = self
+        while scope is not None:
+            if name in scope.names:
+                return True
+            scope = scope.parent
+        return False
+
+
+class _Sim006:
+    rule_id = "SIM006"
+    summary = ("no for-loop over a set in the simulation packages "
+               "(iterate sorted(...): set order follows PYTHONHASHSEED)")
+
+    def __call__(self, tree: ast.Module, path: str) -> list[LintViolation]:
+        normalized = path.replace("\\", "/")
+        if not any(package in normalized
+                   for package in _SET_ORDER_PACKAGES):
+            return []
+        self._path = path
+        # Functions and methods annotated to return a set, by name.
+        self._set_functions = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _is_set_annotation(node.returns)}
+        self._violations: list[LintViolation] = []
+        module = _SetScope()
+        self._annotate(tree.body, module, set())
+        self._visit(tree.body, module, set())
+        return self._violations
+
+    # -- scopes --------------------------------------------------------
+    def _annotate(self, body: list[ast.stmt], scope: _SetScope,
+                  attributes: set[str]) -> None:
+        """Record the set-annotated names (and ``self.`` attributes) of
+        one scope's own statements, not of nested functions."""
+        for statement in body:
+            for node in _own_nodes(statement):
+                if not (isinstance(node, ast.AnnAssign)
+                        and _is_set_annotation(node.annotation)):
+                    continue
+                target = node.target
+                if isinstance(target, ast.Name):
+                    scope.names.add(target.id)
+                elif (isinstance(target, ast.Attribute)
+                      and isinstance(target.value, ast.Name)
+                      and target.value.id == "self"):
+                    attributes.add(target.attr)
+
+    def _visit(self, body: list[ast.stmt], scope: _SetScope,
+               attributes: set[str]) -> None:
+        for statement in body:
+            if isinstance(statement, ast.ClassDef):
+                # ``self.x: set[...]`` in any method marks ``self.x``
+                # in every method of the class.
+                own: set[str] = set()
+                for member in statement.body:
+                    if isinstance(member, ast.AnnAssign) and isinstance(
+                            member.target, ast.Name) and _is_set_annotation(
+                            member.annotation):
+                        own.add(member.target.id)
+                    if isinstance(member, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)):
+                        self._annotate(member.body, _SetScope(), own)
+                self._visit(statement.body, scope, own)
+                continue
+            if isinstance(statement, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                inner = _SetScope(scope)
+                arguments = statement.args
+                for argument in (arguments.posonlyargs + arguments.args
+                                 + arguments.kwonlyargs):
+                    if _is_set_annotation(argument.annotation):
+                        inner.names.add(argument.arg)
+                self._annotate(statement.body, inner, attributes)
+                self._visit(statement.body, inner, attributes)
+                continue
+            nested: list[ast.stmt] = []
+            order_free: set[int] = set()
+            for node in _own_nodes(statement):
+                if node is not statement and isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+                    nested.append(node)
+                elif isinstance(node, (ast.For, ast.AsyncFor)):
+                    self._check(node.iter, node, scope, attributes)
+                elif isinstance(node, ast.Call) and _call_name(
+                        node) in _ORDER_FREE:
+                    order_free.update(id(arg) for arg in node.args)
+                elif (isinstance(node, (ast.ListComp, ast.DictComp,
+                                        ast.GeneratorExp))
+                      and id(node) not in order_free):
+                    for generator in node.generators:
+                        self._check(generator.iter, generator.iter, scope,
+                                    attributes)
+            if nested:
+                self._visit(nested, scope, attributes)
+
+    # -- the check -----------------------------------------------------
+    def _check(self, iterable: ast.AST, anchor: ast.AST, scope: _SetScope,
+               attributes: set[str]) -> None:
+        if self._set_valued(iterable, scope, attributes):
+            self._violations.append(_violation(
+                self._path, anchor, self.rule_id,
+                f"iterating {ast.unparse(iterable)!r} walks a set, whose "
+                f"order follows PYTHONHASHSEED; iterate "
+                f"sorted({ast.unparse(iterable)}) or keep an "
+                f"insertion-ordered dict"))
+
+    def _set_valued(self, node: ast.AST, scope: _SetScope,
+                    attributes: set[str]) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Name):
+            return scope.is_set(node.id)
+        if isinstance(node, ast.Attribute):
+            return (isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr in attributes)
+        if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                      _SET_OPERATORS):
+            return (self._set_valued(node.left, scope, attributes)
+                    or self._set_valued(node.right, scope, attributes))
+        if isinstance(node, ast.Call):
+            name = _call_name(node)
+            if name in ("set", "frozenset"):
+                return True
+            if name in _ORDER_KEEPING and node.args:
+                return self._set_valued(node.args[0], scope, attributes)
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _SET_METHODS
+                    and self._set_valued(func.value, scope, attributes)):
+                return True
+            return name in self._set_functions
+        return False
+
+
+def _call_name(node: ast.Call) -> str:
+    """The called name's last component (``''`` for computed callees)."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _own_nodes(statement: ast.stmt) -> typing.Iterator[ast.AST]:
+    """``statement`` and the nodes under it, in source order, stopping
+    at (but yielding) nested function and class definitions."""
+    stack: list[ast.AST] = [statement]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node is not statement and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 # ----------------------------------------------------------------------
@@ -1013,6 +1217,7 @@ SIM002 = register(_Sim002())
 SIM003 = register(_Sim003())
 SIM004 = register(_Sim004())
 SIM005 = register(_Sim005())
+SIM006 = register(_Sim006())
 OWN001 = register(_Own001())
 FLOW001 = register(_Flow001())
 NF001 = register(_Nf001())

@@ -217,6 +217,102 @@ class TestSim005CrossShardSharing:
         assert self.sharded_violations(good) == []
 
 
+class TestSim006SetOrder:
+    DATAPLANE = "src/repro/dataplane/example.py"
+
+    def set_order_violations(self, source: str, path: str | None = None):
+        found = lint_source(textwrap.dedent(source),
+                            path=path or self.DATAPLANE, select=["SIM006"])
+        assert all(v.rule_id == "SIM006" for v in found)
+        return found
+
+    def test_rejects_loops_over_set_valued_expressions(self):
+        bad = """
+            class Manager:
+                def __init__(self):
+                    self.live: set[str] = set()
+
+                def scopes(self) -> set[str]:
+                    return set(self.live)
+
+                def walk(self, names: set[str], extra: frozenset[str],
+                         maybe: "set[int] | None"):
+                    for name in names:
+                        pass
+                    for name in {"a", "b"}:
+                        pass
+                    for name in set(extra):
+                        pass
+                    for name in self.live:
+                        pass
+                    for scope in list(self.scopes()):
+                        pass
+                    for name in names | extra:
+                        pass
+                    for name in maybe:
+                        pass
+                    pending: set[str] = set()
+                    for name in pending:
+                        pass
+                    return [name.upper() for name in extra]
+        """
+        found = self.set_order_violations(bad)
+        assert [v.line for v in found] == [11, 13, 15, 17, 19, 21, 23,
+                                           26, 28]
+        assert "sorted(names)" in found[0].message
+        assert "PYTHONHASHSEED" in found[0].message
+
+    def test_accepts_sorted_and_order_free_uses(self):
+        good = """
+            class Manager:
+                def __init__(self):
+                    self.live: set[str] = set()
+                    self.order: list[str] = []
+
+                def walk(self, names: set[str], rows: list[str]):
+                    for name in sorted(names):
+                        pass
+                    for name in sorted(self.live | {"x"}):
+                        pass
+                    for row in rows:
+                        pass
+                    for name in self.order:
+                        pass
+                    upper = {name.upper() for name in names}
+                    any_long = any(len(name) > 3 for name in names)
+                    return upper, any_long, sorted(n for n in names)
+
+            def elsewhere(order: list[str]):
+                names: set[str] = set(order)
+                for name in order:
+                    pass
+                return names
+        """
+        assert self.set_order_violations(good) == []
+
+    def test_rule_is_scoped_to_the_simulation_packages(self):
+        source = """
+            def report(names: set[str]):
+                for name in names:
+                    print(name)
+        """
+        for package in ("sim", "dataplane", "control", "core"):
+            path = f"src/repro/{package}/example.py"
+            assert len(self.set_order_violations(source, path)) == 1
+        for path in ("src/repro/nfs/example.py", "tools/example.py"):
+            assert self.set_order_violations(source, path) == []
+
+    def test_noqa_with_a_reason_suppresses(self):
+        source = """
+            def total(names: set[str]) -> int:
+                count = 0
+                for name in names:  # sdnfv: noqa SIM006 (order-free sum)
+                    count += len(name)
+                return count
+        """
+        assert self.set_order_violations(source) == []
+
+
 class TestOwn001BufferBalance:
     def test_rejects_leaky_branch(self):
         bad = """
@@ -525,7 +621,7 @@ class TestEngine:
 
     def test_all_rules_registered(self):
         assert set(RULES) == {"SIM001", "SIM002", "SIM003", "SIM004",
-                              "SIM005", "OWN001", "FLOW001",
+                              "SIM005", "SIM006", "OWN001", "FLOW001",
                               "NF001", "NF002", "NF003"}
 
 
