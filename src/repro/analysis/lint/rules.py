@@ -529,22 +529,6 @@ def _is_set_annotation(node: ast.AST | None) -> bool:
     return _qualname(node).rsplit(".", 1)[-1] in _SET_TYPES
 
 
-class _SetScope:
-    """What one function (or the module) annotates as a set."""
-
-    def __init__(self, parent: _SetScope | None = None) -> None:
-        self.parent = parent
-        self.names: set[str] = set()
-
-    def is_set(self, name: str) -> bool:
-        scope: _SetScope | None = self
-        while scope is not None:
-            if name in scope.names:
-                return True
-            scope = scope.parent
-        return False
-
-
 class _Sim006:
     rule_id = "SIM006"
     summary = ("no for-loop over a set in the simulation packages "
@@ -555,63 +539,52 @@ class _Sim006:
         if not any(package in normalized
                    for package in _SET_ORDER_PACKAGES):
             return []
-        self._path = path
+        return _SetOrderPass(tree, path).violations
+
+
+class _SetOrderPass:
+    """One file's SIM006 walk.
+
+    ``scopes`` is the chain of set-annotated names visible at a point
+    (innermost function last); ``attributes`` the enclosing class's
+    set-annotated ``self.`` attributes.
+    """
+
+    def __init__(self, tree: ast.Module, path: str) -> None:
+        self.path = path
         # Functions and methods annotated to return a set, by name.
-        self._set_functions = {
+        self.set_functions = {
             node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and _is_set_annotation(node.returns)}
-        self._violations: list[LintViolation] = []
-        module = _SetScope()
-        self._annotate(tree.body, module, set())
-        self._visit(tree.body, module, set())
-        return self._violations
+        self.violations: list[LintViolation] = []
+        module: set[str] = set()
+        _collect_set_annotations(tree.body, module, set())
+        self.visit(tree.body, (module,), set())
 
-    # -- scopes --------------------------------------------------------
-    def _annotate(self, body: list[ast.stmt], scope: _SetScope,
-                  attributes: set[str]) -> None:
-        """Record the set-annotated names (and ``self.`` attributes) of
-        one scope's own statements, not of nested functions."""
-        for statement in body:
-            for node in _own_nodes(statement):
-                if not (isinstance(node, ast.AnnAssign)
-                        and _is_set_annotation(node.annotation)):
-                    continue
-                target = node.target
-                if isinstance(target, ast.Name):
-                    scope.names.add(target.id)
-                elif (isinstance(target, ast.Attribute)
-                      and isinstance(target.value, ast.Name)
-                      and target.value.id == "self"):
-                    attributes.add(target.attr)
-
-    def _visit(self, body: list[ast.stmt], scope: _SetScope,
-               attributes: set[str]) -> None:
+    def visit(self, body: list[ast.stmt], scopes: tuple[set[str], ...],
+              attributes: set[str]) -> None:
         for statement in body:
             if isinstance(statement, ast.ClassDef):
                 # ``self.x: set[...]`` in any method marks ``self.x``
                 # in every method of the class.
                 own: set[str] = set()
+                _collect_set_annotations(statement.body, own, own)
                 for member in statement.body:
-                    if isinstance(member, ast.AnnAssign) and isinstance(
-                            member.target, ast.Name) and _is_set_annotation(
-                            member.annotation):
-                        own.add(member.target.id)
                     if isinstance(member, (ast.FunctionDef,
                                            ast.AsyncFunctionDef)):
-                        self._annotate(member.body, _SetScope(), own)
-                self._visit(statement.body, scope, own)
+                        _collect_set_annotations(member.body, set(), own)
+                self.visit(statement.body, scopes, own)
                 continue
             if isinstance(statement, (ast.FunctionDef,
                                       ast.AsyncFunctionDef)):
-                inner = _SetScope(scope)
                 arguments = statement.args
-                for argument in (arguments.posonlyargs + arguments.args
-                                 + arguments.kwonlyargs):
-                    if _is_set_annotation(argument.annotation):
-                        inner.names.add(argument.arg)
-                self._annotate(statement.body, inner, attributes)
-                self._visit(statement.body, inner, attributes)
+                local = {argument.arg for argument in (
+                    arguments.posonlyargs + arguments.args
+                    + arguments.kwonlyargs)
+                    if _is_set_annotation(argument.annotation)}
+                _collect_set_annotations(statement.body, local, set())
+                self.visit(statement.body, scopes + (local,), attributes)
                 continue
             nested: list[ast.stmt] = []
             order_free: set[int] = set()
@@ -621,7 +594,7 @@ class _Sim006:
                                ast.ClassDef)):
                     nested.append(node)
                 elif isinstance(node, (ast.For, ast.AsyncFor)):
-                    self._check(node.iter, node, scope, attributes)
+                    self.check(node.iter, node, scopes, attributes)
                 elif isinstance(node, ast.Call) and _call_name(
                         node) in _ORDER_FREE:
                     order_free.update(id(arg) for arg in node.args)
@@ -629,48 +602,66 @@ class _Sim006:
                                         ast.GeneratorExp))
                       and id(node) not in order_free):
                     for generator in node.generators:
-                        self._check(generator.iter, generator.iter, scope,
-                                    attributes)
+                        self.check(generator.iter, generator.iter, scopes,
+                                   attributes)
             if nested:
-                self._visit(nested, scope, attributes)
+                self.visit(nested, scopes, attributes)
 
-    # -- the check -----------------------------------------------------
-    def _check(self, iterable: ast.AST, anchor: ast.AST, scope: _SetScope,
-               attributes: set[str]) -> None:
-        if self._set_valued(iterable, scope, attributes):
-            self._violations.append(_violation(
-                self._path, anchor, self.rule_id,
-                f"iterating {ast.unparse(iterable)!r} walks a set, whose "
-                f"order follows PYTHONHASHSEED; iterate "
-                f"sorted({ast.unparse(iterable)}) or keep an "
+    def check(self, iterable: ast.AST, anchor: ast.AST,
+              scopes: tuple[set[str], ...],
+              attributes: set[str]) -> None:
+        if self.set_valued(iterable, scopes, attributes):
+            text = ast.unparse(iterable)
+            self.violations.append(_violation(
+                self.path, anchor, _Sim006.rule_id,
+                f"iterating {text!r} walks a set, whose order follows "
+                f"PYTHONHASHSEED; iterate sorted({text}) or keep an "
                 f"insertion-ordered dict"))
 
-    def _set_valued(self, node: ast.AST, scope: _SetScope,
-                    attributes: set[str]) -> bool:
+    def set_valued(self, node: ast.AST, scopes: tuple[set[str], ...],
+                   attributes: set[str]) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Name):
-            return scope.is_set(node.id)
+            return any(node.id in names for names in scopes)
         if isinstance(node, ast.Attribute):
             return (isinstance(node.value, ast.Name)
                     and node.value.id == "self"
                     and node.attr in attributes)
         if isinstance(node, ast.BinOp) and isinstance(node.op,
                                                       _SET_OPERATORS):
-            return (self._set_valued(node.left, scope, attributes)
-                    or self._set_valued(node.right, scope, attributes))
+            return (self.set_valued(node.left, scopes, attributes)
+                    or self.set_valued(node.right, scopes, attributes))
         if isinstance(node, ast.Call):
             name = _call_name(node)
             if name in ("set", "frozenset"):
                 return True
             if name in _ORDER_KEEPING and node.args:
-                return self._set_valued(node.args[0], scope, attributes)
+                return self.set_valued(node.args[0], scopes, attributes)
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr in _SET_METHODS
-                    and self._set_valued(func.value, scope, attributes)):
+                    and self.set_valued(func.value, scopes, attributes)):
                 return True
-            return name in self._set_functions
+            return name in self.set_functions
         return False
+
+
+def _collect_set_annotations(body: list[ast.stmt], names: set[str],
+                             attributes: set[str]) -> None:
+    """Add the names and ``self.`` attributes that ``body``'s own
+    statements (not nested functions) annotate as sets."""
+    for statement in body:
+        for node in _own_nodes(statement):
+            if not (isinstance(node, ast.AnnAssign)
+                    and _is_set_annotation(node.annotation)):
+                continue
+            target = node.target
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+            elif (isinstance(target, ast.Attribute)
+                  and isinstance(target.value, ast.Name)
+                  and target.value.id == "self"):
+                attributes.add(target.attr)
 
 
 def _call_name(node: ast.Call) -> str:

@@ -241,7 +241,7 @@ def _chain_graph(services: list[str], read_only: bool) -> ServiceGraph:
     graph = ServiceGraph("chain")
     for service in services:
         graph.add_service(service, read_only=read_only)
-    for src, dst in zip(services, services[1:]):
+    for src, dst in zip(services, services[1:], strict=False):
         graph.add_edge(src, dst, default=True)
     graph.add_edge(services[-1], EXIT, default=True)
     graph.set_entry(services[0])
