@@ -25,36 +25,8 @@ buffers, NIC ports, and flow-table writes with an ownership ledger —
 which component holds each buffer at every instant — and flags
 double-releases, use-after-release, leaked buffers, and conflicting
 flow-entry writes, closing each run with a packet-conservation audit.
+
+Each layer is imported from its own module; this package re-exports
+nothing, so importing the dynamic layer loads neither the lint engine
+nor the profile extractor.
 """
-
-from repro.analysis.lint import LintViolation, lint_paths, lint_source
-from repro.analysis.ownership import (
-    HostVerifier,
-    OwnershipError,
-    OwnershipIssue,
-    OwnershipLedger,
-    VerifyReport,
-)
-from repro.analysis.profiles import (
-    ActionProfile,
-    chain_conflicts,
-    declared_profile,
-    infer_profile,
-    profile_of,
-)
-
-__all__ = [
-    "ActionProfile",
-    "HostVerifier",
-    "LintViolation",
-    "OwnershipError",
-    "OwnershipIssue",
-    "OwnershipLedger",
-    "VerifyReport",
-    "chain_conflicts",
-    "declared_profile",
-    "infer_profile",
-    "lint_paths",
-    "lint_source",
-    "profile_of",
-]

@@ -113,7 +113,7 @@ from repro.workloads import FlowSpec, PktGen
 
 # Correctness tooling (the dynamic layer of repro.analysis; the static
 # lint layer is the `tools/sdnfv_lint.py` CLI, not a library API)
-from repro.analysis import HostVerifier, OwnershipError, VerifyReport
+from repro.analysis.ownership import HostVerifier, OwnershipError, VerifyReport
 
 __all__ = [
     # kernel

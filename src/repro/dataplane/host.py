@@ -61,8 +61,9 @@ class NfvHost:
         # Opt-in ownership verification (repro.analysis.ownership): when
         # off — the default — no wrapper exists and the data plane runs
         # the exact unmodified class methods (zero overhead, see the
-        # verify-parity tests).  Imported lazily so the fast path never
-        # even loads the analysis package.
+        # verify-parity tests).  Imported lazily: the host module itself
+        # never loads the analysis package (``repro.api`` loads only the
+        # small ownership module, for its re-exports).
         self.verifier = None
         if verify:
             from repro.analysis.ownership import HostVerifier

@@ -824,12 +824,12 @@ class NfManager:
             if flow not in self._classified:
                 self._classify_first_contact(flow, entry)
             if self.lookup_cache:
-                if len(plans) >= _PLAN_CACHE_LIMIT:
-                    plans.pop(next(iter(plans)))
                 # Any plan still here is current: a stale one was
                 # deleted above.
                 plan = plans.get(flow)
                 if plan is None:
+                    if len(plans) >= _PLAN_CACHE_LIMIT:
+                        plans.pop(next(iter(plans)))
                     plans[flow] = [generation, {scope: entry}]
                 else:
                     plan[1][scope] = entry

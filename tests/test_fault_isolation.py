@@ -89,3 +89,19 @@ class TestPlanCacheBound:
         sim.run(until=50 * MS)
         assert len(host.manager._plans) <= 8
         assert host.stats.tx_packets == 50
+
+    def test_adding_a_scope_evicts_no_plan(self, sim, monkeypatch):
+        monkeypatch.setattr(manager_module, "_PLAN_CACHE_LIMIT", 2)
+        host = NfvHost(sim, name="h0", lookup_cache=True)
+        for scope in ("eth0", "svc"):
+            host.install_rule(FlowTableEntry(
+                scope=scope, match=FlowMatch.any(),
+                actions=(ToPort("eth1"),)))
+        a = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1000, 80)
+        b = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1001, 80)
+        classify = host.manager._classify
+        assert classify("eth0", a)[1] > 0
+        assert classify("eth0", b)[1] > 0
+        assert classify("svc", b)[1] > 0
+        # b's second scope joined b's plan, so a's plan is still cached.
+        assert classify("eth0", a)[1] == 0
