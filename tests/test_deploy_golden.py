@@ -13,8 +13,10 @@ The cases are the single-host video graph, Table 2's two exact-match
 deployments, ``auto_parallel`` over Firewall -> FlowMonitor ->
 DscpMarker -> Sampler, a hand-wired 2-host placement, a routed 3-host
 line whose middle host is a pure transit hop (proactive and reactive),
-and a hand-wired deploy through a :class:`ControlPlane`, snapshotted
-after one idle flow-setup round trip plus 1 ms.
+a hand-wired deploy through a :class:`ControlPlane`, and the routed
+counterparts of the last two: the same 2-host split over a built
+2-host network, with and without a :class:`ControlPlane`.  Controller
+cases are snapshotted after one idle flow-setup round trip plus 1 ms.
 
 Only per-host tables are pinned, never the order in which hosts were
 installed.  Regenerate (only for a deliberate behaviour change) with::
@@ -130,17 +132,23 @@ def case_two_host(sim):
     return app, hosts
 
 
-def routed_line(sim, proactive):
+def routed_app(sim, names, controller=None):
+    """An app over a built line of ``names`` (50 us links)."""
     topology = Topology()
-    names = ["h0", "h1", "h2"]
     for name in names:
         topology.add_node(NodeSpec(name=name, cores=2))
     for a, b in zip(names, names[1:]):
         topology.add_link(Link(a=a, b=b, delay_ns=50_000))
     network = build_network(sim, topology)
-    app = SdnfvApp(sim)
+    app = SdnfvApp(sim, controller=controller)
     for host in network.hosts.values():
+        host.manager.controller = controller
         app.register_host(host)
+    return app, network
+
+
+def routed_line(sim, proactive):
+    app, network = routed_app(sim, ["h0", "h1", "h2"])
     app.deploy(chain("routed", ["a", "b"], read_only=True),
                match=TEN_SLASH_8, placement={"a": "h0", "b": "h2"},
                network=network, proactive=proactive)
@@ -167,6 +175,25 @@ def case_controller(sim):
     return app, hosts
 
 
+def case_routed_two_host(sim):
+    app, network = routed_app(sim, ["host1", "host2"])
+    app.deploy(chain("split", ["a", "b", "c"], read_only=True),
+               match=TEN_SLASH_8, placement=dict(TWO_HOST_PLACEMENT),
+               network=network)
+    return app, dict(network.hosts)
+
+
+def case_routed_controller(sim):
+    controller = ControlPlane(sim)
+    app, network = routed_app(sim, ["host1", "host2"],
+                              controller=controller)
+    app.deploy(chain("split", ["a", "b", "c"], read_only=True),
+               match=TEN_SLASH_8, placement=dict(TWO_HOST_PLACEMENT),
+               network=network)
+    sim.run(until=controller.idle_lookup_ns + 1 * MS)
+    return app, dict(network.hosts)
+
+
 CASES = {
     "video": case_video,
     "table2": case_table2,
@@ -175,6 +202,8 @@ CASES = {
     "routed_proactive": case_routed_proactive,
     "routed_reactive": case_routed_reactive,
     "controller": case_controller,
+    "routed_two_host": case_routed_two_host,
+    "routed_controller": case_routed_controller,
 }
 
 
@@ -220,9 +249,11 @@ def test_golden_cases_exercise_the_cover(golden):
                    for host in ("h0", "h1", "h2"))
     assert golden["routed_reactive"]["h1"]["rules_for_covered"]
     assert golden["controller"]["host1"]["table"]
+    assert golden["routed_controller"]["host2"]["table"]
     assert golden["auto_parallel"]["h0"]["chains"]
     for name in ("table2", "two_host", "routed_proactive",
-                 "routed_reactive", "controller"):
+                 "routed_reactive", "controller", "routed_two_host",
+                 "routed_controller"):
         for host in golden[name].values():
             assert host["rules_for_uncovered"] == []
 
