@@ -3,9 +3,11 @@
 Run:  python examples/multi_host_chain.py
 
 The placement engine decides where each service of a J1–J3 chain runs;
-the SDNFV Application compiles per-host flow rules (edges that cross
-hosts become trunk-port forwards), and the Fabric carries frames between
-the hosts so the chain runs end to end.
+``build_network`` realizes the same topology as hosts joined by trunk
+ports over the Fabric; the SDNFV Application compiles per-host flow
+rules from the placement and the topology (an edge that crosses hosts
+becomes a trunk-port forward, and an arrival rule on the far trunk picks
+the chain up again), so the chain runs end to end.
 """
 
 from repro.core import EXIT, SdnfvApp, ServiceGraph
@@ -14,11 +16,10 @@ from repro.core.placement import (
     FlowRequest,
     PlacementProblem,
 )
-from repro.dataplane import NfvHost
 from repro.net import FiveTuple, Packet
 from repro.nfs import CounterNf
 from repro.sim import MS, Simulator
-from repro.topology import Fabric, Link, NodeSpec, Topology
+from repro.topology import Link, NodeSpec, Topology, build_network
 
 
 def main() -> None:
@@ -35,21 +36,13 @@ def main() -> None:
     mapping = result.placement_for(request)
     print("placement:", mapping)
 
-    # 2. Build the physical network.
+    # 2. Build the physical network from the same topology.
     sim = Simulator()
+    network = build_network(sim, topology)
     app = SdnfvApp(sim)
-    hosts = {}
-    for name in ("host1", "host2"):
-        hosts[name] = NfvHost(sim, name=name,
-                              ports=("eth0", "eth1", "trunk"))
-        app.register_host(hosts[name])
-    fabric = Fabric(sim)
+    hosts = network.hosts
     for host in hosts.values():
-        fabric.add_host(host)
-    fabric.connect("host1", "trunk", "host2", "eth0",
-                   bidirectional=False)
-    fabric.connect("host2", "trunk", "host1", "eth0",
-                   bidirectional=False)
+        app.register_host(host)
 
     # 3. Start the NFs where the placement put them, deploy the graph.
     nfs = {}
@@ -64,9 +57,7 @@ def main() -> None:
     graph.add_edge("J3", EXIT, default=True)
     graph.set_entry("J1")
     app.deploy(graph, ingress_port="eth0", exit_port="eth1",
-               placement=mapping,
-               inter_host_ports={("host1", "host2"): "trunk",
-                                 ("host2", "host1"): "trunk"})
+               placement=mapping, network=network)
 
     # 4. Traffic.
     exit_host = hosts[mapping["J3"]]
@@ -83,7 +74,7 @@ def main() -> None:
         print(f"  {service} on {mapping[service]}: "
               f"saw {nf.packets_seen} packets")
     print(f"frames carried by the inter-host fabric: "
-          f"{fabric.frames_carried}")
+          f"{network.fabric.frames_carried}")
     assert len(delivered) == 10
 
 

@@ -46,13 +46,11 @@ class GraphDeployment:
     ingress_port: str
     exit_port: str
     placement: dict[str, str] | None = None  # service -> host name
-    inter_host_ports: typing.Mapping[tuple[str, str], str] | None = None
     priority: int = 0
-    # Routed deployments (deploy(network=...)) remember the topology and
-    # the full host universe, so rules_for can recompile the routed cover
-    # (transit + arrival rules included) per host.
-    topology: typing.Any = None
-    host_names: tuple[str, ...] = ()
+    # Routed deployments (deploy(network=...)) remember their network:
+    # its topology and full host universe let rules_for recompile the
+    # routed cover (transit + arrival rules included) per host.
+    network: typing.Any = None
 
     def covers(self, flow: FiveTuple) -> bool:
         return self.match.matches(flow)
@@ -120,16 +118,14 @@ class SdnfvApp:
                ingress_port: str = "eth0", exit_port: str = "eth1",
                match: FlowMatch | None = None,
                placement: dict[str, str] | None = None,
-               inter_host_ports: typing.Mapping[
-                   tuple[str, str], str] | None = None,
                proactive: bool = True,
                priority: int = 0,
                auto_parallel: bool = False,
                network: typing.Any = None) -> GraphDeployment:
         """Instantiate a service graph.
 
-        The deployment's rule cover compiles once, here, so placement
-        errors surface at deploy time.  ``proactive=True`` marks every
+        The graph is validated and the deployment's rule cover compiles
+        once, here, so graph and placement errors surface at deploy time.  ``proactive=True`` marks every
         entry proactive and installs it on the hosts this build realizes,
         in compile order, before any traffic (the pre-populated tables of
         §4.1); with ``proactive=False`` nothing is installed and hosts
@@ -147,21 +143,26 @@ class SdnfvApp:
         declared bit.  The default (False) keeps the legacy behaviour
         bit-for-bit.
 
-        With ``network=`` (a :class:`repro.topology.BuiltNetwork`), the
-        deployment is *routed*: transit and arrival rules for non-adjacent
-        placements compile from the network's topology, ``placement`` is
-        required, and a partial build installs exactly its share of the
+        Without ``network=`` the graph runs whole on one host: the host
+        ``placement`` names, or, with no placement, every registered
+        host.  With ``network=`` (a :class:`repro.topology.BuiltNetwork`),
+        the deployment is *routed*: ``placement`` is required and may
+        span hosts, arrival and transit rules compile from the network's
+        topology, and a partial build installs exactly its share of the
         same global cover.
         """
+        graph.validate()  # even when no host is registered yet
         if network is None:
-            graph.validate()  # even when no host is registered yet
             hosts = self.hosts
-            topology = None
-            host_names: tuple[str, ...] = ()
-            unknown = set((placement or {}).values()) - set(hosts)
+            placed = set((placement or {}).values())
+            unknown = placed - set(hosts)
             if unknown:
                 raise DistributedDeploymentError(
                     f"placement names unregistered hosts {sorted(unknown)}")
+            if len(placed) > 1:
+                raise DistributedDeploymentError(
+                    f"placement spans hosts {sorted(placed)}; deploy it "
+                    "with network= so its cross-host edges are routed")
         else:
             if auto_parallel:
                 raise ValueError(
@@ -172,15 +173,11 @@ class SdnfvApp:
                 raise DistributedDeploymentError(
                     "deploy(network=...) needs placement=")
             hosts = network.hosts
-            topology = network.topology
-            inter_host_ports = network.inter_host_ports
-            host_names = network.all_hosts or tuple(network.hosts)
         deployment = GraphDeployment(
             graph=graph, match=match or FlowMatch.any(),
             ingress_port=ingress_port, exit_port=exit_port,
             placement=None if placement is None else dict(placement),
-            inter_host_ports=inter_host_ports, priority=priority,
-            topology=topology, host_names=host_names)
+            priority=priority, network=network)
         cover = self._cover(deployment, hosts)
         chains = () if auto_parallel else graph.parallel_chains()
         for host_name in dict.fromkeys(name for name, _entry in cover):
@@ -245,30 +242,31 @@ class SdnfvApp:
         to ``hosts``: what a proactive deploy installs and what a miss on
         one of those hosts is answered with.
 
-        Hand-wired deployments compile :meth:`ServiceGraph.compile_rules`
-        per involved host, in ``hosts`` order; routed ones compile the
-        whole topology-aware cover (transit and arrival rules included)
-        with :func:`compile_distributed_rules` and keep ``hosts``' share.
+        A routed deployment compiles its whole topology-aware cover
+        (transit and arrival rules included) and keeps ``hosts``' share.
+        An unrouted one compiles the graph whole on each involved host,
+        in ``hosts`` order, with every service placed on that host.
         """
-        if deployment.topology is not None:
-            return [(name, entry) for name, entry in compile_distributed_rules(
-                deployment.graph, deployment.placement,
-                topology=deployment.topology,
-                inter_host_ports=deployment.inter_host_ports,
-                host_names=deployment.host_names, match=deployment.match,
-                ingress_port=deployment.ingress_port,
-                exit_port=deployment.exit_port,
-                priority=deployment.priority) if name in hosts]
+        graph = deployment.graph
         placement = deployment.placement
-        return [(name, entry) for name in hosts
-                if placement is None or name in placement.values()
-                for entry in deployment.graph.compile_rules(
+        network = deployment.network
+        if network is not None:
+            runs = [(placement, network.all_hosts or tuple(network.hosts))]
+        else:
+            runs = [(placement or dict.fromkeys(graph.services, name),
+                     (name,))
+                    for name in hosts
+                    if placement is None or name in placement.values()]
+        return [(name, entry)
+                for run_placement, host_names in runs
+                for name, entry in compile_distributed_rules(
+                    graph, run_placement, host_names,
+                    topology=None if network is None else network.topology,
+                    match=deployment.match,
                     ingress_port=deployment.ingress_port,
                     exit_port=deployment.exit_port,
-                    match=deployment.match, placement=placement,
-                    host=None if placement is None else name,
-                    inter_host_ports=deployment.inter_host_ports,
-                    priority=deployment.priority)]
+                    priority=deployment.priority)
+                if name in hosts]
 
     def launch_nf(self, host: NfvHost | str,
                   nf_factory: typing.Callable[[], typing.Any],

@@ -1,8 +1,9 @@
 """Pure compilation of a placed service graph into per-host flow rules.
 
-The deployment *planning* half of a routed :meth:`SdnfvApp.deploy`: given
-a graph, a service→host placement, and the topology's routing maps, emit
-the ordered ``(host_name, FlowTableEntry)`` install sequence —
+The deployment *planning* half of :meth:`SdnfvApp.deploy`: given a graph,
+a service→host placement and, when the placement spans hosts, the
+topology that routes between them, emit the ordered
+``(host_name, FlowTableEntry)`` install sequence —
 
 - per-service rules on the hosts that own them,
 - the ingress rule on the entry service's host,
@@ -37,22 +38,25 @@ class DistributedDeploymentError(Exception):
 def compile_distributed_rules(
         graph: ServiceGraph,
         placement: typing.Mapping[str, str],
-        topology: Topology,
-        inter_host_ports: typing.Mapping[tuple[str, str], str],
         host_names: typing.Iterable[str],
+        topology: Topology | None = None,
         match: FlowMatch | None = None,
         ingress_port: str = "eth0",
         exit_port: str = "eth1",
         priority: int = 0) -> list[tuple[str, FlowTableEntry]]:
     """Compile a placed graph into an ordered install sequence.
 
+    ``graph`` must already be valid (:meth:`ServiceGraph.validate`).
     ``host_names`` is the full set of hosts the placement may target
     (every NFV host in the topology, not just the realized subset).
-    The returned order — transit rules in path-walk order first, then
-    each host's batch — is the order routed deployments have always
-    installed, so existing deployments see byte-identical flow tables.
+    ``topology`` routes the edges that cross hosts: a cross-host edge
+    leaves through the trunk ``to-<next hop>`` of the topology's
+    shortest path, and a placement that spans hosts without a topology
+    is rejected.  The returned order — transit rules in path-walk order
+    first, then each host's batch — is the order deployments have
+    always installed, so existing deployments see byte-identical flow
+    tables.
     """
-    graph.validate()
     match = match or FlowMatch.any()
     host_names = list(host_names)
     known = set(host_names)
@@ -71,15 +75,14 @@ def compile_distributed_rules(
     # (host, arrival_port) -> service, to detect conflicts.
     arrivals: dict[tuple[str, str], str] = {}
 
-    def port_toward(src_host: str, dst_host: str) -> str:
-        return inter_host_ports[(src_host, dst_host)]
+    def route(src_host: str, dst_host: str) -> list[str]:
+        if topology is None:
+            raise DistributedDeploymentError(
+                f"placement spans hosts {src_host!r} and {dst_host!r} but "
+                "no topology routes between them; deploy with network=")
+        return topology.shortest_path(src_host, dst_host)
 
-    def arrival_port(dst_host: str, src_host: str) -> str:
-        path = topology.shortest_path(src_host, dst_host)
-        return f"to-{path[-2]}"
-
-    def emit_transit(src_host: str, dst_host: str) -> None:
-        path = topology.shortest_path(src_host, dst_host)
+    def emit_transit(path: list[str]) -> None:
         for previous, current, nxt in zip(path, path[1:], path[2:],
                                           strict=False):
             transit.append((current, FlowTableEntry(
@@ -95,7 +98,7 @@ def compile_distributed_rules(
         dst_host = placement[dst]
         if src_host == dst_host:
             return ToService(dst)
-        return ToPort(port_toward(src_host, dst_host))
+        return ToPort(f"to-{route(src_host, dst_host)[1]}")
 
     # Ingress rule on the entry host.
     entry_host = placement[graph.entry]
@@ -115,8 +118,9 @@ def compile_distributed_rules(
             upstream_host = placement[upstream]
             if upstream_host == host_name:
                 continue
-            emit_transit(upstream_host, host_name)
-            port = arrival_port(host_name, upstream_host)
+            path = route(upstream_host, host_name)
+            emit_transit(path)
+            port = f"to-{path[-2]}"
             key = (host_name, port)
             existing = arrivals.get(key)
             if existing is None:

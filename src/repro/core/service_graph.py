@@ -8,7 +8,8 @@ edge per vertex as the *default* path (the thick edges of Fig. 3); NFs may
 pick any other edge per packet.
 
 Two sentinel vertices terminate graphs: :data:`EXIT` (leave via the egress
-port) and :data:`DROP` (discard).
+port) and :data:`DROP` (discard).  A graph knows nothing of hosts or flow
+rules: :mod:`repro.core.deploy_rules` compiles a placed graph into rules.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ import dataclasses
 import typing
 
 import networkx as nx
-
-from repro.dataplane.actions import Destination, Drop, ToPort, ToService
-from repro.dataplane.flow_table import FlowTableEntry
-from repro.net.flow import FlowMatch
 
 EXIT = "__exit__"
 DROP = "__drop__"
@@ -154,83 +151,6 @@ class ServiceGraph:
                             for edge in self.out_edges(service))]
         if not terminals:
             raise ValueError("no path reaches EXIT or DROP")
-
-    # ------------------------------------------------------------------
-    # Compilation to flow rules (§3.3 "NF Manager Flow Tables")
-    # ------------------------------------------------------------------
-    def compile_rules(self, ingress_port: str, exit_port: str,
-                      match: FlowMatch | None = None,
-                      placement: typing.Mapping[str, str] | None = None,
-                      host: str | None = None,
-                      inter_host_ports: typing.Mapping[
-                          tuple[str, str], str] | None = None,
-                      priority: int = 0) -> list[FlowTableEntry]:
-        """Compile this graph into flow-table entries.
-
-        Single-host usage: leave ``placement``/``host`` unset and every
-        vertex compiles into one rule on the calling host.
-
-        Multi-host usage: ``placement`` maps service → host name, ``host``
-        selects whose rules to emit, and ``inter_host_ports`` maps
-        ``(this_host, next_host)`` → local NIC port toward that host.
-        Edges crossing hosts compile into ToPort actions; the ingress rule
-        on the next host is emitted when compiling *that* host with the
-        same arguments.
-        """
-        self.validate()
-        match = match or FlowMatch.any()
-        rules: list[FlowTableEntry] = []
-
-        def resolve(src: str, dst: str) -> Destination:
-            if dst == EXIT:
-                return ToPort(exit_port)
-            if dst == DROP:
-                return Drop()
-            if placement is not None and host is not None:
-                dst_host = placement[dst]
-                if dst_host != host:
-                    if inter_host_ports is None:
-                        raise ValueError(
-                            "placement crosses hosts but no "
-                            "inter_host_ports given")
-                    return ToPort(inter_host_ports[(host, dst_host)])
-            return ToService(dst)
-
-        local = [service for service in self.services
-                 if placement is None or host is None
-                 or placement[service] == host]
-
-        entry_host = (placement[self.entry]
-                      if placement is not None else None)
-        if placement is None or host is None or entry_host == host:
-            rules.append(FlowTableEntry(
-                scope=ingress_port, match=match,
-                actions=(resolve("", self.entry),), priority=priority))
-        else:
-            # Packets arriving from an upstream host enter mid-graph: give
-            # the ingress port a rule routing to the first local service
-            # reachable along the default path.
-            successor = self._first_local_default(placement, host)
-            if successor is not None:
-                rules.append(FlowTableEntry(
-                    scope=ingress_port, match=match,
-                    actions=(ToService(successor),), priority=priority))
-
-        for service in local:
-            actions = tuple(resolve(service, edge.dst)
-                            for edge in self.out_edges(service))
-            rules.append(FlowTableEntry(scope=service, match=match,
-                                        actions=actions, priority=priority))
-        return rules
-
-    def _first_local_default(self, placement: typing.Mapping[str, str],
-                             host: str) -> str | None:
-        node = self.entry
-        while node not in _SENTINELS:
-            if placement[node] == host:
-                return node
-            node = self.default_successor(node)
-        return None
 
     # ------------------------------------------------------------------
     # Parallel-chain detection (§3.3)

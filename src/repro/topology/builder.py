@@ -3,9 +3,8 @@
 Bridges the planning world (``repro.topology.Topology``, the placement
 engine) and the running world (``NfvHost`` + ``Fabric``): every NFV-host
 node becomes a simulated host, every topology link becomes a pair of
-trunk ports patched through the fabric, and the returned
-``inter_host_ports`` map plugs straight into
-:meth:`repro.core.app.SdnfvApp.deploy`.
+trunk ports patched through the fabric, and the returned network plugs
+straight into :meth:`repro.core.app.SdnfvApp.deploy` (``network=``).
 
 Partial builds (``only_hosts=``) realize just a subset of the NFV hosts
 — one shard's share of the network.  Links whose far end is unrealized

@@ -38,22 +38,27 @@ def app_env(sim):
     return app, controller, orchestrator, host
 
 
-#: Deploys a 4-host chain and prints its rule_install (host, scope)
-#: sequence as JSON.
+#: Deploys a chain over a built 4-host line and prints its rule_install
+#: (host, scope) sequence as JSON.
 DEPLOY_ORDER_SCRIPT = """
 import json
 from repro.core import EXIT, SdnfvApp, ServiceGraph
-from repro.dataplane import NfvHost
 from repro.metrics import EventLog
 from repro.sim import Simulator
+from repro.topology import Link, NodeSpec, Topology, build_network
 
 sim = Simulator()
 app = SdnfvApp(sim)
 app.attach_event_log(EventLog(sim))
 names = ["west", "east", "north", "south"]
+topology = Topology()
 for name in names:
-    app.register_host(NfvHost(sim, name=name,
-                              ports=("eth0", "eth1", "trunk")))
+    topology.add_node(NodeSpec(name=name, cores=2))
+for src, dst in zip(names, names[1:]):
+    topology.add_link(Link(a=src, b=dst))
+network = build_network(sim, topology)
+for host in network.hosts.values():
+    app.register_host(host)
 services = ["a", "b", "c", "d"]
 graph = ServiceGraph("four-hosts")
 for service in services:
@@ -61,9 +66,7 @@ for service in services:
 for src, dst in zip(services, services[1:] + [EXIT]):
     graph.add_edge(src, dst, default=True)
 graph.set_entry("a")
-app.deploy(graph, placement=dict(zip(services, names)),
-           inter_host_ports={(src, dst): "trunk" for src in names
-                             for dst in names if src != dst})
+app.deploy(graph, placement=dict(zip(services, names)), network=network)
 print(json.dumps([[event.host, event.get("scope")] for event
                   in app.event_log.filter(category="rule_install")]))
 """
@@ -123,8 +126,9 @@ class TestDeployment:
             app.register_host(host)
 
     def test_install_order_is_registration_order_under_any_hash_seed(self):
-        """Hosts install in app registration order, so the sequence of
-        rule installs does not depend on ``PYTHONHASHSEED``."""
+        """Hosts install in the order their topology registered them,
+        so the sequence of rule installs does not depend on
+        ``PYTHONHASHSEED``."""
         env = dict(os.environ)
         src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -11,12 +11,11 @@ Each case deploys one or more service graphs and pins, for every host:
 
 The cases are the single-host video graph, Table 2's two exact-match
 deployments, ``auto_parallel`` over Firewall -> FlowMonitor ->
-DscpMarker -> Sampler, a hand-wired 2-host placement, a routed 3-host
-line whose middle host is a pure transit hop (proactive and reactive),
-a hand-wired deploy through a :class:`ControlPlane`, and the routed
-counterparts of the last two: the same 2-host split over a built
-2-host network, with and without a :class:`ControlPlane`.  Controller
-cases are snapshotted after one idle flow-setup round trip plus 1 ms.
+DscpMarker -> Sampler, a routed 3-host line whose middle host is a
+pure transit hop (proactive and reactive), and a 2-host split over a
+built 2-host network, without and with a :class:`ControlPlane`; the
+controller case is snapshotted after one idle flow-setup round trip
+plus 1 ms.
 
 Only per-host tables are pinned, never the order in which hosts were
 installed.  Regenerate (only for a deliberate behaviour change) with::
@@ -81,12 +80,11 @@ def video_graph() -> ServiceGraph:
     return graph
 
 
-def app_with_hosts(sim, names, controller=None, **host_kwargs):
-    app = SdnfvApp(sim, controller=controller)
+def app_with_hosts(sim, names):
+    app = SdnfvApp(sim)
     hosts = {}
     for name in names:
-        hosts[name] = NfvHost(sim, name=name, controller=controller,
-                              **host_kwargs)
+        hosts[name] = NfvHost(sim, name=name)
         app.register_host(hosts[name])
     return app, hosts
 
@@ -120,16 +118,6 @@ def case_auto_parallel(sim):
 
 
 TWO_HOST_PLACEMENT = {"a": "host1", "b": "host1", "c": "host2"}
-TWO_HOST_PORTS = {("host1", "host2"): "trunk", ("host2", "host1"): "trunk"}
-
-
-def case_two_host(sim):
-    app, hosts = app_with_hosts(sim, ["host1", "host2"],
-                                ports=("eth0", "eth1", "trunk"))
-    app.deploy(chain("split", ["a", "b", "c"], read_only=True),
-               match=TEN_SLASH_8, placement=dict(TWO_HOST_PLACEMENT),
-               inter_host_ports=TWO_HOST_PORTS)
-    return app, hosts
 
 
 def routed_app(sim, names, controller=None):
@@ -163,18 +151,6 @@ def case_routed_reactive(sim):
     return routed_line(sim, proactive=False)
 
 
-def case_controller(sim):
-    controller = ControlPlane(sim)
-    app, hosts = app_with_hosts(sim, ["host1", "host2"],
-                                controller=controller,
-                                ports=("eth0", "eth1", "trunk"))
-    app.deploy(chain("split", ["a", "b", "c"], read_only=True),
-               match=TEN_SLASH_8, placement=dict(TWO_HOST_PLACEMENT),
-               inter_host_ports=TWO_HOST_PORTS)
-    sim.run(until=controller.idle_lookup_ns + 1 * MS)
-    return app, hosts
-
-
 def case_routed_two_host(sim):
     app, network = routed_app(sim, ["host1", "host2"])
     app.deploy(chain("split", ["a", "b", "c"], read_only=True),
@@ -198,10 +174,8 @@ CASES = {
     "video": case_video,
     "table2": case_table2,
     "auto_parallel": case_auto_parallel,
-    "two_host": case_two_host,
     "routed_proactive": case_routed_proactive,
     "routed_reactive": case_routed_reactive,
-    "controller": case_controller,
     "routed_two_host": case_routed_two_host,
     "routed_controller": case_routed_controller,
 }
@@ -248,12 +222,10 @@ def test_golden_cases_exercise_the_cover(golden):
     assert not any(golden["routed_reactive"][host]["table"]
                    for host in ("h0", "h1", "h2"))
     assert golden["routed_reactive"]["h1"]["rules_for_covered"]
-    assert golden["controller"]["host1"]["table"]
     assert golden["routed_controller"]["host2"]["table"]
     assert golden["auto_parallel"]["h0"]["chains"]
-    for name in ("table2", "two_host", "routed_proactive",
-                 "routed_reactive", "controller", "routed_two_host",
-                 "routed_controller"):
+    for name in ("table2", "routed_proactive", "routed_reactive",
+                 "routed_two_host", "routed_controller"):
         for host in golden[name].values():
             assert host["rules_for_uncovered"] == []
 

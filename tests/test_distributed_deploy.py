@@ -127,6 +127,16 @@ class TestValidationAndConflicts:
         with pytest.raises(DistributedDeploymentError, match="placement"):
             app.deploy(graph, network=network)
 
+    def test_multi_host_placement_needs_network(self, sim, env):
+        """Only a routed deploy may split a graph across hosts."""
+        app, network = env(2)
+        graph = linear_graph(["a", "b"])
+        with pytest.raises(DistributedDeploymentError, match="network="):
+            app.deploy(graph, placement={"a": "h0", "b": "h1"})
+        assert not app.deployments
+        assert not any(len(host.flow_table)
+                       for host in network.hosts.values())
+
     def test_arrival_port_conflict_detected(self, sim, env):
         """Two services on h1 each fed from h0 would need the same
         arrival port to dispatch differently — rejected."""

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EXIT, SdnfvApp, ServiceGraph
+from repro.core import (
+    EXIT,
+    SdnfvApp,
+    ServiceGraph,
+    compile_distributed_rules,
+)
 from repro.core.placement import (
     FlowRequest,
     MilpSolver,
@@ -99,7 +104,8 @@ class TestBuildNetwork:
         assert len(out) == 1
 
     def test_graph_deployed_over_built_network(self, sim, flow):
-        """SdnfvApp.deploy consumes the builder's port map directly."""
+        """SdnfvApp.deploy(network=) routes a split chain end to end:
+        h1's arrival rule comes from the same compile, not by hand."""
         topology, _names = line_of_hosts(2)
         network = build_network(sim, topology)
         app = SdnfvApp(sim)
@@ -114,15 +120,11 @@ class TestBuildNetwork:
         graph.add_edge("b", EXIT, default=True)
         graph.set_entry("a")
         app.deploy(graph, ingress_port="eth0", exit_port="eth1",
-                   placement={"a": "h0", "b": "h1"},
-                   inter_host_ports=network.inter_host_ports)
-        # Wire the trunk arrival to the mid-graph ingress rule: packets
-        # from h0 land on h1's to-h0 port.
-        rules = graph.compile_rules(
-            ingress_port="to-h0", exit_port="eth1",
-            placement={"a": "h0", "b": "h1"}, host="h1",
-            inter_host_ports=network.inter_host_ports)
-        network.host("h1").install_rules(rules)
+                   placement={"a": "h0", "b": "h1"}, network=network)
+        arrival = next(entry for entry
+                       in network.host("h1").flow_table.entries()
+                       if entry.scope == "to-h0")
+        assert arrival.actions == (ToService("b"),)
         out = []
         network.host("h1").port("eth1").on_egress = out.append
         network.host("h0").inject("eth0", Packet(flow=flow, size=128))
@@ -304,8 +306,8 @@ class TestCompileProperties:
             graph.add_edge(a, b, default=True)
         graph.add_edge(names[-1], EXIT, default=True)
         graph.set_entry(names[0])
-        rules = graph.compile_rules(ingress_port="eth0",
-                                    exit_port="eth1")
+        rules = [entry for _host, entry in compile_distributed_rules(
+            graph, dict.fromkeys(names, "h0"), ("h0",))]
         scopes = {rule.scope for rule in rules}
         assert scopes == set(names) | {"eth0"}
         # Each vertex rule's default matches its default edge.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EXIT, ServiceGraph
+from repro.core import EXIT, ServiceGraph, compile_distributed_rules
 from repro.dataplane import Drop, FlowTableEntry, NfvHost, ToPort, Verdict
 from repro.net import FiveTuple, FlowMatch, HttpRequest, HttpResponse, Packet
 from repro.net.flow import FlowMatch as FM
@@ -77,9 +77,9 @@ class TestGraphCompilePriority:
         graph.add_service("a")
         graph.add_edge("a", EXIT, default=True)
         graph.set_entry("a")
-        rules = graph.compile_rules(ingress_port="eth0",
-                                    exit_port="eth1", priority=7)
-        assert all(rule.priority == 7 for rule in rules)
+        rules = compile_distributed_rules(graph, {"a": "h0"}, ("h0",),
+                                          priority=7)
+        assert all(rule.priority == 7 for _host, rule in rules)
 
 
 class TestDropActionInRules:

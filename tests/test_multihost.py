@@ -3,7 +3,12 @@ the placement → deployment bridge."""
 
 import pytest
 
-from repro.core import EXIT, SdnfvApp, ServiceGraph
+from repro.core import (
+    EXIT,
+    SdnfvApp,
+    ServiceGraph,
+    compile_distributed_rules,
+)
 from repro.core.placement import (
     DivisionSolver,
     FlowRequest,
@@ -13,8 +18,7 @@ from repro.dataplane import NfvHost
 from repro.net import FiveTuple, FlowMatch, Packet
 from repro.nfs import CounterNf, NoOpNf
 from repro.sim import MS
-from repro.topology import Fabric
-from repro.topology import Link, NodeSpec, Topology
+from repro.topology import Fabric, Link, NodeSpec, Topology, build_network
 
 
 def two_host_graph():
@@ -29,18 +33,21 @@ def two_host_graph():
     return graph
 
 
+def two_host_topology():
+    topology = Topology()
+    for name in ("host1", "host2"):
+        topology.add_node(NodeSpec(name=name, cores=2))
+    topology.add_link(Link(a="host1", b="host2"))
+    return topology
+
+
 @pytest.fixture
 def two_hosts(sim):
+    network = build_network(sim, two_host_topology())
     app = SdnfvApp(sim)
-    host1 = NfvHost(sim, name="host1", ports=("eth0", "eth1", "trunk"))
-    host2 = NfvHost(sim, name="host2", ports=("eth0", "eth1", "trunk"))
-    app.register_host(host1)
-    app.register_host(host2)
-    fabric = Fabric(sim)
-    fabric.add_host(host1)
-    fabric.add_host(host2)
-    fabric.connect("host1", "trunk", "host2", "eth0")
-    return app, host1, host2, fabric
+    for host in network.hosts.values():
+        app.register_host(host)
+    return app, network
 
 
 class TestFabric:
@@ -91,23 +98,22 @@ class TestFabric:
 
 class TestMultiHostDeployment:
     def test_chain_split_across_hosts(self, sim, two_hosts, flow):
-        app, host1, host2, fabric = two_hosts
+        _app, network = two_hosts
+        host1, host2 = network.host("host1"), network.host("host2")
         host1.add_nf(CounterNf("a"))
         host1.add_nf(CounterNf("b"))
         c_nf = CounterNf("c")
         host2.add_nf(c_nf)
         graph = two_host_graph()
+        graph.validate()
         placement = {"a": "host1", "b": "host1", "c": "host2"}
-        ports = {("host1", "host2"): "trunk",
-                 ("host2", "host1"): "trunk"}
-        # Compile each host's share.  host2's ingress for this graph is
-        # the port where the trunk lands (eth0).
-        host1.install_rules(graph.compile_rules(
-            ingress_port="eth0", exit_port="eth1", placement=placement,
-            host="host1", inter_host_ports=ports))
-        host2.install_rules(graph.compile_rules(
-            ingress_port="eth0", exit_port="eth1", placement=placement,
-            host="host2", inter_host_ports=ports))
+        # Install the compiled cover by hand: b's edge to c leaves
+        # host1 on its trunk, and host2's arrival rule on the trunk's
+        # far end (to-host1) hands packets to c.
+        for name, entry in compile_distributed_rules(
+                graph, placement, network.all_hosts,
+                topology=network.topology):
+            network.host(name).install_rule(entry)
         out = []
         host2.port("eth1").on_egress = out.append
         for _ in range(5):
@@ -117,18 +123,18 @@ class TestMultiHostDeployment:
         assert host1.stats.per_service_packets["a"] == 5
         assert host1.stats.per_service_packets["b"] == 5
         assert c_nf.packets_seen == 5
-        assert fabric.frames_carried == 5
+        assert network.fabric.frames_carried == 5
 
     def test_app_deploy_with_placement(self, sim, two_hosts, flow):
-        app, host1, host2, _fabric = two_hosts
+        app, network = two_hosts
+        host1, host2 = network.host("host1"), network.host("host2")
         host1.add_nf(NoOpNf("a"))
         host1.add_nf(NoOpNf("b"))
         host2.add_nf(NoOpNf("c"))
         graph = two_host_graph()
         app.deploy(graph, ingress_port="eth0", exit_port="eth1",
                    placement={"a": "host1", "b": "host1", "c": "host2"},
-                   inter_host_ports={("host1", "host2"): "trunk",
-                                     ("host2", "host1"): "trunk"})
+                   network=network)
         out = []
         host2.port("eth1").on_egress = out.append
         for _ in range(3):
@@ -139,13 +145,9 @@ class TestMultiHostDeployment:
 
 class TestPlacementBridge:
     def _problem(self):
-        topology = Topology()
-        for name in ("host1", "host2"):
-            topology.add_node(NodeSpec(name=name, cores=2))
-        topology.add_link(Link(a="host1", b="host2"))
         flow = FlowRequest(flow_id="f0", entry="host1", exit="host2",
                            chain=("a", "b", "c"), bandwidth_gbps=0.1)
-        return PlacementProblem(topology=topology, flows=[flow],
+        return PlacementProblem(topology=two_host_topology(), flows=[flow],
                                 flows_per_core={"a": 4, "b": 4, "c": 4})
 
     def test_placement_for_yields_service_map(self):
@@ -172,26 +174,17 @@ class TestPlacementBridge:
                                 time_limit_per_batch_s=10).solve(problem)
         mapping = result.placement_for(problem.flows[0])
 
+        network = build_network(sim, problem.topology)
         app = SdnfvApp(sim)
-        hosts = {}
-        for name in ("host1", "host2"):
-            hosts[name] = NfvHost(sim, name=name,
-                                  ports=("eth0", "eth1", "trunk"))
-            app.register_host(hosts[name])
-        fabric = Fabric(sim)
+        hosts = network.hosts
         for host in hosts.values():
-            fabric.add_host(host)
-        fabric.connect("host1", "trunk", "host2", "eth0")
-        fabric.connect("host2", "trunk", "host1", "eth0",
-                       bidirectional=False)
+            app.register_host(host)
         for service, node in mapping.items():
             hosts[node].add_nf(NoOpNf(service))
 
         graph = two_host_graph()
         app.deploy(graph, ingress_port="eth0", exit_port="eth1",
-                   placement=mapping,
-                   inter_host_ports={("host1", "host2"): "trunk",
-                                     ("host2", "host1"): "trunk"})
+                   placement=mapping, network=network)
         exit_host = hosts[mapping["c"]]
         out = []
         exit_host.port("eth1").on_egress = out.append

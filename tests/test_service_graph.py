@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core import DROP, EXIT, ServiceGraph
+from repro.core import (
+    DROP,
+    EXIT,
+    DistributedDeploymentError,
+    SdnfvApp,
+    ServiceGraph,
+    compile_distributed_rules,
+)
 from repro.dataplane import Drop, ToPort, ToService
 from repro.net import FlowMatch
+from repro.topology import Link, NodeSpec, Topology
 
 
 def anomaly_graph():
@@ -156,10 +164,15 @@ class TestQueries:
         assert graph.predecessors("ids") == ["ddos"]
 
 
+def compile_on_one_host(graph, **kwargs):
+    """The graph's rules with every service on one host, in order."""
+    return [entry for _host, entry in compile_distributed_rules(
+        graph, dict.fromkeys(graph.services, "h0"), ("h0",), **kwargs)]
+
+
 class TestCompilation:
     def test_single_host_rules(self, flow):
-        rules = video_graph().compile_rules(ingress_port="eth0",
-                                            exit_port="eth1")
+        rules = compile_on_one_host(video_graph())
         by_scope = {rule.scope: rule for rule in rules}
         assert by_scope["eth0"].actions == (ToService("vd"),)
         assert by_scope["vd"].actions == (ToService("pe"), ToPort("eth1"))
@@ -168,50 +181,56 @@ class TestCompilation:
         assert by_scope["cache"].actions == (ToPort("eth1"),)
 
     def test_drop_edges_compile_to_drop(self):
-        rules = anomaly_graph().compile_rules(ingress_port="eth0",
-                                              exit_port="eth1")
+        rules = compile_on_one_host(anomaly_graph())
         scrubber = next(rule for rule in rules if rule.scope == "scrubber")
         assert scrubber.actions == (ToPort("eth1"), Drop())
 
     def test_match_propagates_to_all_rules(self, flow):
         match = FlowMatch(dst_port=80)
-        rules = video_graph().compile_rules(ingress_port="eth0",
-                                            exit_port="eth1", match=match)
+        rules = compile_on_one_host(video_graph(), match=match)
         assert all(rule.match == match for rule in rules)
 
-    def test_compile_validates_graph(self):
+    def test_compile_validates_graph(self, sim):
+        """The deploy that compiles a graph validates it first."""
         graph = ServiceGraph("g")
         graph.add_service("a")
         with pytest.raises(ValueError):
-            graph.compile_rules(ingress_port="eth0", exit_port="eth1")
+            SdnfvApp(sim).deploy(graph)
 
     def test_multi_host_split(self):
         """Fig. 3's two-host deployment: edges crossing hosts become
-        port actions; the downstream ingress picks up mid-graph."""
+        port actions; an arrival rule on the trunk picks up mid-graph."""
+        graph = video_graph()
+        placement = {"vd": "host1", "pe": "host1", "tc": "host1",
+                     "cache": "host2"}
+        topology = Topology()
+        for name in ("host1", "host2"):
+            topology.add_node(NodeSpec(name=name, cores=2))
+        topology.add_link(Link(a="host1", b="host2"))
+        rules = compile_distributed_rules(
+            graph, placement, ("host1", "host2"), topology=topology)
+        by_scope1 = {rule.scope: rule for host, rule in rules
+                     if host == "host1"}
+        assert by_scope1["eth0"].actions == (ToService("vd"),)
+        # Both edges into cache cross to host2 via the trunk.
+        assert by_scope1["pe"].actions == (ToService("tc"),
+                                           ToPort("to-host2"))
+        assert by_scope1["tc"].actions == (ToPort("to-host2"),)
+        assert "cache" not in by_scope1
+
+        by_scope2 = {rule.scope: rule for host, rule in rules
+                     if host == "host2"}
+        # Packets arriving from host1 go to cache, the service there.
+        assert by_scope2["to-host1"].actions == (ToService("cache"),)
+        assert by_scope2["cache"].actions == (ToPort("eth1"),)
+        assert set(by_scope2) == {"to-host1", "cache"}
+
+    def test_split_without_topology_rejected(self):
         graph = video_graph()
         placement = {"vd": "host1", "pe": "host1",
                      "tc": "host2", "cache": "host2"}
-        ports = {("host1", "host2"): "trunk1",
-                 ("host2", "host1"): "trunk2"}
-        rules1 = graph.compile_rules(
-            ingress_port="eth0", exit_port="eth1", placement=placement,
-            host="host1", inter_host_ports=ports)
-        by_scope1 = {rule.scope: rule for rule in rules1}
-        assert by_scope1["eth0"].actions == (ToService("vd"),)
-        # pe's default edge (tc) crosses to host2 via the trunk.
-        assert by_scope1["pe"].actions[0] == ToPort("trunk1")
-        assert "tc" not in by_scope1
-
-        rules2 = graph.compile_rules(
-            ingress_port="trunk2", exit_port="eth1", placement=placement,
-            host="host2", inter_host_ports=ports)
-        by_scope2 = {rule.scope: rule for rule in rules2}
-        #
-
-        # Packets arriving on host2 head to the first local default hop.
-        assert by_scope2["trunk2"].actions == (ToService("tc"),)
-        assert by_scope2["tc"].actions == (ToService("cache"),)
-        assert by_scope2["cache"].actions == (ToPort("eth1"),)
+        with pytest.raises(DistributedDeploymentError, match="network="):
+            compile_distributed_rules(graph, placement, ("host1", "host2"))
 
 
 class TestParallelChains:
