@@ -79,6 +79,8 @@ class PriorityNicPort(NicPort):
             self._kick.try_put(None)
         else:
             self.tx_dropped += 1
+            if packet.pool is not None:
+                packet.free()
 
     def _drain(self):
         """Strict priority: always pick the most urgent waiting frame."""

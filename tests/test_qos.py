@@ -11,6 +11,7 @@ from repro.dataplane.qos import (
     dscp_to_priority,
 )
 from repro.net import FiveTuple, FlowMatch, Packet
+from repro.net.mempool import PacketPool
 from repro.net.headers import PROTO_TCP, PROTO_UDP
 from repro.nfs import DscpMarker, MarkingRule
 from repro.nfs.base import NfContext
@@ -131,6 +132,20 @@ class TestPriorityPort:
         for _ in range(5):
             port.transmit(Packet(flow=flow, size=1024))
         assert port.tx_dropped == 3
+
+    def test_queue_overflow_frees_pooled_frames(self, sim):
+        """A pooled frame dropped at a full queue goes back to its pool."""
+        pool = PacketPool(capacity=8)
+        port = PriorityNicPort(sim, "p3", line_rate_gbps=0.001,
+                               queue_frames=2)
+        port.on_egress = lambda packet: packet.free()
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1, 80)
+        for _ in range(5):
+            port.transmit(pool.alloc(flow, size=1024))
+        sim.run(until=1 * S)
+        assert port.tx_dropped == 3
+        assert port.tx_packets == 2
+        assert pool.in_flight == 0
 
     def test_end_to_end_marking_and_scheduling(self, sim):
         """Marker NF + priority egress inside a full host: latency of
