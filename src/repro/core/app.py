@@ -314,16 +314,21 @@ class SdnfvApp:
         if isinstance(message, UserMessage):
             return True
         if isinstance(message, ChangeDefault):
-            for deployment in self.deployments:
-                graph = deployment.graph
-                if not graph.has_service(message.service):
-                    continue
-                if message.target.startswith("port:"):
-                    return graph.has_edge(message.service, EXIT)
-                if message.target == "drop":
-                    return True
-                return graph.has_edge(message.service, message.target)
-            return False
+            # Every deployment whose rules the message may rewrite must
+            # have the edge: those holding the service and, for one
+            # exact flow, covering it.
+            service = message.service
+            exact = message.flows.exact_key()
+            graphs = [deployment.graph for deployment in self.deployments
+                      if deployment.graph.has_service(service)
+                      and (exact is None or deployment.covers(exact))]
+            if not graphs:
+                return False
+            if message.target == "drop":
+                return True
+            target = (EXIT if message.target.startswith("port:")
+                      else message.target)
+            return all(graph.has_edge(service, target) for graph in graphs)
         if isinstance(message, (SkipMe, RequestMe)):
             return any(deployment.graph.has_service(message.service)
                        for deployment in self.deployments)

@@ -247,6 +247,59 @@ class TestValidation:
         sim.run(until=10 * MS)
         assert len(app.rejected_messages) == 1
 
+    @staticmethod
+    def _two_graph_env(sim, first_edge_to_t):
+        """Two deployments of service s: one over dst port 80, one over
+        443; only one of them has an s->t edge."""
+        app = SdnfvApp(sim, trust_nfs=False)
+        host = NfvHost(sim, name="h0")
+        app.register_host(host)
+        for name in ("s", "t"):
+            host.add_nf(NoOpNf(name))
+        with_edge = ServiceGraph("with-edge")
+        with_edge.add_service("s")
+        with_edge.add_service("t")
+        with_edge.add_edge("s", EXIT, default=True)
+        with_edge.add_edge("s", "t")
+        with_edge.add_edge("t", EXIT, default=True)
+        with_edge.set_entry("s")
+        without_edge = ServiceGraph("without-edge")
+        without_edge.add_service("s")
+        without_edge.add_edge("s", EXIT, default=True)
+        without_edge.set_entry("s")
+        graphs = ((with_edge, without_edge) if first_edge_to_t
+                  else (without_edge, with_edge))
+        for graph, dst_port in zip(graphs, (80, 443)):
+            app.deploy(graph, match=FlowMatch(dst_port=dst_port))
+        return app, host
+
+    @staticmethod
+    def _change_s_to_t(app, sim, flows):
+        app.hosts["h0"].manager.submit_nf_message(ChangeDefault(
+            sender_service="s", flows=flows, service="s", target="t"))
+        sim.run(until=10 * MS)
+        return not app.rejected_messages
+
+    def test_change_default_judged_by_covering_deployment(self, sim):
+        """The edge is in the deployment covering the flow, not the
+        first deployment holding the service: permitted."""
+        app, _host = self._two_graph_env(sim, first_edge_to_t=False)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1234, 443)
+        assert self._change_s_to_t(app, sim, FlowMatch.exact(flow))
+
+    def test_change_default_needs_edge_in_covering_deployment(self, sim):
+        """The first deployment holding the service has the edge, but
+        the one covering the flow does not: rejected."""
+        app, _host = self._two_graph_env(sim, first_edge_to_t=True)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1234, 443)
+        assert not self._change_s_to_t(app, sim, FlowMatch.exact(flow))
+
+    def test_wildcard_change_default_needs_edge_everywhere(self, sim):
+        """A wildcard message reaches every deployment holding the
+        service, so each of them must have the edge."""
+        app, _host = self._two_graph_env(sim, first_edge_to_t=True)
+        assert not self._change_s_to_t(app, sim, FlowMatch.any())
+
     def test_skipme_for_unknown_service_rejected(self, sim):
         app, host = self._untrusted_env(sim)
         host.manager.submit_nf_message(SkipMe(
