@@ -62,7 +62,6 @@ from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
 from repro.nfs import NoOpNf
 from repro.sim.simulator import Simulator
-from repro.sim.units import US
 from repro.topology.builder import BoundaryWire, BuiltNetwork, build_network
 from repro.topology.nodes import NodeKind
 from repro.topology.topology import Topology
@@ -110,8 +109,9 @@ class Scenario:
     """A complete, self-contained description of one multi-host run.
 
     Everything a shard needs to rebuild its share of the world: the
-    topology, the placed service graph, NF factories (callables taking
-    the service id — classes like :class:`repro.nfs.NoOpNf` work as-is),
+    topology, the placed service graph, the NF factory (a callable
+    taking the service id — classes like :class:`repro.nfs.NoOpNf` work
+    as-is),
     traffic, faults, and the normalized construction kwargs shared with
     :func:`repro.topology.build_network` and :class:`NfvHost`.  Must be
     picklable for ``workers > 0``.
@@ -123,8 +123,6 @@ class Scenario:
     duration_ns: int
     traffic: list[TrafficSpec] = dataclasses.field(default_factory=list)
     nf_factory: typing.Callable[[str], typing.Any] = NoOpNf
-    nf_factories: dict[str, typing.Callable[[str], typing.Any]] = (
-        dataclasses.field(default_factory=dict))
     fault_plan: FaultPlan | None = None
     costs: HostCosts | None = None
     ingress_port: str = "eth0"
@@ -142,7 +140,8 @@ class Scenario:
     pktgen_seed: int = 42
     # Shard-local control plane (0 = no controller; a proactive cover
     # installs at deploy time either way).  With control_shards >= 1
-    # every simulation shard builds its own ControlPlane replica —
+    # every simulation shard builds its own ControlPlane replica, with
+    # the plane's default service and propagation times —
     # controller placement follows the data it serves, so reactive
     # misses never cross a shard boundary.  control_proactive=False
     # leaves tables empty at deploy and every flow sets up reactively
@@ -151,8 +150,6 @@ class Scenario:
     # proactive path, whose tables never consult the controller).
     control_shards: int = 0
     control_proactive: bool = True
-    control_service_time_ns: int = 500 * US
-    control_propagation_ns: int = 15_250 * US
     control_policy: ControlPlanePolicy | None = None
 
     def nfv_hosts(self) -> tuple[str, ...]:
@@ -367,8 +364,6 @@ class ShardRuntime:
         if scenario.control_shards:
             self.plane = ControlPlane(
                 sim, shards=scenario.control_shards,
-                service_time_ns=scenario.control_service_time_ns,
-                propagation_ns=scenario.control_propagation_ns,
                 event_log=self.event_log)
         self.app = SdnfvApp(sim, controller=self.plane)
         for host in self.network.hosts.values():
@@ -385,9 +380,8 @@ class ShardRuntime:
             host = self.network.hosts.get(scenario.placement[service])
             if host is None:
                 continue
-            factory = scenario.nf_factories.get(service,
-                                                scenario.nf_factory)
-            host.add_nf(factory(service), ring_slots=scenario.ring_slots)
+            host.add_nf(scenario.nf_factory(service),
+                        ring_slots=scenario.ring_slots)
 
         self.app.deploy(scenario.graph,
                         ingress_port=scenario.ingress_port,
