@@ -58,14 +58,6 @@ class HostStats:
     rx_batches: int = 0
     tx_batches: int = 0
     vm_batches: int = 0
-    # Counters of a retired second data path.  Nothing increments them;
-    # they stay at 0 so summary() keeps its keys and their order.
-    columnar_batches: int = 0
-    object_fallbacks: int = 0
-    lookup_batches: int = 0
-    lookup_batch_hits: int = 0
-    batch_splits: int = 0
-    batch_merges: int = 0
     per_service_packets: collections.Counter = dataclasses.field(
         default_factory=collections.Counter)
     per_port_tx_bytes: collections.Counter = dataclasses.field(
