@@ -125,12 +125,13 @@ class SdnfvApp:
         """Instantiate a service graph.
 
         The graph is validated and the deployment's rule cover compiles
-        once, here, so graph and placement errors surface at deploy time.  ``proactive=True`` marks every
-        entry proactive and installs it on the hosts this build realizes,
-        in compile order, before any traffic (the pre-populated tables of
-        §4.1); with ``proactive=False`` nothing is installed and hosts
-        pull their share on flow-table misses (:meth:`rules_for`).  An
-        attached controller only ever serves those misses.
+        once, here, so graph and placement errors surface at deploy time.
+        ``proactive=True`` marks every entry proactive and installs it on
+        the hosts this build realizes, in compile order, before any
+        traffic (the pre-populated tables of §4.1); with
+        ``proactive=False`` nothing is installed and hosts pull their
+        share on flow-table misses (:meth:`rules_for`).  An attached
+        controller only ever serves those misses.
 
         ``auto_parallel=True`` replaces the declared-read-only fusion with
         profile-driven layout synthesis: each host's registered NFs are

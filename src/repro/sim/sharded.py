@@ -111,10 +111,9 @@ class Scenario:
     Everything a shard needs to rebuild its share of the world: the
     topology, the placed service graph, the NF factory (a callable
     taking the service id — classes like :class:`repro.nfs.NoOpNf` work
-    as-is),
-    traffic, faults, and the normalized construction kwargs shared with
-    :func:`repro.topology.build_network` and :class:`NfvHost`.  Must be
-    picklable for ``workers > 0``.
+    as-is), traffic, faults, and the normalized construction kwargs
+    shared with :func:`repro.topology.build_network` and
+    :class:`NfvHost`.  Must be picklable for ``workers > 0``.
     """
 
     topology: Topology
