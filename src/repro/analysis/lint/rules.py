@@ -284,13 +284,14 @@ def _args_with_defaults(node: ast.FunctionDef | ast.AsyncFunctionDef):
 # ----------------------------------------------------------------------
 
 #: Classes reachable from the per-packet loop: allocated (or recycled)
-#: once per packet / descriptor / kernel event.  Ring *containers*
+#: once per packet / descriptor / kernel event, or, for
+#: ``FlowTableEntry``, once per churned flow.  Ring *containers*
 #: (RingBuffer, NicPort, PacketPool, NfManager) are deliberately absent:
 #: they are few per host and stay open for instance-level instrumentation
 #: (the ownership verifier wraps their bound methods).
 HOT_PATH_CLASSES = frozenset({
     "Packet", "PacketDescriptor", "FiveTuple", "Event", "Timeout",
-    "Process", "_Condition", "AnyOf", "AllOf", "Store",
+    "Process", "_Condition", "AnyOf", "AllOf", "Store", "FlowTableEntry",
 })
 
 

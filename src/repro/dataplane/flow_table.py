@@ -19,6 +19,7 @@ what invalidates the NF Manager's cached lookup plans.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import typing
 
@@ -28,7 +29,7 @@ from repro.net.flow import FiveTuple, FlowMatch
 _entry_ids = itertools.count()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class FlowTableEntry:
     """One scoped match/actions rule.
 
@@ -82,9 +83,8 @@ class FlowTableEntry:
         ``match`` or ``actions``; ``__post_init__`` validates it.
 
         The one way a rule is cloned.  A direct constructor call costs a
-        fraction of ``dataclasses.replace`` and, unlike writing the
-        instance dict, keeps the copy as compact as a built rule (per-flow
-        rules are the bulk of a churned table).
+        fraction of ``dataclasses.replace`` (per-flow rules are the bulk
+        of a churned table).
         """
         return type(self)(
             scope=self.scope,
@@ -104,9 +104,17 @@ class FlowTableEntry:
         The destination is moved to the front if already allowed, prepended
         otherwise (callers enforce service-graph validity).
         """
-        rest = tuple(action for action in self.actions
-                     if action != destination)
-        return self.copy(match=match, actions=(destination,) + rest)
+        return self.copy(match=match,
+                         actions=_with_default(self.actions, destination))
+
+
+@functools.cache
+def _with_default(actions: tuple[Destination, ...],
+                  destination: Destination) -> tuple[Destination, ...]:
+    """``actions`` with ``destination`` first, built once per pair so the
+    per-flow rules of a churned table share one tuple."""
+    return (destination,) + tuple(action for action in actions
+                                  if action != destination)
 
 
 class FlowTable:

@@ -405,8 +405,11 @@ class NfManager:
         # that member may write.  Absent for legacy read-only chains.
         self._chain_merge_plans: dict[
             str, dict[str, tuple[tuple[str, ...], tuple[str, ...]]]] = {}
-        # §4.2's lookup cache: flow -> [table generation, {scope: entry}].
-        self._plans: dict[FiveTuple, list] = {}
+        # §4.2's lookup cache: flow -> {scope: entry}, holding only plans
+        # from table generation ``_plans_generation``; the first lookup
+        # after a table change empties it.
+        self._plans: dict[FiveTuple, dict[str, FlowTableEntry]] = {}
+        self._plans_generation = 0
         # Miss classifier (§4.1 hybrid pipeline): flows whose first
         # contact with this host has been classified as proactive-hit /
         # reactive-hit / reactive-miss.  A dict used as an insertion-
@@ -802,21 +805,23 @@ class NfManager:
 
         Returns (entry, service_cost_ns).  With the lookup cache enabled
         (§4.2), hits on the per-flow plan are free; otherwise each hop
-        pays header extraction + a hash lookup.  A plan is a
-        ``[generation, {scope: entry}]`` pair, dropped once a table
-        change moves the generation past it.
+        pays header extraction + a hash lookup.  A plan maps scope ->
+        entry, and the cache holds only plans made at the table's current
+        generation: the first call after a table change empties it.
         """
-        generation = self.flow_table.generation
         plans = self._plans
+        plan = None
         if self.lookup_cache:
-            plan = plans.get(flow)
-            if plan is not None:
-                if plan[0] == generation:
-                    cached = plan[1].get(scope)
+            generation = self.flow_table.generation
+            if generation != self._plans_generation:
+                plans.clear()
+                self._plans_generation = generation
+            else:
+                plan = plans.get(flow)
+                if plan is not None:
+                    cached = plan.get(scope)
                     if cached is not None:
                         return cached, 0
-                else:
-                    del plans[flow]
         costs = self.costs
         cost = costs.header_extract_ns + costs.flow_lookup_ns
         entry = self.flow_table.lookup(scope, flow, now_ns=self.sim.now)
@@ -824,15 +829,12 @@ class NfManager:
             if flow not in self._classified:
                 self._classify_first_contact(flow, entry)
             if self.lookup_cache:
-                # Any plan still here is current: a stale one was
-                # deleted above.
-                plan = plans.get(flow)
                 if plan is None:
                     if len(plans) >= _PLAN_CACHE_LIMIT:
                         plans.pop(next(iter(plans)))
-                    plans[flow] = [generation, {scope: entry}]
+                    plans[flow] = {scope: entry}
                 else:
-                    plan[1][scope] = entry
+                    plan[scope] = entry
         return entry, cost
 
     def _classify_first_contact(self, flow: FiveTuple,

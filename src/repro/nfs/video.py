@@ -15,6 +15,8 @@ Four cooperating NFs:
 
 from __future__ import annotations
 
+import sys
+
 from repro.dataplane.actions import Verdict
 from repro.dataplane.messages import ChangeDefault, RequestMe
 from repro.net.flow import FiveTuple, FlowMatch
@@ -45,7 +47,8 @@ class VideoFlowDetector(NetworkFunction):
         if flow not in self.flow_content:
             content_type = classify_content_type(packet.payload)
             if content_type is not None:
-                self.flow_content[flow] = content_type
+                # One string object per content type, not one per flow.
+                self.flow_content[flow] = sys.intern(content_type)
                 if is_video_content(content_type):
                     self.video_flows += 1
                     packet.annotations["video"] = True

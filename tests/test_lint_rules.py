@@ -112,6 +112,21 @@ class TestSim003HotPathSlots:
         """
         assert violations(good, "SIM003") == []
 
+    def test_flow_rules_are_hot_path(self):
+        # One exact rule is allocated per churned flow.
+        bad = """
+            import dataclasses
+
+            @dataclasses.dataclass
+            class FlowTableEntry:
+                scope: str
+        """
+        found = violations(bad, "SIM003")
+        assert [v.message.split("'")[1] for v in found] == ["FlowTableEntry"]
+        good = bad.replace("@dataclasses.dataclass",
+                           "@dataclasses.dataclass(slots=True)")
+        assert violations(good, "SIM003") == []
+
 
 class TestSim004NfHandlerPurity:
     def test_rejects_blocking_io_in_process(self):
