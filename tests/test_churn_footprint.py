@@ -29,8 +29,8 @@ MEASURE_NS = 100 * MS
 #: Traced bytes each churned flow may leave behind.  The exact rule,
 #: the detector's entry, the policy engine's released-flow entry and the
 #: first-contact classifier's entry come to about 770 B on CPython
-#: 3.11.7; with stale lookup plans kept, dict-backed rules and a tuple
-#: and a string per flow it was about 1,260 B.
+#: 3.11.7.  The bound leaves room for interpreter differences, not for
+#: per-flow waste such as a stale lookup plan (about 190 B).
 MAX_BYTES_PER_FLOW = 1000
 
 
