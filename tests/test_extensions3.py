@@ -54,12 +54,13 @@ class TestBuildNetwork:
         assert "to-h0" in middle.manager.ports
         assert "to-h2" in middle.manager.ports
 
-    def test_next_hop_port_map_covers_all_pairs(self, sim):
+    def test_next_hop_trunks_cover_all_pairs(self, sim):
         topology, names = line_of_hosts(3)
         network = build_network(sim, topology)
-        assert network.inter_host_ports[("h0", "h1")] == "to-h1"
+        assert topology.shortest_path("h0", "h1")[1] == "h1"
         # Non-adjacent pair routes via the next hop.
-        assert network.inter_host_ports[("h0", "h2")] == "to-h1"
+        assert topology.shortest_path("h0", "h2")[1] == "h1"
+        assert "to-h1" in network.host("h0").manager.ports
 
     def test_adjacent_traffic_crosses(self, sim, flow):
         topology, _names = line_of_hosts(2)

@@ -154,34 +154,17 @@ def tied_topologies(draw):
 class TestRouting:
     @given(topology=tied_topologies())
     @settings(max_examples=60, deadline=None)
-    def test_inter_host_ports_match_eager_reference(self, topology):
+    def test_next_hop_matches_eager_reference(self, topology):
+        """The memoised path keeps networkx's tie-breaks: every ordered
+        pair of NFV hosts leaves by the next hop a fresh search picks."""
         graph = reference_graph(topology)
         hosts = topology.nfv_hosts()
-        reference = {}
         for src in hosts:
             for dst in hosts:
                 if src != dst:
                     path = nx.shortest_path(graph, src, dst,
                                             weight="delay_ns")
-                    reference[(src, dst)] = f"to-{path[1]}"
-        ports = build_network(Simulator(), topology).inter_host_ports
-        assert list(ports) == list(reference)
-        assert len(ports) == len(reference)
-        assert bool(ports) == bool(reference)
-        assert ports == reference
-        assert reference == ports
-        assert list(ports.items()) == list(reference.items())
-        for name in topology.node_names:
-            with pytest.raises(KeyError):
-                _ = ports[(name, name)]
-        switches = [name for name in topology.node_names
-                    if name not in hosts]
-        for stranger in ["ghost", *switches]:
-            with pytest.raises(KeyError):
-                _ = ports[(hosts[0], stranger)]
-            with pytest.raises(KeyError):
-                _ = ports[(stranger, hosts[0])]
-            assert (hosts[0], stranger) not in ports
+                    assert topology.shortest_path(src, dst)[1] == path[1]
 
     def test_added_link_invalidates_memo(self):
         topology, names = line_topology(4)
