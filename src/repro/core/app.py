@@ -1,9 +1,9 @@
 """The SDNFV Application: the global tier of the control hierarchy (§3.1).
 
 It "has purview over the entire network": it holds the service graphs and
-placement decisions, compiles them into flow rules (Fig. 2 steps 1–3) —
-installed at deploy time when proactive, handed out through the SDN
-controller on flow-table misses otherwise — asks the NFV orchestrator to
+placement decisions, compiles each deployment into flow rules once
+(Fig. 2 steps 1–3) — installed at deploy time when proactive, handed out
+through the SDN controller on flow-table misses otherwise — asks the NFV orchestrator to
 start VMs (step 4), and validates / acts on cross-layer messages coming
 up from NFs (step 5).
 """
@@ -47,10 +47,11 @@ class GraphDeployment:
     exit_port: str
     placement: dict[str, str] | None = None  # service -> host name
     priority: int = 0
-    # Routed deployments (deploy(network=...)) remember their network:
-    # its topology and full host universe let rules_for recompile the
-    # routed cover (transit + arrival rules included) per host.
-    network: typing.Any = None
+    # Each host's share of the cover deploy compiled, in compile order
+    # (a routed deployment's transit and arrival rules included).  A
+    # miss is answered with copies; these entries never enter a table.
+    shares: dict[str, list[FlowTableEntry]] = dataclasses.field(
+        default_factory=dict)
 
     def covers(self, flow: FiveTuple) -> bool:
         return self.match.matches(flow)
@@ -130,8 +131,9 @@ class SdnfvApp:
         the hosts this build realizes, in compile order, before any
         traffic (the pre-populated tables of §4.1); with
         ``proactive=False`` nothing is installed and hosts pull their
-        share on flow-table misses (:meth:`rules_for`).  An attached
-        controller only ever serves those misses.
+        share on flow-table misses (:meth:`rules_for`), answered from the
+        cover compiled here.  An attached controller only ever serves
+        those misses.
 
         ``auto_parallel=True`` replaces the declared-read-only fusion with
         profile-driven layout synthesis: each host's registered NFs are
@@ -151,6 +153,11 @@ class SdnfvApp:
         span hosts, arrival and transit rules compile from the network's
         topology, and a partial build installs exactly its share of the
         same global cover.
+
+        The cover is a snapshot of graph, placement and hosts as they
+        are now.  So an unrouted deployment without a placement serves
+        only the hosts registered before it: a host registered later
+        gets neither proactive rules nor miss answers from it.
         """
         graph.validate()  # even when no host is registered yet
         if network is None:
@@ -164,6 +171,13 @@ class SdnfvApp:
                 raise DistributedDeploymentError(
                     f"placement spans hosts {sorted(placed)}; deploy it "
                     "with network= so its cross-host edges are routed")
+            # The graph compiles whole on each involved host, with every
+            # service placed on that host.
+            runs = [(placement or dict.fromkeys(graph.services, name),
+                     (name,))
+                    for name in hosts
+                    if placement is None or name in placement.values()]
+            topology = None
         else:
             if auto_parallel:
                 raise ValueError(
@@ -174,12 +188,23 @@ class SdnfvApp:
                 raise DistributedDeploymentError(
                     "deploy(network=...) needs placement=")
             hosts = network.hosts
+            # One topology-aware cover over the whole network.
+            runs = [(placement, network.all_hosts or tuple(network.hosts))]
+            topology = network.topology
         deployment = GraphDeployment(
             graph=graph, match=match or FlowMatch.any(),
             ingress_port=ingress_port, exit_port=exit_port,
             placement=None if placement is None else dict(placement),
-            priority=priority, network=network)
-        cover = self._cover(deployment, hosts)
+            priority=priority)
+        cover = []  # this build's (host, entry) share, in compile order
+        for run_placement, host_names in runs:
+            for name, entry in compile_distributed_rules(
+                    graph, run_placement, host_names, topology=topology,
+                    match=deployment.match, ingress_port=ingress_port,
+                    exit_port=exit_port, priority=priority):
+                deployment.shares.setdefault(name, []).append(entry)
+                if name in hosts:
+                    cover.append((name, entry))
         chains = () if auto_parallel else graph.parallel_chains()
         for host_name in dict.fromkeys(name for name, _entry in cover):
             host = hosts[host_name]
@@ -197,6 +222,7 @@ class SdnfvApp:
                                   services=len(graph.services))
         if proactive:
             for host_name, entry in cover:
+                entry = entry.copy()
                 entry.proactive = True
                 hosts[host_name].manager.install_rule(entry)
         return deployment
@@ -236,39 +262,6 @@ class SdnfvApp:
                 host.manager.register_parallel_chain(group,
                                                      profiles=profiles)
 
-    def _cover(self, deployment: GraphDeployment,
-               hosts: typing.Collection[str]
-               ) -> list[tuple[str, FlowTableEntry]]:
-        """The deployment's ordered ``(host, entry)`` cover, restricted
-        to ``hosts``: what a proactive deploy installs and what a miss on
-        one of those hosts is answered with.
-
-        A routed deployment compiles its whole topology-aware cover
-        (transit and arrival rules included) and keeps ``hosts``' share.
-        An unrouted one compiles the graph whole on each involved host,
-        in ``hosts`` order, with every service placed on that host.
-        """
-        graph = deployment.graph
-        placement = deployment.placement
-        network = deployment.network
-        if network is not None:
-            runs = [(placement, network.all_hosts or tuple(network.hosts))]
-        else:
-            runs = [(placement or dict.fromkeys(graph.services, name),
-                     (name,))
-                    for name in hosts
-                    if placement is None or name in placement.values()]
-        return [(name, entry)
-                for run_placement, host_names in runs
-                for name, entry in compile_distributed_rules(
-                    graph, run_placement, host_names,
-                    topology=None if network is None else network.topology,
-                    match=deployment.match,
-                    ingress_port=deployment.ingress_port,
-                    exit_port=deployment.exit_port,
-                    priority=deployment.priority)
-                if name in hosts]
-
     def launch_nf(self, host: NfvHost | str,
                   nf_factory: typing.Callable[[], typing.Any],
                   mode: str | None = None) -> Event:
@@ -286,13 +279,13 @@ class SdnfvApp:
     # ------------------------------------------------------------------
     def rules_for(self, host_name: str, scope: str,
                   flow: FiveTuple) -> list[FlowTableEntry]:
-        """Rules for a reported miss: the host's share of every
+        """Rules for a reported miss: copies of the host's share of every
         deployment covering the flow, in deploy order.  Overlapping
         deployments then resolve by table priority, exactly as their
         proactive covers do."""
-        return [entry for deployment in self.deployments
+        return [entry.copy() for deployment in self.deployments
                 if deployment.covers(flow)
-                for _name, entry in self._cover(deployment, (host_name,))]
+                for entry in deployment.shares.get(host_name, ())]
 
     # ------------------------------------------------------------------
     # Cross-layer message validation (§3.4, untrusted NFs)

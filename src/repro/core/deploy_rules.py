@@ -13,8 +13,9 @@ topology that routes between them, emit the ordered
 
 No side effects and no references to live hosts, so the same compilation
 runs identically on every shard of a sharded simulation (each shard then
-installs only the entries for hosts it realizes), at deploy time and on
-every miss :meth:`repro.core.app.SdnfvApp.rules_for` answers.
+installs only the entries for hosts it realizes).  It runs once per
+deploy; :meth:`repro.core.app.SdnfvApp.rules_for` answers misses from
+that result.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ boundary events between shards.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import typing
 
@@ -44,37 +43,9 @@ class BoundaryWire:
     delay_ns: int
 
 
-class InterHostPorts(collections.abc.Mapping):
-    """Read-only ``(src, dst) -> "to-<next hop>"`` over every ordered
-    pair of distinct NFV hosts, in src-major node order.
-
-    Each port comes from :meth:`Topology.shortest_path` when it is first
-    looked up, so a deployment pays only for the pairs its rules cross;
-    keys, length and equality are those of the fully computed dict.
-    """
-
-    def __init__(self, topology: Topology, hosts: tuple[str, ...]) -> None:
-        self._topology = topology
-        self._hosts = hosts
-        self._known = frozenset(hosts)
-
-    def __getitem__(self, key: tuple[str, str]) -> str:
-        src, dst = key
-        if src == dst or src not in self._known or dst not in self._known:
-            raise KeyError(key)
-        return f"to-{self._topology.shortest_path(src, dst)[1]}"
-
-    def __iter__(self) -> typing.Iterator[tuple[str, str]]:
-        return ((src, dst) for src in self._hosts for dst in self._hosts
-                if src != dst)
-
-    def __len__(self) -> int:
-        return len(self._hosts) * (len(self._hosts) - 1)
-
-
 @dataclasses.dataclass
 class BuiltNetwork:
-    """The realized network: hosts, wiring, and the port map.
+    """The realized network: hosts, wiring, and the topology it realizes.
 
     The network reflects its topology as it was at build time: nothing
     mutates a :class:`Topology` after :func:`build_network`.
@@ -82,7 +53,6 @@ class BuiltNetwork:
 
     hosts: dict[str, NfvHost]
     fabric: Fabric
-    inter_host_ports: typing.Mapping[tuple[str, str], str]
     topology: Topology
     #: Every NFV host name in the topology, in node order — the full
     #: network even when this build realized only a subset.
@@ -157,13 +127,10 @@ def build_network(sim: Simulator, topology: Topology,
                     dst_host=dst, dst_port=f"to-{src}",
                     delay_ns=link.delay_ns))
 
-    # Next-hop ports span the FULL topology: rules compiled on a
-    # realized host may point at trunks toward unrealized hosts.
-    # Multi-hop pairs additionally need transit rules on the
-    # intermediate hosts, which repro.core.deploy_rules compiles.
-    all_hosts = tuple(nfv_names)
-    return BuiltNetwork(hosts=hosts, fabric=fabric,
-                        inter_host_ports=InterHostPorts(topology, all_hosts),
-                        topology=topology,
-                        all_hosts=all_hosts,
+    # all_hosts spans the FULL topology: rules compiled on a realized
+    # host may point at trunks toward unrealized hosts, and multi-hop
+    # pairs need transit rules on intermediate hosts, all of which
+    # repro.core.deploy_rules compiles from the topology.
+    return BuiltNetwork(hosts=hosts, fabric=fabric, topology=topology,
+                        all_hosts=tuple(nfv_names),
                         boundary_wires=boundary_wires)

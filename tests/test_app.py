@@ -12,6 +12,7 @@ import repro
 
 from repro.control import ControlPlane, NfvOrchestrator
 from repro.core import HierarchySnapshot, SdnfvApp, ServiceGraph
+from repro.core import app as app_module
 from repro.core.service_graph import EXIT
 from repro.core.state import StateKind, StateTier, classify_state
 from repro.dataplane import (
@@ -24,6 +25,7 @@ from repro.dataplane import (
 from repro.net import FiveTuple, FlowMatch, Packet
 from repro.nfs import CounterNf, NoOpNf
 from repro.sim import MS, S
+from repro.topology import Link, NodeSpec, Topology, build_network
 
 from tests.test_service_graph import anomaly_graph, video_graph
 
@@ -203,6 +205,155 @@ class TestOnDemandRules:
         assert len(out) == 1
         assert host.stats.per_service_packets["b"] == 1
         assert host.stats.per_service_packets.get("a", 0) == 0
+
+
+def two_service_chain(name="chain"):
+    graph = ServiceGraph(name)
+    for service in ("a", "b"):
+        graph.add_service(service)
+    graph.add_edge("a", "b", default=True)
+    graph.add_edge("b", EXIT, default=True)
+    graph.set_entry("a")
+    return graph
+
+
+def reactive_app(sim, routed):
+    """A ``proactive=False`` chain a -> b behind a controller: routed
+    over a 3-host line (a on h0, b on h2, h1 transit) or unrouted on
+    one host."""
+    controller = ControlPlane(sim)
+    app = SdnfvApp(sim, controller=controller)
+    if routed:
+        topology = Topology()
+        for name in ("h0", "h1", "h2"):
+            topology.add_node(NodeSpec(name=name, cores=2))
+        for a, b in (("h0", "h1"), ("h1", "h2")):
+            topology.add_link(Link(a=a, b=b, delay_ns=50_000))
+        network = build_network(sim, topology)
+        hosts = network.hosts
+        for host in hosts.values():
+            host.manager.controller = controller
+            app.register_host(host)
+        hosts["h0"].add_nf(NoOpNf("a"))
+        hosts["h2"].add_nf(NoOpNf("b"))
+        app.deploy(two_service_chain(), placement={"a": "h0", "b": "h2"},
+                   network=network, proactive=False)
+        return app, hosts, hosts["h2"]
+    host = NfvHost(sim, name="h0", controller=controller)
+    app.register_host(host)
+    for service in ("a", "b"):
+        host.add_nf(NoOpNf(service))
+    app.deploy(two_service_chain(), proactive=False)
+    return app, {"h0": host}, host
+
+
+def table_ids(hosts):
+    return {id(entry) for host in hosts.values()
+            for entry in host.flow_table.entries()}
+
+
+class TestRuleCover:
+    """Misses are answered from the cover deploy compiled, as copies."""
+
+    @pytest.mark.parametrize("routed", [True, False],
+                             ids=["routed", "unrouted"])
+    def test_misses_never_recompile_the_cover(self, sim, flow, monkeypatch,
+                                              routed):
+        app, hosts, egress_host = reactive_app(sim, routed)
+        calls = []
+        compile_rules = app_module.compile_distributed_rules
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile_rules(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "compile_distributed_rules",
+                            counting)
+        out = []
+        egress_host.port("eth1").on_egress = out.append
+        for index in range(4):
+            sim.schedule((1 + index) * MS, lambda: hosts["h0"].inject(
+                "eth0", Packet(flow=flow, size=128)))
+        sim.run(until=100 * MS)
+        assert len(out) == 4
+        assert calls == []
+        installed = [entry for host in hosts.values()
+                     for entry in host.flow_table.entries()]
+        assert installed
+        assert all(entry.installed_at_ns > 0 for entry in installed)
+        assert any(entry.last_hit_ns > entry.installed_at_ns
+                   for entry in installed)
+        in_tables = table_ids(hosts)
+        for name, host in hosts.items():
+            for scope in host.manager.ports:
+                answer = app.rules_for(name, scope, flow)
+                for entry in answer:
+                    assert entry.installed_at_ns == entry.last_hit_ns == 0
+                    assert entry.proactive is False
+                    assert id(entry) not in in_tables
+        assert app.rules_for("h0", "eth0", flow)
+        assert calls == []
+
+    def test_hybrid_misses_get_reactive_copies(self, sim, flow, udp_flow):
+        """A proactive deployment for one class and a reactive one for
+        the rest: the proactive cover installs marked copies, and a
+        miss is answered with unmarked copies of both shares."""
+        controller = ControlPlane(sim)
+        app = SdnfvApp(sim, controller=controller)
+        host = NfvHost(sim, name="h0", controller=controller)
+        app.register_host(host)
+        for service in ("a", "b"):
+            host.add_nf(NoOpNf(service))
+        known = app.deploy(two_service_chain("known"),
+                           match=FlowMatch.exact(flow), priority=10)
+        rest = app.deploy(two_service_chain("rest"), proactive=False)
+        installed = host.flow_table.entries()
+        assert installed and all(entry.proactive for entry in installed)
+        for deployment in (known, rest):
+            assert all(entry.proactive is False
+                       for share in deployment.shares.values()
+                       for entry in share)
+        in_table = table_ids({"h0": host})
+        for missed in (flow, udp_flow):
+            answer = app.rules_for("h0", "eth0", missed)
+            assert answer
+            for entry in answer:
+                assert entry.proactive is False
+                assert id(entry) not in in_table
+        assert len(app.rules_for("h0", "eth0", flow)) == 2 * len(
+            app.rules_for("h0", "eth0", udp_flow))
+        out = []
+        host.port("eth1").on_egress = out.append
+        host.inject("eth0", Packet(flow=flow, size=128))
+        host.inject("eth0", Packet(flow=udp_flow, size=128))
+        sim.run(until=100 * MS)
+        assert len(out) == 2
+        assert host.stats.reactive_misses == 1
+        assert host.stats.proactive_hits >= 1
+
+    @pytest.mark.parametrize("proactive", [True, False])
+    def test_host_registered_after_deploy_is_not_served(self, sim, flow,
+                                                        proactive):
+        """An unrouted deploy without placement covers the hosts
+        registered when it deploys; a later host gets neither proactive
+        rules nor miss answers from it."""
+        controller = ControlPlane(sim)
+        app = SdnfvApp(sim, controller=controller)
+        early = NfvHost(sim, name="early", controller=controller)
+        app.register_host(early)
+        app.deploy(two_service_chain(), proactive=proactive)
+        late = NfvHost(sim, name="late", controller=controller)
+        app.register_host(late)
+        for host in (early, late):
+            for service in ("a", "b"):
+                host.add_nf(NoOpNf(service))
+        assert app.rules_for("early", "eth0", flow)
+        assert app.rules_for("late", "eth0", flow) == []
+        assert len(late.flow_table) == 0
+        late.inject("eth0", Packet(flow=flow, size=128))
+        sim.run(until=100 * MS)
+        assert late.stats.dropped_no_rule == 1
+        assert len(late.flow_table) == 0
 
 
 class TestValidation:
