@@ -3,9 +3,9 @@
 It "has purview over the entire network": it holds the service graphs and
 placement decisions, compiles each deployment into flow rules once
 (Fig. 2 steps 1–3) — installed at deploy time when proactive, handed out
-through the SDN controller on flow-table misses otherwise — asks the NFV orchestrator to
-start VMs (step 4), and validates / acts on cross-layer messages coming
-up from NFs (step 5).
+through the SDN controller on flow-table misses otherwise — asks the NFV
+orchestrator to start VMs (step 4), and validates / acts on cross-layer
+messages coming up from NFs (step 5).
 """
 
 from __future__ import annotations
