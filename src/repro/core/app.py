@@ -51,7 +51,7 @@ class GraphDeployment:
     # (a routed deployment's transit and arrival rules included).  A
     # miss is answered with copies; these entries never enter a table.
     shares: dict[str, list[FlowTableEntry]] = dataclasses.field(
-        default_factory=dict)
+        default_factory=dict, init=False, repr=False)
 
     def covers(self, flow: FiveTuple) -> bool:
         return self.match.matches(flow)
