@@ -41,13 +41,11 @@ def run_case(policy: str, monitor_priority: int, filter_priority: int):
                    conflict_policy=policy)
     host.add_nf(PassiveMonitor("monitor"), priority=monitor_priority)
     host.add_nf(EveryOtherDropper("filter"), priority=filter_priority)
-    host.install_rule(FlowTableEntry(
-        scope="eth0", match=FlowMatch.any(),
-        actions=(ToService("monitor"), ToService("filter")),
-        parallel=True))
-    host.install_rule(FlowTableEntry(
-        scope="filter", match=FlowMatch.any(),
-        actions=(ToPort("eth1"),)))
+    hops = (ToService("monitor"), ToService("filter"), ToPort("eth1"))
+    for scope, hop in zip(("eth0", "monitor", "filter"), hops):
+        host.install_rule(FlowTableEntry(scope=scope, match=FlowMatch.any(),
+                                         actions=(hop,)))
+    host.manager.register_parallel_chain(["monitor", "filter"])
     flow = FiveTuple("10.0.0.1", "10.0.0.2", 6, 1, 80)
     delivered = []
     host.port("eth1").on_egress = delivered.append

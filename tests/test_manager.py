@@ -163,12 +163,8 @@ class TestParallelProcessing:
         host = NfvHost(sim, name="p0")
         host.add_nf(CounterNf("ddos") if read_only else MutatingNf("ddos"))
         host.add_nf(CounterNf("ids"))
-        host.install_rule(FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToService("ddos"), ToService("ids")), parallel=True))
-        host.install_rule(FlowTableEntry(
-            scope="ids", match=FlowMatch.any(),
-            actions=(ToPort("eth1"),)))
+        install_chain(host, ["ddos", "ids"])
+        host.manager.register_parallel_chain(["ddos", "ids"])
         return host
 
     def test_parallel_rule_fans_out_and_merges(self, sim, flow):
@@ -186,10 +182,7 @@ class TestParallelProcessing:
         host.add_nf(MutatingNf("ddos"))
         host.add_nf(CounterNf("ids"))
         with pytest.raises(ValueError, match="read-only"):
-            host.install_rule(FlowTableEntry(
-                scope="eth0", match=FlowMatch.any(),
-                actions=(ToService("ddos"), ToService("ids")),
-                parallel=True))
+            host.manager.register_parallel_chain(["ddos", "ids"])
 
     def test_registering_non_read_only_into_parallel_rule_rejected(
             self, sim):
@@ -206,11 +199,8 @@ class TestParallelProcessing:
         host = NfvHost(sim, name="p3")
         host.add_nf(SendingNf("fw", Verdict.discard()))
         host.add_nf(CounterNf("ids"))
-        host.install_rule(FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToService("fw"), ToService("ids")), parallel=True))
-        host.install_rule(FlowTableEntry(
-            scope="ids", match=FlowMatch.any(), actions=(ToPort("eth1"),)))
+        install_chain(host, ["fw", "ids"])
+        host.manager.register_parallel_chain(["fw", "ids"])
         out = run_packets(sim, host, flow)
         assert not out
         assert host.stats.dropped_by_nf == 3

@@ -180,13 +180,8 @@ class TestVmPriorityConflicts:
                        conflict_policy="vm_priority")
         host.add_nf(Dropper("drop_nf"), priority=5)   # low priority
         host.add_nf(Passer("pass_nf"), priority=0)    # high priority
-        host.install_rule(FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToService("drop_nf"), ToService("pass_nf")),
-            parallel=True))
-        host.install_rule(FlowTableEntry(
-            scope="pass_nf", match=FlowMatch.any(),
-            actions=(ToPort("eth1"),)))
+        install_chain(host, ["drop_nf", "pass_nf"])
+        host.manager.register_parallel_chain(["drop_nf", "pass_nf"])
         out = []
         host.port("eth1").on_egress = out.append
         for _ in range(3):
