@@ -3,7 +3,7 @@
 Each case deploys one or more service graphs and pins, for every host:
 
 - its flow table in table order, one SHA-256 per entry of
-  ``(scope, match, actions, priority, proactive, parallel)`` (no
+  ``(scope, match, actions, priority, proactive)`` (no
   timestamps, so *when* a rule lands is not pinned, only what lands);
 - the parallel chains its NF Manager registered;
 - the ``rules_for`` answer, digested the same way, for one flow the
@@ -55,7 +55,7 @@ def sha256(value: object) -> str:
 
 def entry_digest(entry) -> str:
     return sha256([entry.scope, repr(entry.match), repr(entry.actions),
-                   entry.priority, entry.proactive, entry.parallel])
+                   entry.priority, entry.proactive])
 
 
 def chain(name: str, services: list[str],

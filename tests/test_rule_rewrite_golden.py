@@ -20,11 +20,10 @@ carves a higher-priority override out of a broader rule.  The cases:
   broader rule, then an exact one over the existing per-flow rule.
 
 Each case pins one SHA-256 over every table entry's scope, match,
-actions, parallel flag, priority, proactive flag, timeouts,
-``installed_at_ns`` and ``last_hit_ns`` (in table order), the table's
-``lookups`` and ``misses``, the host's counters (scalar, per service
-and per port) and the event log's
-``rule_install`` records.  ``entry_id`` and ``generation`` are left out:
+actions, priority, proactive flag, timeouts, ``installed_at_ns`` and
+``last_hit_ns`` (in table order), the table's ``lookups`` and
+``misses``, the host's counters (scalar, per service and per port) and
+the event log's ``rule_install`` records.  ``entry_id`` and ``generation`` are left out:
 they count rule copies and table mutations, which a cheaper rewrite may
 do fewer of without changing any rule or any packet's path.  Regenerate
 (only for a deliberate behaviour change) with::
@@ -240,7 +239,7 @@ CASES = {
 
 def _entry_state(entry: FlowTableEntry) -> list:
     return [entry.scope, repr(entry.match),
-            [repr(action) for action in entry.actions], entry.parallel,
+            [repr(action) for action in entry.actions],
             entry.priority, entry.proactive, entry.idle_timeout_ns,
             entry.hard_timeout_ns, entry.installed_at_ns, entry.last_hit_ns]
 
