@@ -32,8 +32,8 @@ cheap to write and expensive to debug:
   cover its inferred effects; everything consulting the declaration
   (layout synthesis, the merge stage) would under-estimate the NF.
 - **NF003** — a hand-built parallel group (a literal
-  ``register_parallel_chain([...])`` or a ``FlowTableEntry`` with
-  ``parallel=True``) contains members whose profiles conflict.
+  ``register_parallel_chain([...])``) contains members whose profiles
+  conflict.
 """
 
 from __future__ import annotations
@@ -1116,38 +1116,15 @@ def _literal_strings(node: ast.AST) -> list[str] | None:
 
 
 def _parallel_group_members(node: ast.Call) -> list[str] | None:
-    """Member service ids of a hand-built parallel group, else None."""
-    tail = _qualname(node.func).rsplit(".", 1)[-1]
-    if tail == "register_parallel_chain":
-        operand = node.args[0] if node.args else None
-        for keyword in node.keywords:
-            if keyword.arg == "services":
-                operand = keyword.value
-        return _literal_strings(operand) if operand is not None else None
-    if tail == "FlowTableEntry":
-        parallel = False
-        actions: ast.AST | None = None
-        for keyword in node.keywords:
-            if (keyword.arg == "parallel"
-                    and isinstance(keyword.value, ast.Constant)):
-                parallel = keyword.value.value is True
-            elif keyword.arg == "actions":
-                actions = keyword.value
-        if not parallel or not isinstance(actions, (ast.List, ast.Tuple)):
-            return None
-        members = []
-        for element in actions.elts:
-            if (isinstance(element, ast.Call)
-                    and _qualname(element.func).rsplit(
-                        ".", 1)[-1] == "ToService"
-                    and element.args
-                    and isinstance(element.args[0], ast.Constant)
-                    and isinstance(element.args[0].value, str)):
-                members.append(element.args[0].value)
-            else:
-                return None
-        return members
-    return None
+    """Member service ids of a literal ``register_parallel_chain([...])``
+    call, else None."""
+    if _qualname(node.func).rsplit(".", 1)[-1] != "register_parallel_chain":
+        return None
+    operand = node.args[0] if node.args else None
+    for keyword in node.keywords:
+        if keyword.arg == "services":
+            operand = keyword.value
+    return _literal_strings(operand) if operand is not None else None
 
 
 class _Nf003:

@@ -4,9 +4,11 @@
 define the forwarding actions between network functions.  We consider each
 NF instance as a logical network port ... 'output to port SID'."  §3.3
 repurposes the input-port match field to carry the Service ID scope, and
-uses multi-action OUTPUT lists with a parallel flag.  Those rules are
-``FlowTableEntry`` objects installed through ``NfManager.install_rule``;
-this module holds the message a miss sends controller-ward.
+uses multi-action OUTPUT lists.  Those rules are ``FlowTableEntry``
+objects installed through ``NfManager.install_rule``; parallelism is not
+a rule property but a chain the manager registers from the VMs'
+read-only handshake (``NfManager.register_parallel_chain``).  This
+module holds the message a miss sends controller-ward.
 
 The dataclass models the message *semantics*; byte-level OpenFlow
 framing is irrelevant to every experiment.

@@ -135,7 +135,7 @@ class SdnfvApp:
         cover compiled here.  An attached controller only ever serves
         those misses.
 
-        ``auto_parallel=True`` replaces the declared-read-only fusion with
+        Setting ``auto_parallel`` replaces the declared-read-only fusion with
         profile-driven layout synthesis: each host's registered NFs are
         statically analyzed (:mod:`repro.analysis.profiles`) and
         :meth:`ServiceGraph.auto_parallel_layout` fuses every adjacent run

@@ -6,9 +6,9 @@ Rules extend OpenFlow match/action in the two ways §3.3 describes:
    Service ID the rule applies to, or a NIC port to represent rules for new
    packets" — implemented in the real system by repurposing the input-port
    match field);
-2. a rule carries *multiple* actions plus a parallel flag; the first action
-   is the default, the rest are the other allowed next hops an NF may pick
-   with a Send-to verdict.
+2. a rule carries *multiple* actions; the first action is the default,
+   the rest are the other allowed next hops an NF may pick with a Send-to
+   verdict.
 
 Lookup semantics: exact-match rules (full 5-tuple) win over wildcard rules;
 among wildcard rules higher ``priority`` wins, then higher specificity,
@@ -23,7 +23,7 @@ import functools
 import itertools
 import typing
 
-from repro.dataplane.actions import Destination, Drop, ToService
+from repro.dataplane.actions import Destination, Drop
 from repro.net.flow import FiveTuple, FlowMatch
 
 _entry_ids = itertools.count()
@@ -43,7 +43,6 @@ class FlowTableEntry:
     scope: str
     match: FlowMatch
     actions: tuple[Destination, ...]
-    parallel: bool = False
     priority: int = 0
     idle_timeout_ns: int = 0
     hard_timeout_ns: int = 0
@@ -60,12 +59,6 @@ class FlowTableEntry:
     def __post_init__(self) -> None:
         if not self.actions:
             raise ValueError("a rule needs at least one action")
-        if self.parallel:
-            if len(self.actions) < 2:
-                raise ValueError("a parallel rule needs >= 2 actions")
-            if not all(isinstance(action, ToService)
-                       for action in self.actions):
-                raise ValueError("parallel actions must all target services")
 
     @property
     def default_action(self) -> Destination:
@@ -90,7 +83,7 @@ class FlowTableEntry:
             scope=self.scope,
             match=self.match if match is None else match,
             actions=self.actions if actions is None else actions,
-            parallel=self.parallel, priority=self.priority,
+            priority=self.priority,
             idle_timeout_ns=self.idle_timeout_ns,
             hard_timeout_ns=self.hard_timeout_ns, proactive=self.proactive,
             installed_at_ns=self.installed_at_ns,
@@ -262,10 +255,9 @@ class FlowTable:
         lines = ["scope           match                         actions"]
         for entry in sorted(self.entries(),
                             key=lambda rule: (rule.scope, -rule.priority)):
-            flag = " [parallel]" if entry.parallel else ""
             actions = ", ".join(str(action) for action in entry.actions)
             match = _describe_match(entry.match)
-            lines.append(f"{entry.scope:<15} {match:<29} ({actions}){flag}")
+            lines.append(f"{entry.scope:<15} {match:<29} ({actions})")
         return "\n".join(lines)
 
 

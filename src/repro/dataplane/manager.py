@@ -400,6 +400,10 @@ class NfManager:
         self._next_tx = 0
         self._groups: dict[int, _ParallelGroup] = {}
         self._parallel_chains: dict[str, list[str]] = {}
+        # First members of the chains admitted on the VMs' declared
+        # read-only bit (no profiles): a VM that joins one later must be
+        # read-only too.
+        self._declared_chains: set[str] = set()
         # Merge plans for profile-driven chains, keyed like the chains
         # (first member): service -> (mergeable fields, annotation keys)
         # that member may write.  Absent for legacy read-only chains.
@@ -523,7 +527,7 @@ class NfManager:
             return False
         self.stats.degraded_packets += 1
         descriptor.scope = service
-        self._follow_entry(descriptor, entry, entry.default_action)
+        self._route(descriptor, entry.default_action)
         return True
 
     def quarantine_service(self, service: str
@@ -545,8 +549,6 @@ class NfManager:
             if scope == service:
                 continue
             for entry in list(self.flow_table.entries(scope)):
-                if entry.parallel:
-                    continue  # fan-out groups lose the member, not the flow
                 if entry.default_action == bypass:
                     displaced.append(entry)
                     self.install_rule(entry.with_default(fallback))
@@ -569,9 +571,7 @@ class NfManager:
                                   service=service, reinstated=count)
 
     def install_rule(self, entry: FlowTableEntry) -> None:
-        """Install a flow rule, enforcing the read-only parallel rule."""
-        if entry.parallel:
-            self._validate_parallel_rule(entry)
+        """Install a flow rule."""
         entry.installed_at_ns = self.sim.now
         entry.last_hit_ns = self.sim.now
         self.flow_table.install(entry)
@@ -609,10 +609,11 @@ class NfManager:
         once; the merged verdict continues from the last member's rules.
 
         Without ``profiles`` (the legacy path) every member's VM must be
-        declared read-only.  With ``profiles`` — a mapping of service id
-        to its :class:`~repro.analysis.profiles.ActionProfile` — members
-        may *write* as long as the profiles are pairwise conflict-free
-        (this is what ``SdnfvApp.deploy(auto_parallel=True)`` registers);
+        declared read-only, and so must any VM that registers for a member
+        later.  With ``profiles`` — a mapping of service id to its
+        :class:`~repro.analysis.profiles.ActionProfile` — members may
+        *write* as long as the profiles are pairwise conflict-free (this
+        is what ``SdnfvApp.deploy`` registers with ``auto_parallel``);
         the group then runs the merge stage, journaling each member's
         writes and replaying them in graph order at finalization.
         Conflicting profiles are rejected here at registration, the same
@@ -628,6 +629,7 @@ class NfManager:
                             f"service {service_id!r} has a non-read-only "
                             "VM; cannot run in parallel")
             self._parallel_chains[services[0]] = list(services)
+            self._declared_chains.add(services[0])
             return
         # Off the packet path: validate with the analysis package (the
         # data plane itself stays analysis-free; see host.py's verifier
@@ -652,6 +654,7 @@ class NfManager:
             for service, profile in zip(services, ordered)
         }
         self._parallel_chains[services[0]] = list(services)
+        self._declared_chains.discard(services[0])
         if any(fields or keys for fields, keys in plan.values()):
             self._chain_merge_plans[services[0]] = plan
 
@@ -660,23 +663,17 @@ class NfManager:
         for balancer in self._balancers.values():
             balancer.policy = policy
 
-    def _validate_parallel_rule(self, entry: FlowTableEntry) -> None:
-        for action in entry.actions:
-            assert isinstance(action, ToService)
-            for vm in self.vms_by_service.get(action.service_id, ()):
-                if not vm.read_only:
-                    raise ValueError(
-                        f"parallel rule includes non-read-only service "
-                        f"{action.service_id!r}")
-
     def _check_parallel_membership(self, vm: NfVm) -> None:
+        """A VM joining a chain admitted on the declared read-only bit
+        must be read-only itself; chains admitted with profiles were
+        checked on the profiles instead."""
         if vm.read_only:
             return
-        for entry in self.flow_table.entries():
-            if entry.parallel and ToService(vm.service_id) in entry.actions:
+        for head, members in self._parallel_chains.items():
+            if head in self._declared_chains and vm.service_id in members:
                 raise ValueError(
-                    f"service {vm.service_id!r} appears in a parallel rule "
-                    "but the registering VM is not read-only")
+                    f"service {vm.service_id!r} is in parallel chain "
+                    f"{members!r} but the registering VM is not read-only")
 
     # ------------------------------------------------------------------
     # Introspection (host-tier state for the hierarchy)
@@ -792,8 +789,6 @@ class NfManager:
             for descriptor, entry in classified:
                 if entry is None:
                     self._fc_queue.try_put(descriptor)
-                elif entry.parallel:
-                    extra += self._fan_out(descriptor, entry)
                 else:
                     extra += self._route(descriptor, entry.actions[0])
             if extra:
@@ -857,20 +852,14 @@ class NfManager:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _follow_entry(self, descriptor: PacketDescriptor,
-                      entry: FlowTableEntry,
-                      destination: Destination) -> int:
-        """Dispatch a descriptor along ``destination`` under ``entry``.
+    def _route(self, descriptor: PacketDescriptor,
+               destination: Destination) -> int:
+        """Dispatch a descriptor to ``destination``: a service (fanned
+        out when it heads a registered parallel chain), a port or a drop.
 
         Returns the extra service cost (fan-out copies, queue scans) the
         calling thread must charge.
         """
-        if entry.parallel and destination == entry.default_action:
-            return self._fan_out(descriptor, entry)
-        return self._route(descriptor, destination)
-
-    def _route(self, descriptor: PacketDescriptor,
-               destination: Destination) -> int:
         # Most hops are service hops, so that test comes first.
         if isinstance(destination, ToService):
             service_id = destination.service_id
@@ -896,13 +885,6 @@ class NfManager:
         assert isinstance(destination, Drop)
         self._drop(descriptor, "dropped_by_nf")
         return 0
-
-    def _fan_out(self, descriptor: PacketDescriptor,
-                 entry: FlowTableEntry) -> int:
-        """Copy a descriptor to every VM in a parallel action list."""
-        members = [action.service_id for action in entry.actions
-                   if isinstance(action, ToService)]
-        return self._fan_out_members(descriptor, members)
 
     def _fan_out_members(self, descriptor: PacketDescriptor,
                          members: typing.Sequence[str],
@@ -1016,7 +998,7 @@ class NfManager:
                 yield sim.sleep(lookup_total)
             extra = 0
             for descriptor, entry in resolved:
-                if (entry is not None and not entry.parallel
+                if (entry is not None
                         and descriptor.verdict.kind is NfVerdict.DEFAULT):
                     extra += self._route(descriptor, entry.actions[0])
                 else:
@@ -1122,8 +1104,8 @@ class NfManager:
                 # of the allowable next hops listed in the flow table".
                 self.stats.policy_violations += 1
                 destination = entry.default_action
-            return self._follow_entry(descriptor, entry, destination)
-        return self._follow_entry(descriptor, entry, entry.default_action)
+            return self._route(descriptor, destination)
+        return self._route(descriptor, entry.default_action)
 
     # ------------------------------------------------------------------
     # Flow Controller thread (SDN miss path, §4.1)
@@ -1168,7 +1150,7 @@ class NfManager:
             if entry is None:
                 self._drop(descriptor, "dropped_no_rule")
             else:
-                self._follow_entry(descriptor, entry, entry.default_action)
+                self._route(descriptor, entry.default_action)
 
     def _request_rules(self, scope: str, flow: FiveTuple):
         """Ask the controller for rules; None means giving up.
@@ -1372,7 +1354,6 @@ class NfManager:
             override = FlowTableEntry(
                 scope=scope, match=flows,
                 actions=template.with_default(new_default).actions,
-                parallel=template.parallel,
                 priority=template.priority + 1)
             self.install_rule(override)
 

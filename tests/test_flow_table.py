@@ -27,6 +27,9 @@ class TestEntry:
     def test_needs_actions(self):
         with pytest.raises(ValueError):
             entry(actions=())
+        # copy() validates through the constructor as well.
+        with pytest.raises(ValueError, match="at least one action"):
+            entry(actions=(ToService("a"),)).copy(actions=())
 
     def test_default_is_first(self):
         rule = entry(actions=(ToService("a"), ToService("b")))
@@ -69,27 +72,13 @@ class TestEntry:
         kept = {field.name for field in dataclasses.fields(FlowTableEntry)}
         kept -= {"match", "actions", "entry_id"}
         # copy() names each field: a new one must be added there too.
-        assert kept == {"scope", "parallel", "priority", "idle_timeout_ns",
+        assert kept == {"scope", "priority", "idle_timeout_ns",
                         "hard_timeout_ns", "proactive", "installed_at_ns",
                         "last_hit_ns"}
         for field in kept:
             assert getattr(updated, field) == getattr(rule, field)
         assert rule.actions == (ToService("a"), ToService("b"))
         assert rule.match == FlowMatch.any()
-
-    def test_copy_validates_parallel_rule(self):
-        rule = entry(actions=(ToService("a"), ToService("b")), parallel=True)
-        with pytest.raises(ValueError, match="must all target services"):
-            rule.with_default(ToPort("eth1"))
-        with pytest.raises(ValueError, match="at least one action"):
-            rule.copy(actions=())
-
-    def test_parallel_requires_multiple_service_actions(self):
-        with pytest.raises(ValueError):
-            entry(actions=(ToService("a"),), parallel=True)
-        with pytest.raises(ValueError):
-            entry(actions=(ToService("a"), ToPort("eth1")), parallel=True)
-        entry(actions=(ToService("a"), ToService("b")), parallel=True)
 
 
 class TestLookup:

@@ -536,30 +536,6 @@ class TestNf003ConflictingParallelGroups:
         assert len(found) == 1
         assert "write/write" in found[0].message
 
-    def test_rejects_conflicting_flow_entry_parallel_actions(self):
-        bad = """
-            import dataclasses
-
-            class MarkerA(NetworkFunction):
-                def process(self, packet, ctx):
-                    packet.ip = dataclasses.replace(packet.ip, dscp=1)
-                    return Verdict.default()
-
-            class MarkerB(NetworkFunction):
-                def process(self, packet, ctx):
-                    packet.ip = dataclasses.replace(packet.ip, dscp=2)
-                    return Verdict.default()
-
-            def wire(table):
-                MarkerA("ma")
-                MarkerB("mb")
-                table.install(FlowTableEntry(
-                    parallel=True,
-                    actions=(ToService("ma"), ToService("mb"))))
-        """
-        found = violations(bad, "NF003")
-        assert len(found) == 1
-
     def test_accepts_disjoint_writers_and_readers(self):
         good = """
             import dataclasses

@@ -188,12 +188,44 @@ class TestParallelProcessing:
             self, sim):
         host = NfvHost(sim, name="p2")
         host.add_nf(CounterNf("ids"))
-        host.install_rule(FlowTableEntry(
-            scope="eth0", match=FlowMatch.any(),
-            actions=(ToService("ddos"), ToService("ids")),
-            parallel=True))
+        host.manager.register_parallel_chain(["ddos", "ids"])
         with pytest.raises(ValueError, match="read-only"):
             host.add_nf(MutatingNf("ddos"))
+        assert "ddos" not in host.manager.vms_by_service
+
+    def test_chain_admitted_on_profiles_takes_a_late_writer(self, sim):
+        """Profiles, not the declared bit, admitted this chain, so a VM
+        that declares itself a writer may still join it."""
+        from repro.analysis.profiles import profile_of
+
+        host = NfvHost(sim, name="p2b")
+        host.add_nf(CounterNf("ids"))
+        host.manager.register_parallel_chain(
+            ["ddos", "ids"], profiles={"ddos": profile_of(MutatingNf),
+                                       "ids": profile_of(CounterNf)})
+        host.add_nf(MutatingNf("ddos"))
+        assert len(host.manager.vms_by_service["ddos"]) == 1
+
+    @pytest.mark.parametrize("target", ["dpi", "port:eth1"])
+    def test_change_default_in_front_of_a_chain_keeps_packets(
+            self, sim, flow, target):
+        """§3.4 rewrites of the rule leading into a chain reroute the
+        flow without touching the group: the chain is registered by
+        service, not carried in the rewritten rule's action list."""
+        host = NfvHost(sim, name="p5")
+        for service in ("fw", "ids", "dpi"):
+            host.add_nf(CounterNf(service))
+        install_chain(host, ["fw", "ids", "dpi"])
+        host.manager.register_parallel_chain(["ids", "dpi"])
+        host.manager.submit_nf_message(ChangeDefault(
+            sender_service="fw", flows=FlowMatch.exact(flow),
+            service="fw", target=target))
+        sim.run(until=1 * MS)
+        out = run_packets(sim, host, flow)
+        assert len(out) == 3
+        assert host.stats.dropped_no_rule == 0
+        assert host.stats.parallel_groups == 0
+        assert host.stats.per_service_packets["ids"] == 0
 
     def test_parallel_discard_wins(self, sim, flow):
         host = NfvHost(sim, name="p3")
