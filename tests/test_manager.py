@@ -159,9 +159,9 @@ class TestNfVerdicts:
 
 
 class TestParallelProcessing:
-    def _parallel_host(self, sim, read_only=True):
+    def _parallel_host(self, sim):
         host = NfvHost(sim, name="p0")
-        host.add_nf(CounterNf("ddos") if read_only else MutatingNf("ddos"))
+        host.add_nf(CounterNf("ddos"))
         host.add_nf(CounterNf("ids"))
         install_chain(host, ["ddos", "ids"])
         host.manager.register_parallel_chain(["ddos", "ids"])
