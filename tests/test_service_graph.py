@@ -1,5 +1,7 @@
 """Service graph tests: construction, validation, compilation, chains."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -10,6 +12,7 @@ from repro.core import (
     ServiceGraph,
     compile_distributed_rules,
 )
+from repro.core.service_graph import ServiceEdge
 from repro.dataplane import Drop, ToPort, ToService
 from repro.net import FlowMatch
 from repro.topology import Link, NodeSpec, Topology
@@ -49,6 +52,33 @@ def video_graph():
     graph.add_edge("tc", "cache", default=True)
     graph.add_edge("cache", EXIT, default=True)
     graph.set_entry("vd")
+    return graph
+
+
+def branchy_graph():
+    """Services declared out of name order, branches, DROP edges, and
+    defaults added after their siblings: every query's order shows."""
+    graph = ServiceGraph("branchy")
+    for name in ("z", "m", "a", "k"):
+        graph.add_service(name)
+    graph.add_edge("z", "k")
+    graph.add_edge("z", DROP)
+    graph.add_edge("z", "m", default=True)
+    graph.add_edge("m", "k")
+    graph.add_edge("m", "a", default=True)
+    graph.add_edge("a", DROP)
+    graph.add_edge("a", "k", default=True)
+    graph.add_edge("a", EXIT)
+    graph.add_edge("k", EXIT, default=True)
+    graph.set_entry("z")
+    return graph
+
+
+def one_service_graph():
+    graph = ServiceGraph("g")
+    graph.add_service("a")
+    graph.add_edge("a", EXIT, default=True)
+    graph.set_entry("a")
     return graph
 
 
@@ -142,6 +172,183 @@ class TestValidation:
             graph.validate()
 
 
+class TestValidationRejects:
+    """Every check ``validate`` makes, each on a graph that fails only
+    it (or fails it first), with the texts callers see."""
+
+    def test_self_loop_is_a_cycle(self):
+        graph = ServiceGraph("g")
+        graph.add_service("a")
+        graph.add_edge("a", "a", default=True)
+        graph.add_edge("a", EXIT)
+        graph.set_entry("a")
+        with pytest.raises(ValueError, match="cycle") as info:
+            graph.validate()
+        assert "a" in str(info.value)
+
+    def test_cycle_away_from_the_entry(self):
+        graph = ServiceGraph("g")
+        for name in ("e", "b", "c"):
+            graph.add_service(name)
+        graph.add_edge("e", "b", default=True)
+        graph.add_edge("b", "c", default=True)
+        graph.add_edge("b", EXIT)
+        graph.add_edge("c", "b", default=True)
+        graph.set_entry("e")
+        with pytest.raises(ValueError, match="cycle") as info:
+            graph.validate()
+        assert "b" in str(info.value) and "c" in str(info.value)
+
+    def test_cycle_is_reported_before_unreachable(self):
+        graph = ServiceGraph("g")
+        for name in ("a", "x", "y"):
+            graph.add_service(name)
+        graph.add_edge("a", EXIT, default=True)
+        graph.add_edge("x", "y", default=True)
+        graph.add_edge("y", "x", default=True)
+        graph.set_entry("a")
+        with pytest.raises(ValueError, match="cycle"):
+            graph.validate()
+
+    def test_unreachable_services_listed_sorted(self):
+        graph = ServiceGraph("g")
+        for name in ("a", "q", "p"):
+            graph.add_service(name)
+        graph.add_edge("a", EXIT, default=True)
+        graph.add_edge("q", "a", default=True)
+        graph.add_edge("p", DROP, default=True)
+        graph.set_entry("a")
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == "services unreachable from entry: ['p', 'q']"
+
+    def test_unreachable_is_reported_before_dead_end(self):
+        graph = ServiceGraph("g")
+        for name in ("a", "island"):
+            graph.add_service(name)
+        graph.add_edge("a", EXIT, default=True)
+        graph.set_entry("a")
+        with pytest.raises(ValueError, match="unreachable"):
+            graph.validate()
+
+    def test_dead_end(self):
+        graph = ServiceGraph("g")
+        graph.add_service("a")
+        graph.add_service("b")
+        graph.add_edge("a", "b", default=True)
+        graph.set_entry("a")
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == ("'b' has no exit (dead end); "
+                                   "add an edge to EXIT or DROP")
+
+    def test_no_default(self):
+        graph = ServiceGraph("g")
+        graph.add_service("a")
+        graph.add_edge("a", EXIT)
+        graph.set_entry("a")
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == ("'a' must have exactly one default "
+                                   "edge, has 0")
+
+    def test_two_defaults(self, monkeypatch):
+        # add_edge refuses a second default, so only a graph whose edges
+        # were altered behind it can reach this check.
+        graph = one_service_graph()
+        monkeypatch.setattr(graph, "out_edges", lambda service: [
+            ServiceEdge(service, EXIT, default=True),
+            ServiceEdge(service, DROP, default=True)])
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == ("'a' must have exactly one default "
+                                   "edge, has 2")
+
+    def test_no_path_to_exit_or_drop(self, monkeypatch):
+        # Likewise unreachable through add_edge: a finite DAG whose
+        # services all have an exit reaches a sentinel.
+        graph = one_service_graph()
+        monkeypatch.setattr(graph, "out_edges", lambda service: [
+            ServiceEdge(service, service, default=True)])
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == "no path reaches EXIT or DROP"
+
+
+class TestQueryOrder:
+    """What every query returns on a branchy graph, order included:
+    these hold whatever ``PYTHONHASHSEED`` is."""
+
+    def test_services_in_declaration_order(self):
+        assert branchy_graph().services == ["z", "m", "a", "k"]
+
+    def test_out_edges_default_first_then_insertion_order(self):
+        graph = branchy_graph()
+        assert graph.out_edges("z") == [ServiceEdge("z", "m", True),
+                                        ServiceEdge("z", "k", False),
+                                        ServiceEdge("z", DROP, False)]
+        assert graph.out_edges("a") == [ServiceEdge("a", "k", True),
+                                        ServiceEdge("a", DROP, False),
+                                        ServiceEdge("a", EXIT, False)]
+        assert graph.out_edges("k") == [ServiceEdge("k", EXIT, True)]
+        assert graph.out_edges(EXIT) == []
+        assert graph.out_edges(DROP) == []
+
+    def test_predecessors_in_edge_insertion_order(self):
+        graph = branchy_graph()
+        assert graph.predecessors("k") == ["z", "m", "a"]
+        assert graph.predecessors("a") == ["m"]
+        assert graph.predecessors("z") == []
+        assert graph.predecessors(EXIT) == ["a", "k"]
+        assert graph.predecessors(DROP) == ["z", "a"]
+
+    def test_sentinels_are_neither_services_nor_edge_sources(self):
+        graph = branchy_graph()
+        for sentinel in (EXIT, DROP):
+            assert not graph.has_service(sentinel)
+            assert not graph.has_edge(sentinel, "z")
+        assert not graph.has_service("ghost")
+        assert graph.has_service("k")
+        assert graph.has_edge("a", DROP) and graph.has_edge("a", EXIT)
+        assert not graph.has_edge("k", DROP)
+        assert not graph.has_edge("ghost", EXIT)
+        assert not graph.has_edge("k", "z")
+
+    def test_default_successor(self):
+        graph = branchy_graph()
+        assert [graph.default_successor(service)
+                for service in graph.services] == ["m", "a", "k", EXIT]
+        with pytest.raises(ValueError, match="no default edge"):
+            graph.default_successor(EXIT)
+
+    def test_parallel_chains_and_layout_without_profiles(self):
+        graph = anomaly_graph()
+        assert graph.parallel_chains() == [["firewall", "sampler"],
+                                           ["ddos", "ids"]]
+        assert graph.auto_parallel_layout() == [
+            ["firewall", "sampler"], ["ddos", "ids"], ["scrubber"]]
+        assert branchy_graph().parallel_chains() == []
+        assert branchy_graph().auto_parallel_layout() == [
+            ["z"], ["m"], ["a"], ["k"]]
+
+    @pytest.mark.parametrize("build", [anomaly_graph, video_graph,
+                                       branchy_graph])
+    def test_pickle_round_trip_compiles_the_same_rules(self, build):
+        """Scenarios (graphs included) are pickled for shard workers."""
+        graph = build()
+        copy = pickle.loads(pickle.dumps(graph))
+        copy.validate()
+        assert copy.name == graph.name and copy.entry == graph.entry
+        assert copy.services == graph.services
+        assert all(copy.out_edges(service) == graph.out_edges(service)
+                   and copy.predecessors(service)
+                   == graph.predecessors(service)
+                   and copy.is_read_only(service)
+                   == graph.is_read_only(service)
+                   for service in graph.services)
+        assert rule_shapes(copy) == rule_shapes(graph)
+
+
 class TestQueries:
     def test_out_edges_default_first(self):
         graph = anomaly_graph()
@@ -168,6 +375,12 @@ def compile_on_one_host(graph, **kwargs):
     """The graph's rules with every service on one host, in order."""
     return [entry for _host, entry in compile_distributed_rules(
         graph, dict.fromkeys(graph.services, "h0"), ("h0",), **kwargs)]
+
+
+def rule_shapes(graph):
+    """What the one-host rules say, without their per-process ids."""
+    return [(rule.scope, rule.match, rule.actions, rule.priority)
+            for rule in compile_on_one_host(graph)]
 
 
 class TestCompilation:
