@@ -10,14 +10,14 @@ pick any other edge per packet.
 Two sentinel vertices terminate graphs: :data:`EXIT` (leave via the egress
 port) and :data:`DROP` (discard).  A graph knows nothing of hosts or flow
 rules: :mod:`repro.core.deploy_rules` compiles a placed graph into rules.
+The graph is a pair of insertion-ordered adjacency dicts, so every query
+answers in declaration order and a graph pickles as plain data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
-
-import networkx as nx
 
 EXIT = "__exit__"
 DROP = "__drop__"
@@ -40,7 +40,11 @@ class ServiceGraph:
         if not name:
             raise ValueError("a service graph needs a name")
         self.name = name
-        self._graph = nx.DiGraph()
+        # service -> {successor: is_default}, and vertex -> its sources,
+        # both in insertion order.  Only services key ``_succ``; EXIT and
+        # DROP appear in ``_pred`` once an edge reaches them.
+        self._succ: dict[str, dict[str, bool]] = {}
+        self._pred: dict[str, list[str]] = {}
         self._entry: str | None = None
         self._read_only: dict[str, bool] = {}
 
@@ -52,27 +56,29 @@ class ServiceGraph:
         """Declare a vertex.  ``read_only`` feeds parallel-chain fusion."""
         if service_id in _SENTINELS:
             raise ValueError(f"{service_id!r} is a reserved vertex name")
-        if self._graph.has_node(service_id):
+        if service_id in self._succ:
             raise ValueError(f"duplicate service {service_id!r}")
-        self._graph.add_node(service_id)
+        self._succ[service_id] = {}
+        self._pred[service_id] = []
         self._read_only[service_id] = read_only
 
     def add_edge(self, src: str, dst: str, default: bool = False) -> None:
         """Add a logical link.  ``dst`` may be EXIT or DROP."""
-        if not self._graph.has_node(src) or src in _SENTINELS:
+        successors = self._succ.get(src)
+        if successors is None:
             raise ValueError(f"unknown source service {src!r}")
-        if dst not in _SENTINELS and not self._graph.has_node(dst):
+        if dst not in _SENTINELS and dst not in self._succ:
             raise ValueError(f"unknown destination service {dst!r}")
-        if self._graph.has_edge(src, dst):
+        if dst in successors:
             raise ValueError(f"duplicate edge {src!r}->{dst!r}")
-        if default and any(data["default"] for _s, _d, data
-                           in self._graph.out_edges(src, data=True)):
+        if default and any(successors.values()):
             raise ValueError(f"{src!r} already has a default edge")
-        self._graph.add_edge(src, dst, default=default)
+        successors[dst] = default
+        self._pred.setdefault(dst, []).append(src)
 
     def set_entry(self, service_id: str) -> None:
         """Name the vertex that receives new packets from the ingress."""
-        if not self._graph.has_node(service_id):
+        if service_id not in self._succ:
             raise ValueError(f"unknown service {service_id!r}")
         self._entry = service_id
 
@@ -87,37 +93,35 @@ class ServiceGraph:
 
     @property
     def services(self) -> list[str]:
-        return [node for node in self._graph.nodes
-                if node not in _SENTINELS]
+        return list(self._succ)
 
     def has_service(self, service_id: str) -> bool:
         """Whether ``service_id`` is one of :attr:`services` (without
         building that list)."""
-        return (service_id not in _SENTINELS
-                and self._graph.has_node(service_id))
+        return service_id in self._succ
 
     def is_read_only(self, service_id: str) -> bool:
         return self._read_only.get(service_id, False)
 
     def out_edges(self, service_id: str) -> list[ServiceEdge]:
-        """Exiting edges, default first."""
-        edges = [ServiceEdge(src=src, dst=dst, default=data["default"])
-                 for src, dst, data
-                 in self._graph.out_edges(service_id, data=True)]
+        """Exiting edges, default first, then in insertion order."""
+        edges = [ServiceEdge(src=service_id, dst=dst, default=default)
+                 for dst, default in self._succ.get(service_id, {}).items()]
         edges.sort(key=lambda edge: not edge.default)
         return edges
 
     def default_successor(self, service_id: str) -> str:
-        for edge in self.out_edges(service_id):
-            if edge.default:
-                return edge.dst
+        for dst, default in self._succ.get(service_id, {}).items():
+            if default:
+                return dst
         raise ValueError(f"{service_id!r} has no default edge")
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return self._graph.has_edge(src, dst)
+        return dst in self._succ.get(src, ())
 
     def predecessors(self, service_id: str) -> list[str]:
-        return list(self._graph.predecessors(service_id))
+        """Sources of the edges into ``service_id``, in insertion order."""
+        return list(self._pred.get(service_id, ()))
 
     # ------------------------------------------------------------------
     # Validation (§3.2: a DAG with a source and a sink)
@@ -126,31 +130,65 @@ class ServiceGraph:
         """Raise ValueError describing the first structural problem found."""
         if self._entry is None:
             raise ValueError("no entry service set")
-        inner = self._graph.subgraph(self.services)
-        if not nx.is_directed_acyclic_graph(inner):
-            cycle = nx.find_cycle(inner)
-            raise ValueError(f"service graph has a cycle: {cycle}")
-        reachable = nx.descendants(self._graph, self._entry)
-        reachable.add(self._entry)
-        unreachable = set(self.services) - reachable
+        cycle = self._find_cycle()
+        if cycle:
+            raise ValueError(
+                f"service graph has a cycle: {' -> '.join(cycle)}")
+        reachable = {self._entry}
+        frontier = [self._entry]
+        while frontier:
+            for dst in self._succ.get(frontier.pop(), ()):
+                if dst not in reachable:
+                    reachable.add(dst)
+                    frontier.append(dst)
+        unreachable = [service for service in self._succ
+                       if service not in reachable]
         if unreachable:
             raise ValueError(
                 f"services unreachable from entry: {sorted(unreachable)}")
-        for service in self.services:
+        terminal = False
+        for service in self._succ:
             edges = self.out_edges(service)
             if not edges:
                 raise ValueError(f"{service!r} has no exit (dead end); "
                                  "add an edge to EXIT or DROP")
-            defaults = [edge for edge in edges if edge.default]
-            if len(defaults) != 1:
+            defaults = sum(edge.default for edge in edges)
+            if defaults != 1:
                 raise ValueError(
                     f"{service!r} must have exactly one default edge, "
-                    f"has {len(defaults)}")
-        terminals = [service for service in self.services
-                     if any(edge.dst in _SENTINELS
-                            for edge in self.out_edges(service))]
-        if not terminals:
+                    f"has {defaults}")
+            terminal = terminal or any(edge.dst in _SENTINELS
+                                       for edge in edges)
+        if not terminal:
             raise ValueError("no path reaches EXIT or DROP")
+
+    def _find_cycle(self) -> list[str]:
+        """The first cycle an iterative three-colour depth-first search
+        meets among the services, closed (``[a, b, a]``; a self-loop is
+        ``[a, a]``), or ``[]`` for a DAG."""
+        finished: set[str] = set()
+        for root in self._succ:
+            if root in finished:
+                continue
+            path = [root]
+            on_path = {root}
+            pending = [iter(self._succ[root])]
+            while pending:
+                for dst in pending[-1]:
+                    if dst in on_path:
+                        return [*path[path.index(dst):], dst]
+                    if dst in _SENTINELS or dst in finished:
+                        continue
+                    path.append(dst)
+                    on_path.add(dst)
+                    pending.append(iter(self._succ[dst]))
+                    break
+                else:
+                    done = path.pop()
+                    on_path.remove(done)
+                    finished.add(done)
+                    pending.pop()
+        return []
 
     # ------------------------------------------------------------------
     # Parallel-chain detection (§3.3)

@@ -2,7 +2,8 @@
 
 The placement engine (§3.5) is an offline planner that no packet path
 calls, and the lint engine and the action-profile extractor serve the
-tooling and profile-driven chains only.  Each case runs in a fresh
+tooling and profile-driven chains only.  networkx serves topology
+routing and placement, not service graphs.  Each case runs in a fresh
 interpreter, so the modules an earlier test imported do not count.
 """
 
@@ -69,5 +70,16 @@ def test_placement_still_imports_from_its_own_module():
     result = run_python("""
         from repro.core.placement import MilpSolver
         assert MilpSolver.__module__ == "repro.core.placement.milp"
+    """)
+    assert result.returncode == 0, result.stderr
+
+
+def test_core_loads_no_networkx():
+    result = run_python("""
+        import sys
+
+        import repro.core
+
+        assert "networkx" not in sys.modules
     """)
     assert result.returncode == 0, result.stderr

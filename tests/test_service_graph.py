@@ -199,6 +199,26 @@ class TestValidationRejects:
             graph.validate()
         assert "b" in str(info.value) and "c" in str(info.value)
 
+    def test_cycle_message_walks_the_cycle(self):
+        graph = ServiceGraph("g")
+        for name in ("e", "b", "c"):
+            graph.add_service(name)
+        graph.add_edge("e", "b", default=True)
+        graph.add_edge("b", "c", default=True)
+        graph.add_edge("c", "b", default=True)
+        graph.add_edge("c", "c")
+        graph.set_entry("e")
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == "service graph has a cycle: b -> c -> b"
+        graph = ServiceGraph("g")
+        graph.add_service("a")
+        graph.add_edge("a", "a", default=True)
+        graph.set_entry("a")
+        with pytest.raises(ValueError) as info:
+            graph.validate()
+        assert str(info.value) == "service graph has a cycle: a -> a"
+
     def test_cycle_is_reported_before_unreachable(self):
         graph = ServiceGraph("g")
         for name in ("a", "x", "y"):
