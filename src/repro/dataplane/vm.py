@@ -68,7 +68,7 @@ class NfVm:
             service_id=nf.service_id,
             vm_id=self.vm_id,
             submit_message=manager.submit_nf_message,
-            rng=manager.streams.stream(self.vm_id),
+            streams=manager.streams,
         )
         self._process = None
 

@@ -14,6 +14,7 @@ time for it.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.dataplane.actions import Verdict
@@ -23,6 +24,7 @@ from repro.net.packet import Packet
 if typing.TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
+    from repro.sim.randomness import RandomStreams
     from repro.sim.simulator import Simulator
 
 
@@ -75,12 +77,19 @@ class NfContext:
 
     def __init__(self, sim: Simulator, service_id: str, vm_id: str,
                  submit_message: typing.Callable[[NfMessage], None],
-                 rng: np.random.Generator) -> None:
+                 streams: RandomStreams) -> None:
         self.sim = sim
         self.service_id = service_id
         self.vm_id = vm_id
-        self.rng = rng
+        self._streams = streams
         self._submit_message = submit_message
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        """This VM's random stream, built on first use.  It is seeded
+        from the run's seed and :attr:`vm_id` alone, so when it is built
+        changes no draw; most NFs never draw and never build one."""
+        return self._streams.stream(self.vm_id)
 
     @property
     def now(self) -> int:

@@ -18,10 +18,10 @@ from repro.sim import MS
 
 
 def _ctx(sim):
-    import numpy as np
+    from repro.sim.randomness import RandomStreams
     return NfContext(sim=sim, service_id="dpi", vm_id="vm-d",
                      submit_message=lambda m: None,
-                     rng=np.random.default_rng(0))
+                     streams=RandomStreams(0))
 
 
 class TestClassifyPayload:

@@ -154,10 +154,10 @@ class TestAnalyticPredictions:
 
 class TestSourceNat:
     def _ctx(self, sim):
-        import numpy as np
+        from repro.sim.randomness import RandomStreams
         return NfContext(sim=sim, service_id="nat", vm_id="vm-t",
                          submit_message=lambda m: None,
-                         rng=np.random.default_rng(0))
+                         streams=RandomStreams(0))
 
     def test_outbound_translation_stable_per_flow(self, sim):
         nat = SourceNat("nat", public_ip="203.0.113.1")

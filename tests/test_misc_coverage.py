@@ -43,10 +43,10 @@ class TestFlowMatchSubsumption:
 
 class TestHttpCacheEdgeCases:
     def _ctx(self, sim):
-        import numpy as np
+        from repro.sim.randomness import RandomStreams
         return NfContext(sim=sim, service_id="cache", vm_id="vm-t",
                          submit_message=lambda m: None,
-                         rng=np.random.default_rng(0))
+                         streams=RandomStreams(0))
 
     def test_hit_without_reply_port_absorbs_request(self, sim, flow):
         cache = HttpCache("cache")  # no reply_port

@@ -6,8 +6,7 @@ plus a few checks of their message-sending behaviour.
 
 import pytest
 
-import numpy as np
-
+from repro.dataplane import NfvHost
 from repro.dataplane.actions import NfVerdict, ToPort, ToService
 from repro.dataplane.messages import ChangeDefault, RequestMe, UserMessage
 from repro.net import FiveTuple, FlowMatch, HttpRequest, HttpResponse, Packet
@@ -36,6 +35,7 @@ from repro.nfs import (
 from repro.nfs.base import NetworkFunction, NfContext
 from repro.nfs.ddos import DDOS_ALARM_KEY
 from repro.sim import S
+from repro.sim.randomness import RandomStreams
 from repro.workloads.sessions import video_reply_payload
 
 
@@ -46,7 +46,7 @@ class StubCtx(NfContext):
         self.messages = []
         super().__init__(sim=sim, service_id=service_id, vm_id="vm-test",
                          submit_message=self.messages.append,
-                         rng=np.random.default_rng(seed))
+                         streams=RandomStreams(seed))
 
 
 @pytest.fixture
@@ -117,6 +117,29 @@ class TestCompute:
     def test_jitter_cannot_exceed_cost(self):
         with pytest.raises(ValueError):
             ComputeNf("c", cost_ns=100, jitter_ns=200)
+
+
+class TestVmStream:
+    """A VM's random stream is built on its first draw, seeded from the
+    host's seed and the VM id alone."""
+
+    def test_no_generator_until_something_draws(self, sim):
+        host = NfvHost(sim, name="h0", seed=5)
+        vms = [host.add_nf(ComputeNf(service, cost_ns=1000))
+               for service in ("a", "b", "c")]
+        assert host.manager.streams._streams == {}
+        vms[1].ctx.rng.random()
+        assert list(host.manager.streams._streams) == [vms[1].vm_id]
+
+    def test_first_draws_match_a_fresh_stream(self, sim, flow):
+        host = NfvHost(sim, name="h0", seed=5)
+        nf = ComputeNf("c", cost_ns=5000, jitter_ns=1000)
+        vm = host.add_nf(nf)
+        fresh = RandomStreams(5).stream(vm.vm_id)
+        assert ([nf.processing_cost_ns(pkt(flow), vm.ctx)
+                 for _ in range(8)]
+                == [int(fresh.integers(4000, 6001)) for _ in range(8)])
+        assert vm.ctx.rng is host.manager.streams.stream(vm.vm_id)
 
 
 class TestFirewall:

@@ -21,10 +21,10 @@ from tests.conftest import install_chain
 
 
 def _ctx(sim):
-    import numpy as np
+    from repro.sim.randomness import RandomStreams
     return NfContext(sim=sim, service_id="marker", vm_id="vm-q",
                      submit_message=lambda m: None,
-                     rng=np.random.default_rng(0))
+                     streams=RandomStreams(0))
 
 
 class TestDscpMapping:
