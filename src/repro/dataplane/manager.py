@@ -400,10 +400,11 @@ class NfManager:
         self._next_tx = 0
         self._groups: dict[int, _ParallelGroup] = {}
         self._parallel_chains: dict[str, list[str]] = {}
-        # First members of the chains admitted on the VMs' declared
-        # read-only bit (no profiles): a VM that joins one later must be
-        # read-only too.
-        self._declared_chains: set[str] = set()
+        # What admitted each chain, keyed like the chains (first member):
+        # its members' profiles, or None for a chain admitted on the VMs'
+        # declared read-only bit.  A VM that joins a chain later is held
+        # to the same test.
+        self._chain_profiles: dict[str, dict[str, typing.Any] | None] = {}
         # Merge plans for profile-driven chains, keyed like the chains
         # (first member): service -> (mergeable fields, annotation keys)
         # that member may write.  Absent for legacy read-only chains.
@@ -629,7 +630,7 @@ class NfManager:
                             f"service {service_id!r} has a non-read-only "
                             "VM; cannot run in parallel")
             self._parallel_chains[services[0]] = list(services)
-            self._declared_chains.add(services[0])
+            self._chain_profiles[services[0]] = None
             return
         # Off the packet path: validate with the analysis package (the
         # data plane itself stays analysis-free; see host.py's verifier
@@ -654,7 +655,7 @@ class NfManager:
             for service, profile in zip(services, ordered)
         }
         self._parallel_chains[services[0]] = list(services)
-        self._declared_chains.discard(services[0])
+        self._chain_profiles[services[0]] = dict(zip(services, ordered))
         if any(fields or keys for fields, keys in plan.values()):
             self._chain_merge_plans[services[0]] = plan
 
@@ -664,16 +665,30 @@ class NfManager:
             balancer.policy = policy
 
     def _check_parallel_membership(self, vm: NfVm) -> None:
-        """A VM joining a chain admitted on the declared read-only bit
-        must be read-only itself; chains admitted with profiles were
-        checked on the profiles instead."""
-        if vm.read_only:
-            return
+        """A VM joining a chain passes the test that admitted the chain:
+        it must be read-only itself if the chain was admitted on the
+        declared bit, and its own profile must not conflict with the
+        other members' admitted profiles if it was admitted on those."""
         for head, members in self._parallel_chains.items():
-            if head in self._declared_chains and vm.service_id in members:
+            if vm.service_id not in members:
+                continue
+            admitted = self._chain_profiles[head]
+            if admitted is None:
+                if not vm.read_only:
+                    raise ValueError(
+                        f"service {vm.service_id!r} is in parallel chain "
+                        f"{members!r} but the registering VM is not "
+                        "read-only")
+                continue
+            # Only here does a registration need the analysis package.
+            from repro.analysis.profiles import chain_conflicts, profile_of
+            issues = chain_conflicts([
+                profile_of(type(vm.nf)) if service == vm.service_id
+                else admitted[service] for service in members])
+            if issues:
                 raise ValueError(
-                    f"service {vm.service_id!r} is in parallel chain "
-                    f"{members!r} but the registering VM is not read-only")
+                    f"parallel chain {members!r} has conflicting "
+                    f"profiles: {'; '.join(issues)}")
 
     # ------------------------------------------------------------------
     # Introspection (host-tier state for the hierarchy)

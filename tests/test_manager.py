@@ -20,7 +20,7 @@ from repro.dataplane import (
 from repro.dataplane.load_balancer import LoadBalancePolicy
 from repro.net import FiveTuple, FlowMatch, Packet
 from repro.net.headers import PROTO_TCP
-from repro.nfs import ComputeNf, CounterNf, NoOpNf
+from repro.nfs import ComputeNf, CounterNf, DscpMarker, NoOpNf
 from repro.nfs.base import NetworkFunction
 from repro.sim import MS, S, Simulator
 
@@ -205,6 +205,22 @@ class TestParallelProcessing:
                                        "ids": profile_of(CounterNf)})
         host.add_nf(MutatingNf("ddos"))
         assert len(host.manager.vms_by_service["ddos"]) == 1
+
+    def test_late_replica_conflicting_with_its_chain_rejected(self, sim):
+        """A replica joining a chain admitted on profiles is checked on
+        its own profile: this marker writes DSCP, as member ``b`` does,
+        so its writes would race ``b``'s."""
+        from repro.analysis.profiles import profile_of
+
+        host = NfvHost(sim, name="p2c")
+        host.add_nf(CounterNf("a"))
+        host.add_nf(DscpMarker("b", default_dscp=20))
+        host.manager.register_parallel_chain(
+            ["a", "b"], profiles={"a": profile_of(CounterNf),
+                                  "b": profile_of(DscpMarker)})
+        with pytest.raises(ValueError, match="conflicting profiles"):
+            host.add_nf(DscpMarker("a", default_dscp=10))
+        assert len(host.manager.vms_by_service["a"]) == 1
 
     @pytest.mark.parametrize("target", ["dpi", "port:eth1"])
     def test_change_default_in_front_of_a_chain_keeps_packets(
