@@ -134,13 +134,7 @@ class ServiceGraph:
         if cycle:
             raise ValueError(
                 f"service graph has a cycle: {' -> '.join(cycle)}")
-        reachable = {self._entry}
-        frontier = [self._entry]
-        while frontier:
-            for dst in self._succ.get(frontier.pop(), ()):
-                if dst not in reachable:
-                    reachable.add(dst)
-                    frontier.append(dst)
+        reachable = self._reachable()
         unreachable = [service for service in self._succ
                        if service not in reachable]
         if unreachable:
@@ -161,6 +155,45 @@ class ServiceGraph:
                                        for edge in edges)
         if not terminal:
             raise ValueError("no path reaches EXIT or DROP")
+
+    def _reachable(self) -> set[str]:
+        """Every vertex a walk from the entry reaches, sentinels too."""
+        if self._entry is None:
+            return set()
+        reachable = {self._entry}
+        frontier = [self._entry]
+        while frontier:
+            for dst in self._succ.get(frontier.pop(), ()):
+                if dst not in reachable:
+                    reachable.add(dst)
+                    frontier.append(dst)
+        return reachable
+
+    def _graph_order(self) -> list[str]:
+        """The services in graph order: a topological walk from the
+        entry that releases each service once all its reachable sources
+        are placed, successors in :meth:`out_edges` order.  Services the
+        walk cannot place (unreachable, or on a cycle) follow in
+        declaration order."""
+        reachable = self._reachable()
+        waiting = {service: sum(src in reachable
+                                for src in self._pred[service])
+                   for service in self._succ if service in reachable}
+        order: list[str] = []
+        ready = [self._entry] if self._entry is not None else []
+        while ready:
+            service = ready.pop(0)
+            order.append(service)
+            for edge in self.out_edges(service):
+                dst = edge.dst
+                if dst in waiting:
+                    waiting[dst] -= 1
+                    if waiting[dst] == 0 and dst != self._entry:
+                        ready.append(dst)
+        placed = set(order)
+        order.extend(service for service in self._succ
+                     if service not in placed)
+        return order
 
     def _find_cycle(self) -> list[str]:
         """The first cycle an iterative three-colour depth-first search
@@ -198,11 +231,13 @@ class ServiceGraph:
 
         A run v1→v2→…→vk qualifies when every vi is read-only, each vi→vi+1
         is vi's *only* out-edge, and vi+1's only in-edge — i.e. every packet
-        leaving vi goes to vi+1 (the paper's DDoS→IDS condition).
+        leaving vi goes to vi+1 (the paper's DDoS→IDS condition).  Runs
+        are found and listed in graph order, so the answer depends on the
+        edges, not on the order the services were declared in.
         """
         chains: list[list[str]] = []
         consumed: set[str] = set()
-        for service in self.services:
+        for service in self._graph_order():
             if service in consumed or not self.is_read_only(service):
                 continue
             chain = [service]
@@ -261,7 +296,7 @@ class ServiceGraph:
 
         layout: list[list[str]] = []
         consumed: set[str] = set()
-        for service in self.services:
+        for service in self._graph_order():
             if service in consumed:
                 continue
             group = [service]

@@ -514,3 +514,32 @@ class TestParallelChains:
         graph.set_entry("a")
         # b has two predecessors: fusing a→b would steal x's traffic.
         assert graph.parallel_chains() == []
+
+    @pytest.mark.parametrize("declared", [("a", "b", "c"), ("c", "b", "a"),
+                                          ("b", "c", "a")])
+    def test_chains_do_not_depend_on_declaration_order(self, declared):
+        """The same edges give the same chains and layout whatever order
+        the services were declared in: both walk from the entry."""
+        graph = ServiceGraph("g")
+        for name in declared:
+            graph.add_service(name, read_only=True)
+        graph.add_edge("a", "b", default=True)
+        graph.add_edge("b", "c", default=True)
+        graph.add_edge("c", EXIT, default=True)
+        graph.set_entry("a")
+        assert graph.parallel_chains() == [["a", "b", "c"]]
+        assert graph.auto_parallel_layout() == [["a", "b", "c"]]
+
+    def test_branchy_layout_in_graph_order_when_declared_reversed(self):
+        """Declared backwards, a branching graph still lists its
+        singletons from the entry, each after all its sources."""
+        reference = branchy_graph()
+        graph = ServiceGraph("reversed")
+        for name in reversed(reference.services):
+            graph.add_service(name)
+        for service in reference.services:
+            for edge in reference.out_edges(service):
+                graph.add_edge(service, edge.dst, default=edge.default)
+        graph.set_entry(reference.entry)
+        assert graph.services == ["k", "a", "m", "z"]
+        assert graph.auto_parallel_layout() == [["z"], ["m"], ["a"], ["k"]]
