@@ -290,19 +290,18 @@ class SdnfvApp:
     # ------------------------------------------------------------------
     # Cross-layer message validation (§3.4, untrusted NFs)
     # ------------------------------------------------------------------
-    def validate(self, host_name: str, message: NfMessage) -> Event:
+    def validate(self, host_name: str, message: NfMessage) -> bool:
         """Policy check: NF requests must stay within the edges of the
-        deployed service graphs."""
+        deployed service graphs.
+
+        The verdict is immediate, and a rejection is recorded at once;
+        the manager that asked charges ``validation_latency_ns`` as one
+        sleep before it acts on the verdict.
+        """
         verdict = self._is_permitted(message)
-        event = self.sim.event()
         if not verdict:
             self.rejected_messages.append((host_name, message))
-        if self.validation_latency_ns:
-            self.sim.schedule(self.validation_latency_ns,
-                              lambda: event.succeed(verdict))
-        else:
-            event.succeed(verdict)
-        return event
+        return verdict
 
     def _is_permitted(self, message: NfMessage) -> bool:
         if isinstance(message, UserMessage):

@@ -424,6 +424,9 @@ class NfManager:
         self._pending_flows: dict[tuple[str, FiveTuple],
                                   list[PacketDescriptor]] = {}
         self._mgmt_queue = Store(sim)
+        # The SDNFV Application when NFs are untrusted: its ``validate``
+        # returns a verdict at once, and the management loop charges its
+        # ``validation_latency_ns``.
         self.policy_validator: typing.Any | None = None
         self.message_handlers: dict[
             str, typing.Callable[[UserMessage], None]] = {}
@@ -957,11 +960,10 @@ class NfManager:
         """One TX thread: burst-drain completed descriptors, resolve.
 
         Mirrors the RX side: block for the head descriptor, sweep the
-        rest of the burst, then charge drain + per-packet resolution
-        once, absorbing parallel-group members and re-resolving lookup
-        plans once per (flow, burst).  ``burst_size=1`` reproduces the
-        pre-burst event sequence exactly (including the unconditional
-        merge delay after a group completes).
+        rest of the burst, absorb parallel-group members and classify
+        the survivors at once (one table lookup per (scope, flow) in the
+        burst), then charge drain + merge + lookups in one sleep before
+        routing.  ``burst_size=1`` moves one descriptor per wake.
         """
         sim = self.sim
         stats = self.stats
@@ -974,43 +976,28 @@ class NfManager:
             if burst > 1 and queue.items:
                 batch.extend(queue.dequeue_burst(burst - 1))
             stats.record_tx_batch(len(batch))
-            yield sim.sleep(costs.tx_service_ns * len(batch))
-            merged_any = False
-            merge_cost = 0
-            survivors: list[PacketDescriptor] = []
+            work = costs.tx_service_ns * len(batch)
+            burst_plans: dict[tuple[str, FiveTuple],
+                              FlowTableEntry | None] = {}
+            resolved: list[tuple[PacketDescriptor,
+                                 FlowTableEntry | None]] = []
             for descriptor in batch:
                 if descriptor.group_id is not None:
                     merged = self._absorb_group_member(descriptor)
                     if merged is None:
                         continue
                     descriptor, member_count = merged
-                    merged_any = True
-                    merge_cost += (costs.parallel_merge_ns
-                                   * max(0, member_count - 1))
-                survivors.append(descriptor)
-            if merged_any:
-                yield sim.sleep(merge_cost)
-            # Per-burst plan: each distinct (scope, flow) pays for at
-            # most one table lookup.
-            burst_plans: dict[tuple[str, FiveTuple],
-                              FlowTableEntry | None] = {}
-            lookup_total = 0
-            resolved: list[tuple[PacketDescriptor,
-                                 FlowTableEntry | None]] = []
-            for descriptor in survivors:
+                    work += costs.parallel_merge_ns * (member_count - 1)
                 assert descriptor.verdict is not None
-                scope = descriptor.scope
-                flow = descriptor.packet.flow
-                key = (scope, flow)
+                key = (descriptor.scope, descriptor.packet.flow)
                 if key in burst_plans:
                     entry = burst_plans[key]
                 else:
-                    entry, lookup_cost = classify(scope, flow)
+                    entry, lookup_cost = classify(*key)
                     burst_plans[key] = entry
-                    lookup_total += lookup_cost
+                    work += lookup_cost
                 resolved.append((descriptor, entry))
-            if lookup_total:
-                yield sim.sleep(lookup_total)
+            yield sim.sleep(work)
             extra = 0
             for descriptor, entry in resolved:
                 if (entry is not None
@@ -1237,9 +1224,11 @@ class NfManager:
     def _mgmt_loop(self):
         while True:
             message: NfMessage = yield self._mgmt_queue.get()
-            if self.policy_validator is not None:
-                approved = yield self.policy_validator.validate(self.name,
-                                                                message)
+            validator = self.policy_validator
+            if validator is not None:
+                approved = validator.validate(self.name, message)
+                if validator.validation_latency_ns:
+                    yield self.sim.sleep(validator.validation_latency_ns)
                 if not approved:
                     self.rejected_messages += 1
                     if self.event_log is not None:

@@ -13,13 +13,15 @@ import pytest
 
 from repro.control import ControlPlane
 from repro.core import EXIT, SdnfvApp, ServiceGraph
-from repro.dataplane import NfvHost, RingBuffer
+from repro.dataplane import NfvHost, RingBuffer, ToPort
 from repro.dataplane.manager import NicPort
+from repro.dataplane.messages import ChangeDefault
+from repro.metrics.eventlog import EventLog
 from repro.net import FiveTuple, FlowMatch, Packet
-from repro.nfs import NoOpNf
+from repro.nfs import NoOpNf, PolicyEngine, VideoFlowDetector
 from repro.sim import MS, US, Store
 from repro.sim.events import Event, Interrupt
-from repro.workloads import FlowSpec, PktGen
+from repro.workloads import FlowChurnWorkload, FlowSpec, PktGen
 
 
 class TestTimerLane:
@@ -298,6 +300,74 @@ class TestWireEntries:
         packets = gen.received - received
         assert packets > 100
         assert sim.events_scheduled - events == entries * packets
+
+    def test_fig10_churn_host_entries_per_packet(self, sim):
+        """Fig. 10's detector -> policy engine host, with every
+        ChangeDefault validated by the app, at a churn rate low enough
+        that each two-packet flow crosses it alone: one TX sleep per
+        burst and a zero-latency validation that takes no kernel entry
+        give 12 entries per packet."""
+        app = SdnfvApp(sim, trust_nfs=False)
+        host = NfvHost(sim, name="v0", seed=3)
+        app.register_host(host)
+        host.add_nf(VideoFlowDetector("vd"))
+        host.add_nf(PolicyEngine("pe", detector_service="vd",
+                                 transcoder_service="tc", exit_port="eth1"))
+        graph = ServiceGraph("video")
+        graph.add_service("vd", read_only=True)
+        graph.add_service("pe")
+        graph.add_edge("vd", "pe", default=True)
+        graph.add_edge("vd", EXIT)
+        graph.add_edge("pe", EXIT, default=True)
+        graph.set_entry("vd")
+        app.deploy(graph, proactive=True)
+        FlowChurnWorkload(sim, host, new_flows_per_second=1000, seed=3)
+        port = host.port("eth1")
+        sink = port.on_egress
+        delivered = []
+
+        def record(packet):
+            delivered.append(packet.size)
+            sink(packet)
+
+        port.on_egress = record
+        sim.run(until=5 * MS)
+        events, before = sim.events_scheduled, len(delivered)
+        sim.run(until=45 * MS)
+        packets = len(delivered) - before
+        assert packets > 50
+        assert not app.rejected_messages
+        assert sim.events_scheduled - events == 12 * packets
+
+    @pytest.mark.parametrize("latency_ns", [0, 5 * US])
+    def test_validation_latency_is_one_manager_sleep(self, sim, flow,
+                                                     latency_ns):
+        """An untrusted NF's message is applied exactly
+        ``validation_latency_ns`` after it is queued.  Between the two,
+        the queue hand-off takes one kernel entry and a nonzero latency
+        one more."""
+        app = SdnfvApp(sim, trust_nfs=False, validation_latency_ns=latency_ns)
+        host = NfvHost(sim, name="h0")
+        app.register_host(host)
+        for name in ("a", "b"):
+            host.add_nf(NoOpNf(name))
+        graph = _chain_graph(["a", "b"], read_only=False)
+        graph.add_edge("a", EXIT)
+        app.deploy(graph)
+        log = EventLog(sim)
+        host.manager.event_log = log
+        sim.run(until=1 * MS)
+        events = sim.events_scheduled
+        host.manager.submit_nf_message(ChangeDefault(
+            sender_service="a", flows=FlowMatch.exact(flow), service="a",
+            target="port:eth1"))
+        sim.run()
+        applied = [event.timestamp_ns
+                   for event in log.filter("message_applied")]
+        assert applied == [1 * MS + latency_ns]
+        assert sim.events_scheduled - events == 1 + (latency_ns > 0)
+        assert host.flow_table.lookup(
+            "a", flow).default_action == ToPort("eth1")
 
 
 class TestLazyCancellation:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.ownership import OwnershipError
-from repro.dataplane import FlowTableEntry, NfvHost, ToPort
+from repro.dataplane import FlowTableEntry, HostCosts, NfvHost, ToPort
 from repro.dataplane.messages import ChangeDefault
 from repro.faults import NfWatchdog
 from repro.net import FiveTuple, FlowMatch
 from repro.nfs import ComputeNf, NoOpNf
-from repro.sim import MS, Simulator
+from repro.sim import MS, US, Simulator
 
 from tests.conftest import install_chain
 
@@ -204,6 +204,49 @@ class TestGroupMemberLoss:
         assert len(out) == 1
         assert host.stats.lost_in_nf == 1
         report = host.verifier.assert_clean()
+        assert report.audit["delivered"] == 1
+        assert report.audit["dropped"] == 0
+
+    def test_member_crash_while_tx_holds_the_other_member(self, flow):
+        """The TX thread absorbs a parallel member when it sweeps its
+        burst, then sleeps off the burst's cost.  A crash that takes the
+        other member inside that sleep must finalize the group exactly
+        once, from the crash path, with a clean ledger."""
+        sim = Simulator()
+        host = NfvHost(sim, name="parallel", verify=True,
+                       costs=HostCosts(tx_service_ns=1 * MS))
+        fast_vm = host.add_nf(NoOpNf("fast"))
+        slow_vm = host.add_nf(ComputeNf("slow", cost_ns=20 * MS))
+        manager = host.manager
+        tx_queue = manager._vm_tx_assignment[fast_vm.vm_id]
+        manager.register_parallel_chain(["fast", "slow"])
+        install_chain(host, ["fast", "slow"])
+        out = _reclaiming_sink(host)
+        merges = []
+        merge_group = manager._merge_group
+
+        def counting_merge(group, descriptor):
+            merges.append(sim.now)
+            return merge_group(group, descriptor)
+
+        manager._merge_group = counting_merge
+        host.inject("eth0", _alloc(host, flow))
+        # Step until the TX thread has swept the fast member.
+        while not tx_queue.enqueued or tx_queue.items:
+            sim.run(until=sim.now + 100)
+        swept_at = sim.now
+        assert out == [] and len(manager._groups) == 1
+        assert slow_vm.inflight is not None
+        slow_vm.crash()
+        sim.run(until=swept_at + 100 * US)    # still inside the TX sleep
+        assert merges == [swept_at]
+        assert manager._groups == {}
+        sim.run(until=40 * MS)
+        assert merges == [swept_at]
+        assert len(out) == 1
+        assert host.stats.lost_in_nf == 1
+        report = host.verifier.assert_clean()
+        assert report.audit["injected"] == 1
         assert report.audit["delivered"] == 1
         assert report.audit["dropped"] == 0
 
