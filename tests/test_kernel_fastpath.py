@@ -276,7 +276,7 @@ class TestWireEntries:
         assert sim.timers_scheduled == 5
 
     @pytest.mark.parametrize(("parallel", "entries"),
-                             [(False, 19), (True, 21)])
+                             [(False, 19), (True, 20)])
     def test_table2_chain_entries_per_packet(self, sim, parallel,
                                              entries):
         """A Table 2-style 3-NoOp chain at 100 Mbps moves one packet at
