@@ -16,6 +16,7 @@ answers in declaration order and a graph pickles as plain data.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import typing
 
@@ -134,7 +135,13 @@ class ServiceGraph:
         if cycle:
             raise ValueError(
                 f"service graph has a cycle: {' -> '.join(cycle)}")
-        reachable = self._reachable()
+        reachable = {self._entry}
+        frontier = [self._entry]
+        while frontier:
+            for dst in self._succ.get(frontier.pop(), ()):
+                if dst not in reachable:
+                    reachable.add(dst)
+                    frontier.append(dst)
         unreachable = [service for service in self._succ
                        if service not in reachable]
         if unreachable:
@@ -156,43 +163,39 @@ class ServiceGraph:
         if not terminal:
             raise ValueError("no path reaches EXIT or DROP")
 
-    def _reachable(self) -> set[str]:
-        """Every vertex a walk from the entry reaches, sentinels too."""
-        if self._entry is None:
-            return set()
-        reachable = {self._entry}
-        frontier = [self._entry]
-        while frontier:
-            for dst in self._succ.get(frontier.pop(), ()):
-                if dst not in reachable:
-                    reachable.add(dst)
-                    frontier.append(dst)
-        return reachable
-
     def _graph_order(self) -> list[str]:
         """The services in graph order: a topological walk from the
-        entry that releases each service once all its reachable sources
-        are placed, successors in :meth:`out_edges` order.  Services the
+        entry that places each service once all its reachable sources
+        are placed, successors in edge insertion order.  Services the
         walk cannot place (unreachable, or on a cycle) follow in
         declaration order."""
-        reachable = self._reachable()
-        waiting = {service: sum(src in reachable
-                                for src in self._pred[service])
-                   for service in self._succ if service in reachable}
-        order: list[str] = []
-        ready = [self._entry] if self._entry is not None else []
-        while ready:
-            service = ready.pop(0)
-            order.append(service)
-            for edge in self.out_edges(service):
-                dst = edge.dst
+        entry = self._entry
+        if entry is None:
+            return self.services
+        # Each reachable service's number of reachable sources.
+        waiting = {entry: 0}
+        frontier = [entry]
+        while frontier:
+            for dst in self._succ[frontier.pop()]:
                 if dst in waiting:
+                    waiting[dst] += 1
+                elif dst not in _SENTINELS:
+                    waiting[dst] = 1
+                    frontier.append(dst)
+        order: list[str] = []
+        ready = collections.deque([entry])
+        while ready:
+            service = ready.popleft()
+            order.append(service)
+            for dst in self._succ[service]:
+                if dst in waiting and dst != entry:
                     waiting[dst] -= 1
-                    if waiting[dst] == 0 and dst != self._entry:
+                    if not waiting[dst]:
                         ready.append(dst)
-        placed = set(order)
-        order.extend(service for service in self._succ
-                     if service not in placed)
+        if len(order) < len(self._succ):
+            placed = set(order)
+            order.extend(service for service in self._succ
+                         if service not in placed)
         return order
 
     def _find_cycle(self) -> list[str]:
