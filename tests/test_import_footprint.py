@@ -2,8 +2,9 @@
 
 The placement engine (§3.5) is an offline planner that no packet path
 calls, and the lint engine and the action-profile extractor serve the
-tooling and profile-driven chains only.  networkx serves topology
-routing and placement, not service graphs.  Each case runs in a fresh
+tooling and profile-driven chains only.  No run needs networkx: the
+topology routes on its own adjacency dicts, and only the routing tests
+load networkx, as their reference.  Each case runs in a fresh
 interpreter, so the modules an earlier test imported do not count.
 """
 
@@ -74,12 +75,45 @@ def test_placement_still_imports_from_its_own_module():
     assert result.returncode == 0, result.stderr
 
 
-def test_core_loads_no_networkx():
+def test_api_loads_no_networkx():
     result = run_python("""
         import sys
 
+        import repro.api
         import repro.core
 
         assert "networkx" not in sys.modules
+    """)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_sharded_wan_run_without_networkx_delivers():
+    result = run_python("""
+        import sys
+        sys.modules["networkx"] = None  # any networkx import now fails
+
+        from repro.api import (EXIT, MS, FiveTuple, Scenario,
+                               ServiceGraph, ShardedSimulator,
+                               TrafficSpec)
+        from repro.topology import rocketfuel_like
+
+        graph = ServiceGraph("wan")
+        graph.add_service("a", read_only=True)
+        graph.add_service("b", read_only=True)
+        graph.add_edge("a", "b", default=True)
+        graph.add_edge("b", EXIT, default=True)
+        graph.set_entry("a")
+        scenario = Scenario(
+            topology=rocketfuel_like(),
+            graph=graph,
+            placement={"a": "n0", "b": "n14"},  # one 500 us hop apart
+            duration_ns=1 * MS,
+            traffic=[TrafficSpec(
+                host="n0",
+                flow=FiveTuple("10.0.0.1", "10.0.0.2", 6, 4000, 80),
+                rate_mbps=400.0, stop_ns=MS // 4)])
+        result = ShardedSimulator(scenario, shards=2).run()
+        assert {"n0", "n14"} <= set(result.hosts)
+        assert result.received > 0, (result.sent, result.received)
     """)
     assert result.returncode == 0, result.stderr

@@ -124,9 +124,10 @@ def all_paths(topology):
 
 
 @st.composite
-def tied_topologies(draw):
-    """Random connected graphs with delays in 1..3 ns (ties are common);
-    some nodes are switches, which route but are not NFV hosts."""
+def tied_topologies(draw, connected=True):
+    """Random graphs with delays in 1..3 ns (ties are common); some
+    nodes are switches, which route but are not NFV hosts.  Connected
+    unless ``connected=False``, which may leave some nodes unlinked."""
     count = draw(st.integers(min_value=2, max_value=8))
     topology = Topology()
     for index in range(count):
@@ -138,6 +139,8 @@ def tied_topologies(draw):
     names = topology.node_names
     delay = st.integers(min_value=1, max_value=3)
     for index in range(1, count):
+        if not connected and draw(st.booleans()):
+            continue
         parent = draw(st.integers(min_value=0, max_value=index - 1))
         topology.add_link(Link(a=names[parent], b=names[index],
                                delay_ns=draw(delay)))
@@ -154,17 +157,40 @@ def tied_topologies(draw):
 class TestRouting:
     @given(topology=tied_topologies())
     @settings(max_examples=60, deadline=None)
-    def test_next_hop_matches_eager_reference(self, topology):
-        """The memoised path keeps networkx's tie-breaks: every ordered
-        pair of NFV hosts leaves by the next hop a fresh search picks."""
+    def test_whole_path_matches_eager_reference(self, topology):
+        """The ported search keeps networkx's tie-breaks: every ordered
+        pair of nodes gets the very path a fresh networkx search picks."""
         graph = reference_graph(topology)
-        hosts = topology.nfv_hosts()
-        for src in hosts:
-            for dst in hosts:
-                if src != dst:
-                    path = nx.shortest_path(graph, src, dst,
+        for (src, dst), path in all_paths(topology).items():
+            assert path == nx.shortest_path(graph, src, dst,
                                             weight="delay_ns")
-                    assert topology.shortest_path(src, dst)[1] == path[1]
+
+    @given(topology=tied_topologies(connected=False))
+    @settings(max_examples=60, deadline=None)
+    def test_connectivity_matches_networkx(self, topology):
+        assert topology.is_connected() == nx.is_connected(
+            reference_graph(topology))
+
+    def test_empty_topology_is_not_connected(self):
+        assert not Topology().is_connected()
+
+    @pytest.mark.parametrize("src, dst", [("ghost", "n0"), ("n0", "ghost"),
+                                          ("ghost", "ghost")])
+    def test_unknown_node_raises_key_error(self, src, dst):
+        topology, _names = line_topology(3)
+        with pytest.raises(KeyError, match="ghost"):
+            topology.shortest_path(src, dst)
+        with pytest.raises(KeyError):
+            topology.neighbors("ghost")
+
+    def test_missing_path_raises_value_error(self):
+        topology, names = line_topology(2)
+        topology.add_node(NodeSpec(name="island", cores=2))
+        with pytest.raises(ValueError, match="no path"):
+            topology.shortest_path(names[0], "island")
+        with pytest.raises(ValueError, match="no path"):
+            topology.shortest_path("island", names[1])
+        assert topology.shortest_path("island", "island") == ["island"]
 
     def test_added_link_invalidates_memo(self):
         topology, names = line_topology(4)
