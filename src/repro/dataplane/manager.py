@@ -275,6 +275,10 @@ class _ParallelGroup:
         self.expected = expected
         self.exit_scope = exit_scope
         self.verdicts: list[tuple[int, Verdict]] = []
+        #: TX ring of the last member dispatched (the exit member's,
+        #: unless the fan-out lost it); a lost last straggler's packet
+        #: goes there to be merged.
+        self.tx_queue: RingBuffer | None = None
         self.write_plan = write_plan
         self._field_snapshot: dict[str, typing.Any] = {}
         self._ann_snapshot: dict[str, typing.Any] = {}
@@ -934,7 +938,9 @@ class NfManager:
             vm, scan_cost = balancer.choose(replicas, packet.flow)
             cost += scan_cost
             self.stats.record_service(service_id)
-            if not vm.rx_ring.try_enqueue(member):
+            if vm.rx_ring.try_enqueue(member):
+                group.tx_queue = self._vm_tx_assignment[vm.vm_id]
+            else:
                 self.stats.dropped_ring_full += 1
                 self._release(packet)
                 self._desc_free(member)
@@ -1024,13 +1030,16 @@ class NfManager:
             self, descriptor: PacketDescriptor
     ) -> tuple[PacketDescriptor, int] | None:
         """Fold one parallel member in; emit the merged descriptor when all
-        members have reported."""
+        members have reported.  A member without a verdict is a lost last
+        straggler's packet reference (see :meth:`_group_member_lost`):
+        its group is already complete and merges at once."""
         group = self._groups.get(descriptor.group_id)
         if group is None:  # group finalized by member loss accounting
             self._release(descriptor.packet)
             self._desc_free(descriptor)
             return None
-        if not group.member_done(descriptor):
+        if descriptor.verdict is not None and not group.member_done(
+                descriptor):
             self._release(descriptor.packet)
             self._desc_free(descriptor)
             return None
@@ -1063,12 +1072,15 @@ class NfManager:
         though their NFs processed the packet successfully.
 
         When the lost member was the *last* straggler (every survivor
-        already reported), the group is finalized here, and the merged
-        descriptor reuses the lost member's packet reference — by this
-        point the survivors have all dropped theirs, so releasing it
-        instead would hand the merge a reclaimed buffer.  Returns True
-        exactly when that reference was consumed; the caller must then
-        skip its own release.
+        already reported), the group is complete.  The lost member's
+        packet reference then goes, in a verdict-less descriptor, to the
+        TX ring of the group's exit member, whose thread merges it and
+        pays TX service and the lookup as for any completed group.  By
+        this point the survivors have all dropped their references, so
+        releasing this one instead would hand the merge a reclaimed
+        buffer.  Returns True exactly when that reference was consumed;
+        the caller must then skip its own release.  When that ring is
+        full, the group ends as a ``dropped_ring_full`` drop.
         """
         group_id = descriptor.group_id
         if group_id is None:
@@ -1077,11 +1089,16 @@ class NfManager:
         if group is None:
             return False
         if group.member_lost():
-            merged = self._merge_group(group, descriptor)
-            entry, _cost = self._classify(merged.scope,
-                                          merged.packet.flow)
-            self._resolve_verdict(merged, entry)
-            return True
+            straggler = self._desc_alloc(descriptor.packet, descriptor.scope,
+                                         descriptor.ingress_at)
+            straggler.group_id = group_id
+            assert group.tx_queue is not None
+            if group.tx_queue.try_enqueue(straggler):
+                return True
+            del self._groups[group_id]
+            self.stats.dropped_ring_full += 1
+            self._desc_free(straggler)
+            return False
         if group.expected <= 0:
             # Every member died before any verdict: nothing to merge.
             del self._groups[group_id]

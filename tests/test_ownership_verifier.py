@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.ownership import OwnershipError
 from repro.dataplane import FlowTableEntry, HostCosts, NfvHost, ToPort
 from repro.dataplane.messages import ChangeDefault
+from repro.dataplane.rings import RingBuffer
 from repro.faults import NfWatchdog
 from repro.net import FiveTuple, FlowMatch
 from repro.nfs import ComputeNf, NoOpNf
@@ -249,6 +250,76 @@ class TestGroupMemberLoss:
         assert report.audit["injected"] == 1
         assert report.audit["delivered"] == 1
         assert report.audit["dropped"] == 0
+
+
+    @staticmethod
+    def _held_fast_member(host: NfvHost, flow):
+        """A fast/slow parallel chain whose TX thread has just swept the
+        fast member, with the slow member still inside its VM."""
+        sim = host.sim
+        fast_vm = host.add_nf(NoOpNf("fast"))
+        slow_vm = host.add_nf(ComputeNf("slow", cost_ns=20 * MS))
+        manager = host.manager
+        fast_tx = manager._vm_tx_assignment[fast_vm.vm_id]
+        manager.register_parallel_chain(["fast", "slow"])
+        install_chain(host, ["fast", "slow"])
+        departures = []
+
+        def sink(packet):
+            departures.append(sim.now)
+            if packet.ref_count == 0:
+                packet.pool.reclaim(packet)
+
+        host.port("eth1").on_egress = sink
+        host.inject("eth0", _alloc(host, flow))
+        while not fast_tx.enqueued or fast_tx.items:
+            sim.run(until=sim.now + 100)
+        assert slow_vm.inflight is not None
+        return slow_vm, departures
+
+    def test_lost_straggler_pays_tx_service_on_the_exit_ring(self, flow):
+        """The packet a lost last straggler completes goes to the exit
+        member's TX ring and pays TX service there, like any merged
+        group: it leaves no earlier than one ``tx_service_ns`` after the
+        crash, not at the crash instant."""
+        sim = Simulator()
+        costs = HostCosts(tx_service_ns=1 * MS)
+        host = NfvHost(sim, name="parallel", verify=True, costs=costs)
+        slow_vm, departures = self._held_fast_member(host, flow)
+        exit_tx = host.manager._vm_tx_assignment[slow_vm.vm_id]
+        crashed_at = sim.now
+        slow_vm.crash()
+        sim.run(until=40 * MS)
+        assert exit_tx.enqueued == 1           # the straggler, nothing else
+        assert len(departures) == 1
+        assert (crashed_at + costs.tx_service_ns <= departures[0]
+                < crashed_at + 2 * costs.tx_service_ns)
+        assert host.manager._groups == {}
+        assert host.stats.lost_in_nf == 1
+        report = host.verifier.assert_clean()
+        assert report.audit["injected"] == 1
+        assert report.audit["delivered"] == 1
+        assert report.audit["dropped"] == 0
+
+    def test_lost_straggler_on_a_full_exit_ring_is_a_ring_drop(self, flow):
+        sim = Simulator()
+        host = NfvHost(sim, name="parallel", verify=True,
+                       costs=HostCosts(tx_service_ns=1 * MS))
+        slow_vm, departures = self._held_fast_member(host, flow)
+        manager = host.manager
+        (group,) = manager._groups.values()
+        group.tx_queue = RingBuffer(sim, name="full", slots=1)
+        assert group.tx_queue.try_enqueue("occupant")
+        drops = manager.stats.dropped_ring_full
+        slow_vm.crash()
+        sim.run(until=40 * MS)
+        assert departures == []
+        assert manager.stats.dropped_ring_full == drops + 1
+        assert manager._groups == {}
+        report = host.verifier.assert_clean()
+        assert report.audit["injected"] == 1
+        assert report.audit["delivered"] == 0
+        assert report.audit["dropped"] == 1
 
 
 # ----------------------------------------------------------------------
