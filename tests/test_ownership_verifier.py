@@ -212,7 +212,8 @@ class TestGroupMemberLoss:
         """The TX thread absorbs a parallel member when it sweeps its
         burst, then sleeps off the burst's cost.  A crash that takes the
         other member inside that sleep must finalize the group exactly
-        once, from the crash path, with a clean ledger."""
+        once, at the crash instant (on the exit member's TX thread,
+        which is idle), with a clean ledger."""
         sim = Simulator()
         host = NfvHost(sim, name="parallel", verify=True,
                        costs=HostCosts(tx_service_ns=1 * MS))
