@@ -11,8 +11,10 @@ congested link instead of queueing behind it.
 
 from __future__ import annotations
 
+import collections
+
 from repro.dataplane.manager import NicPort
-from repro.net.packet import Packet, transmission_ns
+from repro.net.packet import Packet
 from repro.net.qos import (
     DSCP_ASSURED,
     DSCP_BEST_EFFORT,
@@ -21,7 +23,6 @@ from repro.net.qos import (
     dscp_to_priority,
 )
 from repro.sim.simulator import Simulator
-from repro.sim.store import Store
 
 __all__ = [
     # re-exported marking vocabulary (repro.net.qos)
@@ -37,9 +38,10 @@ __all__ = [
 class PriorityNicPort(NicPort):
     """A NIC port with strict-priority transmit queues.
 
-    The drain process always serves the lowest-numbered non-empty queue.
+    Each free wire slot goes to the lowest-numbered non-empty queue.
     Queue choice per packet: the ``qos_priority`` annotation if present,
-    else the packet's IP DSCP field.
+    else the packet's IP DSCP field.  Frames serialize through
+    :class:`NicPort`'s timer machine; only the pick differs.
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -49,18 +51,18 @@ class PriorityNicPort(NicPort):
                  queue_frames: int = 4096) -> None:
         if priority_levels < 2:
             raise ValueError("need at least two priority levels")
+        if queue_frames <= 0:
+            raise ValueError("queue_frames must be positive")
         self._levels = priority_levels
-        self._queues = [Store(sim, capacity=queue_frames)
-                        for _ in range(priority_levels)]
-        self._kick = Store(sim)
+        self._queue_frames = queue_frames
+        self._queues: list[collections.deque[Packet]] = [
+            collections.deque() for _ in range(priority_levels)]
+        # Level of the frame on the wire (one at a time).
+        self._tx_level = -1
         self.tx_dropped = 0
         self.per_priority_tx = [0] * priority_levels
         super().__init__(sim, name, line_rate_gbps=line_rate_gbps,
                          rx_frames=rx_frames)
-        # The base port's wire drain is a timer state machine armed by
-        # NicPort.transmit(); priority queues need the scan-all-levels
-        # loop instead, so this subclass runs its own drain process.
-        sim.process(self._drain())
 
     @property
     def levels(self) -> int:
@@ -74,36 +76,35 @@ class PriorityNicPort(NicPort):
         return dscp_to_priority(dscp, self._levels)
 
     def transmit(self, packet: Packet) -> None:
-        level = self.classify(packet)
-        if self._queues[level].try_put(packet):
-            self._kick.try_put(None)
-        else:
+        queue = self._queues[self.classify(packet)]
+        if len(queue) >= self._queue_frames:
             self.tx_dropped += 1
             if packet.pool is not None:
                 packet.free()
+            return
+        queue.append(packet)
+        if not self._tx_busy:
+            self._tx_busy = True
+            # Deferred by one zero-delay timer, so the most urgent frame
+            # of a same-nanosecond burst goes first.
+            self.sim.call_later(0, self._pick)
 
-    def _drain(self):
-        """Strict priority: always pick the most urgent waiting frame."""
-        while True:
-            yield self._kick.get()
-            # Like NicPort, hold queued frames while the link is down.
-            while not self.link_up:
-                yield self._link_restored
-            packet = None
-            level = -1
-            for index, queue in enumerate(self._queues):
-                candidate = queue.try_get()
-                if candidate is not None:
-                    packet, level = candidate, index
-                    break
-            if packet is None:
-                continue
-            yield self.sim.sleep(
-                transmission_ns(packet.size, self.line_rate_gbps))
-            self.tx_packets += 1
-            self.tx_bytes += packet.size
-            self.per_priority_tx[level] += 1
-            if self.on_egress is not None:
-                self.on_egress(packet)
-            else:
-                yield self.egress.put(packet)
+    def _pick(self, _arg: None = None) -> None:
+        """Strict priority: start the most urgent waiting frame."""
+        # Like NicPort, hold queued frames while the link is down.
+        if not self.link_up:
+            self._link_restored.callbacks.append(
+                lambda _event: self._pick())
+            return
+        for level, queue in enumerate(self._queues):
+            if queue:
+                self._tx_level = level
+                self._tx_start(queue.popleft())
+                return
+
+    def _tx_done(self, packet: Packet) -> None:
+        self.per_priority_tx[self._tx_level] += 1
+        super()._tx_done(packet)
+        if any(self._queues):
+            self._tx_busy = True
+            self.sim.call_later(0, self._pick)
