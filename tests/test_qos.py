@@ -90,6 +90,8 @@ class TestPriorityPort:
     def test_levels_validated(self, sim):
         with pytest.raises(ValueError):
             PriorityNicPort(sim, "p0", priority_levels=1)
+        with pytest.raises(ValueError):
+            PriorityNicPort(sim, "p0", queue_frames=0)
 
     def test_priority_traffic_overtakes_bulk(self, sim):
         """With a congested slow link, expedited frames jump the queue."""
@@ -115,6 +117,46 @@ class TestPriorityPort:
         urgent_positions = [order.index("urgent0"), order.index("urgent1")]
         assert max(urgent_positions) <= 2
         assert port.per_priority_tx[0] == 2
+
+    def test_same_nanosecond_burst_sends_the_urgent_frame_first(self, sim):
+        """The pick waits one zero-delay timer, so an expedited frame
+        that arrives in the same nanosecond as a bulk burst, after it,
+        still goes out first."""
+        port = PriorityNicPort(sim, "burst", line_rate_gbps=1.0)
+        order = []
+        port.on_egress = lambda p: order.append(p.annotations["tag"])
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1, 80)
+        for i in range(4):
+            bulk = Packet(flow=flow, size=1024)
+            bulk.annotations["tag"] = f"bulk{i}"
+            port.transmit(bulk)
+        urgent = Packet(flow=flow, size=128)
+        urgent.annotations["tag"] = "urgent"
+        urgent.annotations[PRIORITY_ANNOTATION] = 0
+        port.transmit(urgent)
+        sim.run()
+        assert order == ["urgent", "bulk0", "bulk1", "bulk2", "bulk3"]
+        assert port.per_priority_tx == [1, 0, 4]
+
+    def test_unwired_port_leaves_frames_in_egress_by_priority(self, sim):
+        """With no ``on_egress`` hook, frames land in ``port.egress`` in
+        the order the wire served them: most urgent level first."""
+        port = PriorityNicPort(sim, "unwired", line_rate_gbps=1.0)
+        flow = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_TCP, 1, 80)
+        for tag, priority in (("bulk0", 2), ("assured", 1),
+                              ("bulk1", 2), ("urgent", 0)):
+            packet = Packet(flow=flow, size=1000)
+            packet.annotations["tag"] = tag
+            packet.annotations[PRIORITY_ANNOTATION] = priority
+            port.transmit(packet)
+        sim.run()
+        assert [packet.annotations["tag"]
+                for packet in port.egress.items] == [
+            "urgent", "assured", "bulk0", "bulk1"]
+        # Back to back at the line rate: 8,192 ns per 1000 B frame.
+        assert sim.now == 4 * 8_192
+        assert port.tx_packets == 4
+        assert port.per_priority_tx == [1, 1, 2]
 
     def test_classification_via_dscp_field(self, sim):
         port = PriorityNicPort(sim, "p1")
