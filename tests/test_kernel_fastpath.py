@@ -116,7 +116,7 @@ class TestDirectWakes:
 
         def producer():
             for i in range(1000):
-                yield store.put(i)
+                assert store.try_put(i)
                 yield sim.sleep(1)
 
         def consumer():
@@ -129,30 +129,30 @@ class TestDirectWakes:
         made = _count_events(monkeypatch)
         sim.run()
         assert received == list(range(1000))
-        # 2,000 sleeps and 2,000 store hand-offs, not one Event among
+        # 2,000 sleeps and 1,000 store hand-offs, not one Event among
         # them.
         assert made == []
 
     @pytest.mark.parametrize("kind", ["store", "ring"])
     def test_every_store_hands_off_without_events(self, sim, monkeypatch,
                                                   kind):
-        """Plain stores and rings alike: parked gets, blocked puts and a
-        blocked put admitted by ``try_get`` all wake directly."""
+        """Plain stores and rings alike: a get served from the store, a
+        parked get woken by ``try_put`` and a ``try_get`` poll all hand
+        off directly."""
         store = (Store(sim, capacity=1) if kind == "store"
                  else RingBuffer(sim, "r", slots=1))
         received = []
 
         def producer():
             for i in range(100):
-                yield store.put(i)
+                assert store.try_put(i)
+                yield sim.sleep(1)
 
         def consumer():
             for _ in range(50):
                 received.append((yield store.get()))
-                yield sim.sleep(1)
             for _ in range(50):
                 yield sim.sleep(1)
-                # Frees the slot a blocked put is waiting for.
                 received.append(store.try_get())
 
         sim.process(producer())
@@ -209,12 +209,17 @@ class TestDirectWakes:
 
     @pytest.mark.parametrize("call", ["get", "put"])
     def test_direct_store_outside_a_process_raises(self, sim, call):
+        """``get`` needs a running process, whether the store is empty
+        ("get") or a ``try_put`` left an item waiting ("put")."""
         store = Store(sim)
+        if call == "put":
+            assert store.try_put("x")
         with pytest.raises(RuntimeError):
-            store.get() if call == "get" else store.put("x")
-        # try_put / try_get stay callable from anywhere.
+            store.get()
+        # try_put / try_get stay callable from anywhere, and the failed
+        # get took nothing.
         assert store.try_put("y")
-        assert store.try_get() == "y"
+        assert store.try_get() == ("x" if call == "put" else "y")
 
     def test_interrupted_sleep_wakes_once(self, sim):
         """Sleep 100, interrupted at 10, then sleep 5: exactly one wake,

@@ -60,7 +60,7 @@ class TestBlocking:
 
         def producer():
             yield sim.timeout(42)
-            yield store.put("late")
+            assert store.try_put("late")
 
         sim.process(producer())
         sim.run()
@@ -159,7 +159,7 @@ class TestProperties:
 
         def producer():
             for item in items:
-                yield store.put(item)
+                assert store.try_put(item)
                 yield sim.timeout(1)
 
         def consumer():
