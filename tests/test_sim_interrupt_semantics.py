@@ -220,22 +220,3 @@ class TestInterruptedDirectWaits:
         sim.run()
         assert list(store.items) == ["kept"]
         assert not store._getters
-
-    def test_interrupted_blocked_put_never_lands(self, sim):
-        store = Store(sim, capacity=1)
-        store.try_put("first")
-        seen = []
-
-        def producer():
-            try:
-                yield store.put("second")
-                seen.append("put")
-            except Interrupt:
-                seen.append("interrupted")
-
-        process = sim.process(producer())
-        sim.schedule(10, lambda: process.interrupt())
-        sim.schedule(20, lambda: seen.append(store.try_get()))
-        sim.run()
-        assert seen == ["interrupted", "first"]
-        assert not store.items

@@ -66,26 +66,6 @@ class TestBlocking:
         sim.run()
         assert got == [(42, "late")]
 
-    def test_put_blocks_until_space(self, sim, store):
-        for i in range(3):
-            store.try_put(i)
-        done = []
-
-        def producer():
-            yield store.put("extra")
-            done.append(sim.now)
-
-        sim.process(producer())
-
-        def consumer():
-            yield sim.timeout(10)
-            store.try_get()
-
-        sim.process(consumer())
-        sim.run()
-        assert done == [10]
-        assert list(store.items) == [1, 2, "extra"]
-
     def test_direct_handoff_preserves_getter_order(self, sim, store):
         received = []
 
@@ -104,26 +84,6 @@ class TestBlocking:
         sim.process(producer())
         sim.run()
         assert received == [("first", "a"), ("second", "b")]
-
-    def test_waiting_putters_admitted_in_order(self, sim):
-        store = Store(sim, capacity=1)
-        store.try_put("occupant")
-
-        def producer(item):
-            yield store.put(item)
-
-        sim.process(producer("p1"))
-        sim.process(producer("p2"))
-        drained = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                drained.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert drained == ["occupant", "p1", "p2"]
 
 
 class TestProperties:
