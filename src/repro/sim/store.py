@@ -1,10 +1,11 @@
-"""A bounded FIFO store with blocking put/get, for inter-process queues.
+"""A bounded FIFO store for inter-process queues: producers never block.
 
-Every hand-off wakes its process directly: a blocking ``get``/``put``
-pushes a bare ``(when, seq, process._wake, value)`` heap entry (or parks
-the calling process in the store) and returns
-:data:`~repro.sim.events.DIRECT`, so moving an item between processes
-allocates no Event.
+A producer's ``try_put`` drops the item when the store is full, like an
+SPSC ring.  Only the consumer waits: a blocking ``get`` pushes a bare
+``(when, seq, process._wake, value)`` heap entry (or parks the calling
+process in the store) and returns :data:`~repro.sim.events.DIRECT`, and
+a ``try_put`` to a parked getter pushes its wake the same way, so moving
+an item between processes allocates no Event.
 """
 
 from __future__ import annotations
@@ -19,27 +20,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Process
     from repro.sim.simulator import Simulator
 
-_OUTSIDE_PROCESS = "a store's get/put needs a running process"
+_OUTSIDE_PROCESS = "a store's get needs a running process"
 
 
 class Store:
     """Bounded FIFO channel between simulation processes.
 
-    ``put(item)`` and ``get()`` are yielded at once by the running
-    process that calls them::
+    The consumer yields ``get()`` at once from the running process::
 
-        yield store.put(item)      # blocks while full
         item = yield store.get()   # blocks while empty
 
-    Calling them outside a running process raises ``RuntimeError``.
-    Non-blocking variants ``try_put`` / ``try_get`` return success/None
-    immediately and work from anywhere — these model drop-on-full ring
-    buffers.
+    Calling it outside a running process raises ``RuntimeError``.
+    ``try_put`` / ``try_get`` return success/None immediately and work
+    from anywhere: ``try_put`` drops on full, as a ring buffer does.
     """
 
     # Stores sit on the per-packet path (NIC rings, VM rings, TX queues):
     # slotted so a busy host's queues never pay per-instance dict costs.
-    __slots__ = ("sim", "capacity", "items", "_getters", "_putters")
+    __slots__ = ("sim", "capacity", "items", "_getters")
 
     def __init__(self, sim: Simulator,
                  capacity: int | float = float("inf")) -> None:
@@ -48,9 +46,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: collections.deque = collections.deque()
-        # Parked getter Processes and (putter Process, item) pairs.
+        # Parked getter Processes.
         self._getters: collections.deque = collections.deque()
-        self._putters: collections.deque = collections.deque()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -62,32 +59,10 @@ class Store:
     # ------------------------------------------------------------------
     # Blocking interface
     # ------------------------------------------------------------------
-    def _wake(self, process: Process, value: typing.Any) -> None:
-        sim = self.sim
-        _heappush(sim._queue, (sim.now, sim._sequence, process._wake, value))
-        sim._sequence += 1
-
-    def put(self, item: typing.Any) -> typing.Any:
-        # Hand-off checks are inlined (instead of calling the private
-        # helpers) because put/get/try_put are the busiest calls in the
-        # whole simulator — one per packet per pipeline stage.
-        process = self.sim._active_process
-        if process is None:
-            raise RuntimeError(_OUTSIDE_PROCESS)
-        items = self.items
-        if self._getters and not items:
-            self._wake(self._getters.popleft(), item)
-        elif len(items) < self.capacity:
-            items.append(item)
-        else:
-            process._target = self
-            self._putters.append((process, item))
-            return DIRECT
-        process._target = None
-        self._wake(process, None)
-        return DIRECT
-
     def get(self) -> typing.Any:
+        # Wake entries are pushed inline because get/try_put are the
+        # busiest calls in the whole simulator — one per packet per
+        # pipeline stage.
         process = self.sim._active_process
         if process is None:
             raise RuntimeError(_OUTSIDE_PROCESS)
@@ -98,18 +73,9 @@ class Store:
             _heappush(sim._queue, (sim.now, sim._sequence, process._wake,
                                    items.popleft()))
             sim._sequence += 1
-            if self._putters and len(items) < self.capacity:
-                self._admit_putter()
         else:
             self._getters.append(process)
         return DIRECT
-
-    def _admit_putter(self) -> None:
-        """Move the oldest blocked put into the store and wake its putter."""
-        putter, item = self._putters.popleft()
-        self.items.append(item)
-        putter._target = None
-        self._wake(putter, None)
 
     # ------------------------------------------------------------------
     # Interrupted waits
@@ -121,19 +87,16 @@ class Store:
             self._getters.remove(process)
             return True
         except ValueError:
-            pass
-        for index, (putter, _item) in enumerate(self._putters):
-            if putter is process:
-                # The abandoned put never enters the store.
-                del self._putters[index]
-                return True
-        return False
+            return False
 
     def _give_back(self, item: typing.Any) -> None:
         """Return an item whose hand-off an interrupt cancelled: to the
         next parked getter, else to the head of the store."""
         if self._getters and not self.items:
-            self._wake(self._getters.popleft(), item)
+            sim = self.sim
+            _heappush(sim._queue, (sim.now, sim._sequence,
+                                   self._getters.popleft()._wake, item))
+            sim._sequence += 1
         else:
             self.items.appendleft(item)
 
@@ -157,9 +120,4 @@ class Store:
     def try_get(self) -> typing.Any | None:
         """Remove and return the head item, or None when empty."""
         items = self.items
-        if not items:
-            return None
-        item = items.popleft()
-        if self._putters and len(items) < self.capacity:
-            self._admit_putter()
-        return item
+        return items.popleft() if items else None
