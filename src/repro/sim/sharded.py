@@ -9,8 +9,8 @@ lockstep:
 
 - **Lookahead windows.**  The minimum propagation delay of any link
   that crosses a shard boundary is a hard lower bound on how soon one
-  shard can affect another.  ``ShardPlan`` records that bound per
-  *directed shard pair* (``lookahead_matrix``); the conductor runs a
+  shard can affect another.  The simulator derives that bound per
+  *directed shard pair* from the topology; the conductor runs a
   null-message/LBTS-style round schedule where each shard advances to
   the minimum over its inbound neighbors' clocks plus the pair
   lookahead, so two shards joined only by a slow WAN link barrier at
@@ -204,24 +204,16 @@ class Scenario:
 
 @dataclasses.dataclass(frozen=True)
 class ShardPlan:
-    """Host-group partition plus the conservative lookahead bounds.
+    """Host-group partition: ``groups[i]`` is the tuple of host names
+    shard ``i`` owns.
 
-    ``groups[i]`` is the tuple of host names shard ``i`` owns.
-    ``lookahead_ns`` is the minimum delay of any shard-crossing link
-    (None when no link crosses a boundary — single shard, or fully
-    disconnected groups — in which case one window covers the run);
-    :meth:`validate_for` checks a hand-built plan's value against the
-    topology.  ``lookahead_matrix`` refines it to directed shard pairs:
-    sorted ``(src_shard, dst_shard, min_crossing_delay_ns)`` triples,
-    one per pair of groups joined by at least one link — the schedule
-    barriers each pair at its own cadence.  ``compute`` fills it; a
-    hand-built plan may leave it ``None``, in which case
-    :class:`ShardedSimulator` derives it from the topology.
+    The plan states no lookahead: :class:`ShardedSimulator` takes each
+    directed shard pair's bound from the topology
+    (:meth:`~repro.topology.topology.Topology.crossing_delays`), so the
+    schedule barriers each pair at its own cadence.
     """
 
     groups: tuple[tuple[str, ...], ...]
-    lookahead_ns: int | None
-    lookahead_matrix: tuple[tuple[int, int, int], ...] | None = None
 
     @classmethod
     def compute(cls, topology: Topology, shards: int) -> ShardPlan:
@@ -245,11 +237,8 @@ class ShardPlan:
                 1 if index < len(hosts) % shards else 0)
             groups.append(tuple(hosts[start:start + size]))
             start += size
-        matrix = _crossing_matrix(topology, groups)
-        plan = cls(groups=tuple(groups),
-                   lookahead_ns=(min(delay for _, _, delay in matrix)
-                                 if matrix else None),
-                   lookahead_matrix=matrix)
+        plan = cls(groups=tuple(groups))
+        plan.validate_for(topology)
         return plan
 
     def owners(self) -> dict[str, int]:
@@ -258,16 +247,10 @@ class ShardPlan:
                 for index, group in enumerate(self.groups)
                 for host in group}
 
-    def pair_lookaheads(self) -> dict[tuple[int, int], int] | None:
-        """``(src_shard, dst_shard) -> lookahead_ns`` (None if unset)."""
-        if self.lookahead_matrix is None:
-            return None
-        return {(src, dst): delay
-                for src, dst, delay in self.lookahead_matrix}
-
     def validate_for(self, topology: Topology) -> None:
-        """A manually-built plan must cover every NFV host exactly once
-        and must not claim lookaheads larger than the links allow."""
+        """The plan must cover every NFV host exactly once, and no
+        zero-delay link may cross a shard boundary (conservative
+        synchronization needs every crossing delay >= 1 ns)."""
         hosts = [name for name in topology.node_names
                  if topology.node(name).kind is NodeKind.NFV_HOST]
         owned = [host for group in self.groups for host in group]
@@ -276,48 +259,11 @@ class ShardPlan:
         if set(owned) != set(hosts):
             raise ValueError(
                 "plan must cover every NFV host exactly once")
-        actual = _crossing_matrix(topology, self.groups)
-        bound = min((delay for _, _, delay in actual), default=None) \
-            if actual else None
-        if bound is None:
-            if self.lookahead_ns is not None:
-                raise ValueError(
-                    "no shard-crossing links; lookahead_ns must be None")
-        elif self.lookahead_ns is None or self.lookahead_ns > bound:
+        delays = topology.crossing_delays(self.groups)
+        if any(delay < 1 for delay in delays.values()):
             raise ValueError(
-                f"lookahead_ns must be at most {bound} (the minimum "
-                "shard-crossing link delay)")
-        if self.lookahead_matrix is not None:
-            claimed = self.pair_lookaheads()
-            for src, dst, delay in actual:
-                stated = claimed.get((src, dst))
-                if stated is None:
-                    raise ValueError(
-                        f"lookahead_matrix is missing the crossing pair "
-                        f"{src}->{dst}; an absent pair would let the "
-                        "schedule outrun that link")
-                if stated > delay:
-                    raise ValueError(
-                        f"lookahead_matrix claims {stated} ns for pair "
-                        f"{src}->{dst} but the minimum crossing delay "
-                        f"is {delay} ns")
-                if stated < 1:
-                    raise ValueError(
-                        "per-pair lookaheads must be >= 1 ns")
-
-
-def _crossing_matrix(topology: Topology,
-                     groups: typing.Sequence[tuple[str, ...]]
-                     ) -> tuple[tuple[int, int, int], ...]:
-    """Sorted directed ``(src, dst, min_delay)`` triples between groups,
-    rejecting zero-delay crossings (conservative sync needs >= 1 ns)."""
-    delays = topology.crossing_delays(groups)
-    if any(delay < 1 for delay in delays.values()):
-        raise ValueError(
-            "a zero-delay link crosses a shard boundary; conservative "
-            "synchronization needs every crossing delay >= 1 ns")
-    return tuple(sorted((src, dst, delay)
-                        for (src, dst), delay in delays.items()))
+                "a zero-delay link crosses a shard boundary; conservative "
+                "synchronization needs every crossing delay >= 1 ns")
 
 
 def _flow_key(flow: FiveTuple) -> tuple[str, str, int, int, int]:
@@ -705,8 +651,9 @@ class ShardedSimulator:
     debuggable); ``workers=N`` spreads the shards over N
     ``multiprocessing`` workers with the identical round/boundary
     protocol.  ``shards=1`` is byte-identical to the monolithic kernel.
-    Each shard is scheduled against its inbound neighbors' clocks via
-    the plan's per-pair lookahead matrix.
+    Each shard is scheduled against its inbound neighbors' clocks plus
+    the minimum delay of the links joining each pair (the topology's
+    ``crossing_delays``).
     """
 
     def __init__(self, scenario: Scenario, shards: int = 1,
@@ -722,12 +669,8 @@ class ShardedSimulator:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = min(workers, len(plan.groups))
-        lookaheads = plan.pair_lookaheads()
-        if lookaheads is None:
-            # Hand-built plan without a matrix: derive the true per-pair
-            # bounds from the topology (always causally safe).
-            lookaheads = scenario.topology.crossing_delays(plan.groups)
-        self._pair_lookaheads = lookaheads
+        self._pair_lookaheads = scenario.topology.crossing_delays(
+            plan.groups)
 
     # ------------------------------------------------------------------
     def run(self) -> ShardedRunResult:

@@ -257,8 +257,10 @@ class TestShardPlan:
     def test_compute_partitions_contiguously_and_balanced(self):
         plan = ShardPlan.compute(line_topology(4), 2)
         assert plan.groups == (("h0", "h1"), ("h2", "h3"))
-        assert plan.lookahead_ns == LINK_DELAY
         assert plan.owners() == {"h0": 0, "h1": 0, "h2": 1, "h3": 1}
+        simulator = ShardedSimulator(make_scenario(), shards=2)
+        assert simulator._pair_lookaheads == {(0, 1): LINK_DELAY,
+                                              (1, 0): LINK_DELAY}
 
     def test_uneven_split_front_loads_the_remainder(self):
         plan = ShardPlan.compute(line_topology(5), 2)
@@ -267,7 +269,8 @@ class TestShardPlan:
     def test_single_shard_has_no_lookahead(self):
         plan = ShardPlan.compute(line_topology(4), 1)
         assert plan.groups == (("h0", "h1", "h2", "h3"),)
-        assert plan.lookahead_ns is None
+        simulator = ShardedSimulator(make_scenario(), shards=1)
+        assert simulator._pair_lookaheads == {}
 
     def test_more_shards_than_hosts_rejected(self):
         with pytest.raises(ValueError, match="at most"):
@@ -286,18 +289,13 @@ class TestShardPlan:
     def test_validate_for_rejects_bad_manual_plans(self):
         topology = line_topology(4)
         with pytest.raises(ValueError, match="more than one shard"):
-            ShardPlan(groups=(("h0", "h1"), ("h1", "h2", "h3")),
-                      lookahead_ns=LINK_DELAY).validate_for(topology)
+            ShardPlan(groups=(("h0", "h1"), ("h1", "h2", "h3"))
+                      ).validate_for(topology)
         with pytest.raises(ValueError, match="every NFV host"):
-            ShardPlan(groups=(("h0",), ("h1",)),
-                      lookahead_ns=LINK_DELAY).validate_for(topology)
-        with pytest.raises(ValueError, match="at most"):
-            ShardPlan(groups=(("h0", "h1"), ("h2", "h3")),
-                      lookahead_ns=LINK_DELAY + 1).validate_for(topology)
+            ShardPlan(groups=(("h0",), ("h1",))).validate_for(topology)
 
     def test_manual_plan_accepted_and_used(self):
-        plan = ShardPlan(groups=(("h0", "h2"), ("h1", "h3")),
-                         lookahead_ns=LINK_DELAY)
+        plan = ShardPlan(groups=(("h0", "h2"), ("h1", "h3")))
         plan.validate_for(line_topology(4))
         simulator = ShardedSimulator(make_scenario(), plan=plan)
         assert simulator.plan is plan
@@ -413,32 +411,14 @@ class TestHeterogeneousDelays:
         assert sum(windows) < 4 * per_shard_uniform
 
     def test_compute_builds_per_pair_matrix(self):
-        plan = ShardPlan.compute(het_topology(), 4)
-        assert plan.lookahead_ns == HET_FAST
-        assert plan.lookahead_matrix == (
-            (0, 1, HET_SLOW), (1, 0, HET_SLOW),
-            (1, 2, HET_FAST), (2, 1, HET_FAST),
-            (2, 3, HET_SLOW), (3, 2, HET_SLOW))
-        assert plan.pair_lookaheads()[(1, 2)] == HET_FAST
-
-    def test_matrix_validation_rejects_unsafe_manual_plans(self):
-        topology = het_topology()
-        groups = (("h0",), ("h1",), ("h2",), ("h3",))
-        with pytest.raises(ValueError, match="missing the crossing"):
-            ShardPlan(groups=groups, lookahead_ns=HET_FAST,
-                      lookahead_matrix=((0, 1, HET_SLOW),)
-                      ).validate_for(topology)
-        too_fast = (
-            (0, 1, HET_SLOW), (1, 0, HET_SLOW),
-            (1, 2, HET_FAST), (2, 1, HET_FAST),
-            (2, 3, HET_SLOW + 1), (3, 2, HET_SLOW))
-        with pytest.raises(ValueError, match="minimum crossing delay"):
-            ShardPlan(groups=groups, lookahead_ns=HET_FAST,
-                      lookahead_matrix=too_fast).validate_for(topology)
+        simulator = ShardedSimulator(het_scenario(), shards=4)
+        assert simulator._pair_lookaheads == {
+            (0, 1): HET_SLOW, (1, 0): HET_SLOW,
+            (1, 2): HET_FAST, (2, 1): HET_FAST,
+            (2, 3): HET_SLOW, (3, 2): HET_SLOW}
 
     def test_manual_plan_without_matrix_derives_from_topology(self):
-        plan = ShardPlan(groups=(("h0",), ("h1",), ("h2",), ("h3",)),
-                         lookahead_ns=HET_FAST)
+        plan = ShardPlan(groups=(("h0",), ("h1",), ("h2",), ("h3",)))
         simulator = ShardedSimulator(het_scenario(), plan=plan)
         assert simulator.plan is plan
         assert simulator._pair_lookaheads[(1, 2)] == HET_FAST
@@ -480,7 +460,7 @@ class TestWindowSchedule:
         scenario.topology.add_node(NodeSpec(name="h3"))
         scenario.topology.add_link(Link(a="h2", b="h3", delay_ns=LINK_DELAY))
         simulator = ShardedSimulator(scenario, shards=2)
-        assert simulator.plan.lookahead_ns is None
+        assert simulator._pair_lookaheads == {}
         assert list(simulator._rounds()) == [{0: DURATION, 1: DURATION}]
 
 
