@@ -11,8 +11,6 @@ keys, the SEND-capable member last — and must come out strictly wider.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.profiles import ActionProfile, profile_of

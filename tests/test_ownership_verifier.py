@@ -18,7 +18,7 @@ from repro.dataplane import FlowTableEntry, HostCosts, NfvHost, ToPort
 from repro.dataplane.messages import ChangeDefault
 from repro.dataplane.rings import RingBuffer
 from repro.faults import NfWatchdog
-from repro.net import FiveTuple, FlowMatch
+from repro.net import FlowMatch
 from repro.nfs import ComputeNf, NoOpNf
 from repro.sim import MS, US, Simulator
 
