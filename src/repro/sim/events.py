@@ -9,10 +9,11 @@ Every heap entry has one shape, ``(when, seq, fn, arg)``.  A triggered
 Event is the entry ``(when, seq, _fire, event)``, and :func:`_fire` runs
 its callbacks.  Time waits and store hand-offs skip the Event layer
 altogether: :meth:`Simulator.sleep` and a
-:class:`~repro.sim.store.Store`'s ``get``/``put`` push
-``(when, seq, process._wake, value)`` and hand the process
-:data:`DIRECT` to yield, so the wake resumes the generator with no
-Event, callback list or dispatch in between.  Process starts,
+:class:`~repro.sim.store.Store`'s ``get`` push
+``(when, seq, process._wake, value)`` (or park the process until a
+``try_put`` pushes it) and hand the process :data:`DIRECT` to yield,
+so the wake resumes the generator with no Event, callback list or
+dispatch in between.  Process starts,
 interrupts and resumes on already-processed events are bare entries
 too.  An interrupt detaches whatever wait it abandons: a subscribed
 event loses the process's callback (and a timeout nobody else watches
@@ -42,7 +43,7 @@ class _DirectWait:
         return "<direct wait>"
 
 
-#: What :meth:`Simulator.sleep` and a store's ``get``/``put`` return
+#: What :meth:`Simulator.sleep` and a store's ``get`` return
 #: for the calling process to yield at once: its wake entry is already
 #: in the heap (or it is parked in the store), so the process
 #: subscribes to nothing.

@@ -11,7 +11,8 @@ parks a process in a :class:`~repro.sim.store.Store` or waits for time:
   two controller transactions per flow);
 - ``twemproxy``: ``TwemproxySim`` driven past saturation (its queue);
 - ``priority_port``: a congested ``PriorityNicPort`` carrying
-  DSCP-marked and bulk traffic (level queues and kick store);
+  DSCP-marked and bulk traffic (level queues and zero-delay pick
+  timers);
 - ``churn_untrusted``: ``FlowChurnWorkload`` into an app that validates
   every NF message with a delay (``trust_nfs=False``);
 - ``video_sessions``, ``ddos_ramp``, ``imix``, ``trace_replay`` and
