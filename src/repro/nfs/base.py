@@ -22,9 +22,7 @@ from repro.dataplane.messages import NfMessage
 from repro.net.packet import Packet
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
-    from repro.sim.randomness import RandomStreams
+    from repro.sim.randomness import Pcg64Stream, RandomStreams
     from repro.sim.simulator import Simulator
 
 
@@ -85,10 +83,13 @@ class NfContext:
         self._submit_message = submit_message
 
     @functools.cached_property
-    def rng(self) -> np.random.Generator:
+    def rng(self) -> Pcg64Stream:
         """This VM's random stream, built on first use.  It is seeded
         from the run's seed and :attr:`vm_id` alone, so when it is built
-        changes no draw; most NFs never draw and never build one."""
+        changes no draw; most NFs never draw and never build one.  It
+        draws ``integers``, ``random``, ``exponential``, ``zipf``,
+        ``permutation`` and ``choice`` as numpy's ``Generator`` does,
+        but is not one: other methods and arguments raise."""
         return self._streams.stream(self.vm_id)
 
     @property

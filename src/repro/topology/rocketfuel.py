@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
+from repro.sim.randomness import Pcg64Stream
 from repro.sim.units import US
 from repro.topology.links import Link
 from repro.topology.nodes import NodeKind, NodeSpec
@@ -39,7 +38,7 @@ def rocketfuel_like(nodes: int = AS16631_NODES, edges: int = AS16631_EDGES,
         raise ValueError(
             f"edges must be in [{min_edges}, {max_edges}] for {nodes} nodes")
 
-    rng = np.random.default_rng(seed)
+    rng = Pcg64Stream((seed,))
     names = [f"n{i}" for i in range(nodes)]
     topology = Topology()
     for name in names:
@@ -48,9 +47,9 @@ def rocketfuel_like(nodes: int = AS16631_NODES, edges: int = AS16631_EDGES,
 
     chosen: set[frozenset[str]] = set()
     # Random spanning tree: attach each new node to a random earlier one.
-    order = list(rng.permutation(nodes))
+    order = rng.permutation(nodes)
     for position, node_index in enumerate(order[1:], start=1):
-        peer_index = order[int(rng.integers(0, position))]
+        peer_index = order[rng.integers(0, position)]
         chosen.add(frozenset((names[node_index], names[peer_index])))
 
     remaining = [frozenset(pair)
@@ -60,7 +59,7 @@ def rocketfuel_like(nodes: int = AS16631_NODES, edges: int = AS16631_EDGES,
     extra_indices = rng.choice(len(remaining), size=extra_count,
                                replace=False)
     for index in extra_indices:
-        chosen.add(remaining[int(index)])
+        chosen.add(remaining[index])
 
     for pair in sorted(chosen, key=sorted):
         a, b = sorted(pair)
