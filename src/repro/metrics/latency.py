@@ -1,12 +1,13 @@
 """Round-trip latency collection: means, percentiles, CDFs.
 
-Percentiles use numpy's default ``'linear'`` interpolation; the CDF
-picks the same sample indices as ``numpy.linspace(0, n - 1, points)``.
+Percentiles equal numpy's default ``'linear'`` ``numpy.percentile``
+bit for bit, computed without numpy; the CDF picks the same sample
+indices as ``numpy.linspace(0, n - 1, points)``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from repro.sim.units import US
 
@@ -46,8 +47,22 @@ class LatencyRecorder:
         return max(self._require_samples()) / US
 
     def percentile_us(self, percentile: float) -> float:
-        data = np.asarray(self._require_samples(), dtype=np.float64)
-        return float(np.percentile(data, percentile)) / US
+        samples = self._require_samples()
+        if not 0 <= percentile <= 100:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        data = sorted(float(sample) for sample in samples)
+        # numpy's linear method, in its operation order: the virtual
+        # index, both neighbours clipped to the last sample, and a lerp
+        # taken from whichever end is nearer.
+        last = len(data) - 1
+        virtual = last * (percentile / 100)
+        below = math.floor(virtual)
+        gamma = virtual - below
+        low = data[min(below, last)]
+        high = data[min(below + 1, last)]
+        if gamma >= 0.5:
+            return (high - (high - low) * (1 - gamma)) / US
+        return (low + (high - low) * gamma) / US
 
     def cdf_points(self, points: int = 100
                    ) -> list[tuple[float, float]]:

@@ -1,6 +1,9 @@
 """Metrics instrumentation tests."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     LatencyRecorder,
@@ -30,6 +33,26 @@ class TestLatencyRecorder:
             recorder.record(i * US)
         assert recorder.percentile_us(50) == pytest.approx(50.5)
         assert recorder.percentile_us(99) == pytest.approx(99.01)
+
+    @given(samples=st.lists(st.integers(0, 10**13), min_size=1,
+                            max_size=60),
+           percentile=st.one_of(st.sampled_from([0, 1, 50, 90, 99, 100]),
+                                st.floats(0, 100)))
+    @settings(max_examples=300, deadline=None)
+    def test_percentiles_equal_numpy_bit_for_bit(self, samples, percentile):
+        recorder = LatencyRecorder()
+        for sample in samples:
+            recorder.record(sample)
+        expected = float(np.percentile(
+            np.asarray(samples, dtype=np.float64), percentile)) / US
+        assert recorder.percentile_us(percentile) == expected
+
+    def test_percentile_outside_0_to_100_rejected(self):
+        recorder = LatencyRecorder()
+        recorder.record(1)
+        for percentile in (-1, 100.5, float("nan")):
+            with pytest.raises(ValueError):
+                recorder.percentile_us(percentile)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
