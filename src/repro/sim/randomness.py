@@ -191,14 +191,10 @@ class Pcg64Stream:
         """Uniform on ``[0, top]`` by masking and rejecting (numpy's
         ``random_interval``, which ``permutation`` shuffles with)."""
         mask = (1 << top.bit_length()) - 1
-        if top <= _MASK32:
-            value = self._next32() & mask
-            while value > top:
-                value = self._next32() & mask
-            return value
-        value = self._next64() & mask
+        draw = self._next32 if top <= _MASK32 else self._next64
+        value = draw() & mask
         while value > top:
-            value = self._next64() & mask
+            value = draw() & mask
         return value
 
     # -- Generator methods --------------------------------------------------
