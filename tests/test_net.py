@@ -1,5 +1,6 @@
 """Packet substrate tests: headers, flows, matching, payload protocols."""
 
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,55 @@ class TestFlowMatch:
     @settings(max_examples=100, deadline=None)
     def test_exact_always_matches_own_flow(self, flow):
         assert FlowMatch.exact(flow).matches(flow)
+
+    def test_repr_eq_and_hash_cover_the_six_fields(self, flow):
+        prefix = FlowMatch(src_ip="10.1.0.0", src_prefix_bits=16)
+        exact = FlowMatch.exact(flow)
+        assert repr(prefix) == (
+            "FlowMatch(src_ip='10.1.0.0', dst_ip=None, protocol=None, "
+            "src_port=None, dst_port=None, src_prefix_bits=16)")
+        assert repr(exact) == (
+            "FlowMatch(src_ip='10.0.0.1', dst_ip='10.0.0.2', protocol=6, "
+            "src_port=1234, dst_port=80, src_prefix_bits=32)")
+        for match in (prefix, exact, FlowMatch.any()):
+            fields = (match.src_ip, match.dst_ip, match.protocol,
+                      match.src_port, match.dst_port, match.src_prefix_bits)
+            assert hash(match) == hash(fields)
+        # Filling the caches changes neither equality nor the hash.
+        filled = FlowMatch(src_ip="10.1.0.0", src_prefix_bits=16)
+        assert filled.matches(flow) is False
+        assert filled == prefix and hash(filled) == hash(prefix)
+        assert prefix != FlowMatch(src_ip="10.1.0.0", src_prefix_bits=8)
+        assert prefix != ("10.1.0.0", None, None, None, None, 16)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("kind", ["prefix16", "exact"])
+    def test_pickle_round_trip_matches_the_same_flows(self, flow, udp_flow,
+                                                      fill, kind):
+        inside = FiveTuple("10.1.200.7", "10.0.0.2", PROTO_TCP, 1234, 80)
+        probes = [flow, udp_flow, inside]
+        match = (FlowMatch(src_ip="10.1.0.0", src_prefix_bits=16)
+                 if kind == "prefix16" else FlowMatch.exact(flow))
+        expected = [kind == "exact", False, kind == "prefix16"]
+        if fill:
+            assert [match.matches(probe) for probe in probes] == expected
+            match.exact_key()
+        copy = pickle.loads(pickle.dumps(match, pickle.HIGHEST_PROTOCOL))
+        assert copy == match and hash(copy) == hash(match)
+        assert repr(copy) == repr(match)
+        assert copy.specificity == match.specificity
+        assert [copy.matches(probe) for probe in probes] == expected
+        assert copy.exact_key() == match.exact_key()
+        assert copy.subsumes(match) and match.subsumes(copy)
+
+    def test_malformed_src_ip_raises_on_first_use(self, flow):
+        match = FlowMatch(src_ip="10.1.0", src_prefix_bits=16)
+        with pytest.raises(ValueError):
+            match.matches(flow)
+        with pytest.raises(ValueError):
+            match.subsumes(FlowMatch(src_ip="10.1.2.3"))
+        # A /0 prefix contains every address and never parses its own.
+        assert FlowMatch(src_ip="not an ip", src_prefix_bits=0).matches(flow)
 
 
 class TestPacket:
