@@ -158,14 +158,15 @@ class TestMutation:
 
 
 class TestWildcardOrder:
-    """The insertion order that breaks full wildcard ties holds an entry
-    only for each rule in the table."""
+    """A scope's wildcard list is the insertion order that breaks full
+    ties: it holds each rule in the table once, oldest first."""
 
     def test_replaced_rules_leave_the_order_map(self, table, flow):
         for index in range(1000):
             table.install(entry(actions=(ToPort(f"p{index}"),)))
         assert len(table) == 1
-        assert len(table._wildcard_order) == 1
+        assert [rule.default_action for rule in table.entries("svc")] == [
+            ToPort("p999")]
         assert table.lookup("svc", flow).default_action == ToPort("p999")
 
     def test_remove_and_clear_empty_the_order_map(self, table):
@@ -173,9 +174,10 @@ class TestWildcardOrder:
         table.install(entry(match=FlowMatch(dst_port=80)))
         table.install(entry(scope="other"))
         assert table.remove("svc", FlowMatch.any())
-        assert len(table._wildcard_order) == 2
+        assert [(rule.scope, rule.match) for rule in table.entries()] == [
+            ("svc", FlowMatch(dst_port=80)), ("other", FlowMatch.any())]
         table.clear()
-        assert table._wildcard_order == {}
+        assert table.entries() == [] and len(table) == 0
 
     def test_reinstall_moves_rule_to_newest(self, table, flow):
         first = entry(match=FlowMatch(dst_port=80),
@@ -186,11 +188,24 @@ class TestWildcardOrder:
         assert table.lookup("svc", flow).default_action == ToPort("second")
         table.install(first)
         assert table.lookup("svc", flow).default_action == ToPort("first")
-        assert len(table._wildcard_order) == 2
+        assert [rule.default_action for rule in table.entries("svc")] == [
+            ToPort("second"), ToPort("first")]
         table.remove("svc", FlowMatch(protocol=PROTO_TCP))
         table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
                             actions=(ToPort("third"),)))
         assert table.lookup("svc", flow).default_action == ToPort("third")
+
+    def test_reinstalled_identical_match_wins_as_newest(self, table, flow):
+        table.install(entry(match=FlowMatch(dst_port=80),
+                            actions=(ToPort("old"),)))
+        table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
+                            actions=(ToPort("other"),)))
+        assert table.lookup("svc", flow).default_action == ToPort("other")
+        table.install(entry(match=FlowMatch(dst_port=80),
+                            actions=(ToPort("new"),)))
+        assert table.lookup("svc", flow).default_action == ToPort("new")
+        assert [rule.default_action for rule in table.entries("svc")] == [
+            ToPort("other"), ToPort("new")]
 
 
 def specialize(table: FlowTable, flow, default) -> FlowTableEntry:
