@@ -292,6 +292,7 @@ def _args_with_defaults(node: ast.FunctionDef | ast.AsyncFunctionDef):
 HOT_PATH_CLASSES = frozenset({
     "Packet", "PacketDescriptor", "FiveTuple", "Event", "Timeout",
     "Process", "_Condition", "AnyOf", "AllOf", "Store", "FlowTableEntry",
+    "FlowMatch",
 })
 
 

@@ -111,16 +111,21 @@ def _with_default(actions: tuple[Destination, ...],
 
 
 class FlowTable:
-    """Scoped flow rules with exact-match fast path and wildcard fallback."""
+    """Scoped flow rules with exact-match fast path and wildcard fallback.
+
+    Exact rules are kept per scope, then per flow, and a scope's dict
+    goes when its last exact rule does; each scope's wildcard rules are a
+    list in insertion order.  Both maps keep their scopes in
+    first-insertion order, so introspection is scope-major and does not
+    depend on ``PYTHONHASHSEED``.
+    """
 
     def __init__(self) -> None:
-        self._exact: dict[tuple[str, FiveTuple], FlowTableEntry] = {}
+        self._exact: dict[str, dict[FiveTuple, FlowTableEntry]] = {}
         self._wildcards: dict[str, list[FlowTableEntry]] = {}
         self.generation = 0
         self.lookups = 0
         self.misses = 0
-        self._insert_seq = itertools.count()
-        self._wildcard_order: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -129,18 +134,24 @@ class FlowTable:
         """Add a rule (replacing an identical-match rule in that scope)."""
         exact_key = entry.match.exact_key()
         if exact_key is not None:
-            self._exact[(entry.scope, exact_key)] = entry
+            rules = self._exact.get(entry.scope)
+            if rules is None:
+                rules = self._exact[entry.scope] = {}
+            rules[exact_key] = entry
         else:
             self._drop_wildcards(entry.scope, entry.match)
             self._wildcards.setdefault(entry.scope, []).append(entry)
-            self._wildcard_order[entry.entry_id] = next(self._insert_seq)
         self.generation += 1
 
     def remove(self, scope: str, match: FlowMatch) -> bool:
         """Remove the rule with this exact (scope, match).  True if found."""
         exact_key = match.exact_key()
         if exact_key is not None:
-            removed = self._exact.pop((scope, exact_key), None) is not None
+            rules = self._exact.get(scope)
+            removed = (rules is not None
+                       and rules.pop(exact_key, None) is not None)
+            if removed and not rules:
+                del self._exact[scope]
         else:
             removed = self._drop_wildcards(scope, match)
         if removed:
@@ -150,22 +161,15 @@ class FlowTable:
     def clear(self) -> None:
         self._exact.clear()
         self._wildcards.clear()
-        self._wildcard_order.clear()
         self.generation += 1
 
     def _drop_wildcards(self, scope: str, match: FlowMatch) -> bool:
-        """Remove ``scope``'s wildcard rules with this ``match``, and their
-        insertion order, so the order map holds only listed rules.  True
-        if any was removed."""
+        """Remove ``scope``'s wildcard rules with this ``match``.  True if
+        any was removed."""
         rules = self._wildcards.get(scope)
         if not rules:
             return False
-        kept = []
-        for rule in rules:
-            if rule.match == match:
-                del self._wildcard_order[rule.entry_id]
-            else:
-                kept.append(rule)
+        kept = [rule for rule in rules if rule.match != match]
         if len(kept) == len(rules):
             return False
         rules[:] = kept
@@ -179,17 +183,19 @@ class FlowTable:
         """Find the best rule for ``flow`` within ``scope``.
 
         ``now_ns`` (when provided) refreshes the winning rule's idle
-        timer.
+        timer.  A scope's wildcard list is in insertion order (an install
+        first drops the rule it replaces), so among equal ``(priority,
+        specificity)`` the last match is the newest rule.
         """
         self.lookups += 1
-        entry = self._exact.get((scope, flow))
+        rules = self._exact.get(scope)
+        entry = None if rules is None else rules.get(flow)
         if entry is None:
-            best_key: tuple[int, int, int] | None = None
+            best_key: tuple[int, int] | None = None
             for rule in self._wildcards.get(scope, ()):
                 if rule.match.matches(flow):
-                    key = (rule.priority, rule.match.specificity,
-                           self._wildcard_order[rule.entry_id])
-                    if best_key is None or key > best_key:
+                    key = (rule.priority, rule.match.specificity)
+                    if best_key is None or key >= best_key:
                         entry, best_key = rule, key
         if entry is None:
             self.misses += 1
@@ -221,7 +227,8 @@ class FlowTable:
         the rule :meth:`lookup` finds for it (one lookup, counted, and no
         idle-timer refresh).  None when nothing matches the flow.
         """
-        existing = self._exact.get((scope, flow))
+        rules = self._exact.get(scope)
+        existing = None if rules is None else rules.get(flow)
         if existing is not None:
             return existing
         return self.lookup(scope, flow)
@@ -230,25 +237,31 @@ class FlowTable:
     # Introspection
     # ------------------------------------------------------------------
     def entries(self, scope: str | None = None) -> list[FlowTableEntry]:
-        """All rules (optionally restricted to one scope)."""
-        result = [entry for key, entry in self._exact.items()
-                  if scope is None or key[0] == scope]
-        for rule_scope, rules in self._wildcards.items():
-            if scope is None or rule_scope == scope:
-                result.extend(rules)
+        """All rules (optionally restricted to one scope), scope-major:
+        each exact-rule scope's rules in insertion order, scopes in the
+        order their first live exact rule arrived, then each scope's
+        wildcard rules in the same way."""
+        if scope is not None:
+            return [*self._exact.get(scope, {}).values(),
+                    *self._wildcards.get(scope, ())]
+        result = [entry for rules in self._exact.values()
+                  for entry in rules.values()]
+        for rules in self._wildcards.values():
+            result.extend(rules)
         return result
 
     def scopes(self) -> typing.KeysView[str]:
         """Every scope holding a rule: exact rules' scopes, then wildcard
-        rules', each in insertion order, so walking it does not depend on
+        rules', each in first-insertion order (a scope whose last exact
+        rule left rejoins at the end), so walking it does not depend on
         ``PYTHONHASHSEED``.  Compares equal to a set of the names."""
-        scopes = dict.fromkeys(key[0] for key in self._exact)
+        scopes = dict.fromkeys(self._exact)
         scopes.update(dict.fromkeys(self._wildcards))
         return scopes.keys()
 
     def __len__(self) -> int:
-        return len(self._exact) + sum(len(rules) for rules
-                                      in self._wildcards.values())
+        return (sum(len(rules) for rules in self._exact.values())
+                + sum(len(rules) for rules in self._wildcards.values()))
 
     def dump(self) -> str:
         """Readable table like Fig. 4's service/match/action listing."""

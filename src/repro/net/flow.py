@@ -8,7 +8,6 @@ be a prefix — the paper's DDoS detector aggregates traffic by IP prefix.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from repro.net.headers import ip_to_int
 
@@ -119,23 +118,22 @@ class FiveTuple:
     vars(FiveTuple)[name].__set__ for name in FiveTuple.__slots__)
 
 
-# How a frozen dataclass sets its own fields; FlowMatch.exact uses it too.
-_object_setattr = object.__setattr__
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class FlowMatch:
     """Wildcard-capable match over a 5-tuple.
 
     ``None`` fields match anything.  ``src_prefix_bits`` restricts the
     source-IP comparison to the top N bits (requires ``src_ip``).
 
-    Matching compares integers: the prefix network and the
-    ``specificity`` are computed on first use and cached on the instance
-    (outside the dataclass fields, so equality, hashing and ``repr``
-    ignore them), and a flow caches its own integer source address.  A
-    malformed ``src_ip`` raises ``ValueError`` from the first
-    ``matches``/``subsumes`` call that needs it, as parsing is lazy.
+    Matching compares integers.  ``specificity`` is counted at
+    construction; the prefix network and the :meth:`exact_key` flow are
+    built on first use and kept in slots whose ``None`` means "not yet"
+    (fields with ``compare=False`` and ``repr=False``, so equality,
+    hashing and ``repr`` ignore them), and a flow caches its own integer
+    source address.  A malformed ``src_ip`` raises ``ValueError`` from
+    the first ``matches``/``subsumes`` call that needs it, as parsing is
+    lazy.  A pickled match carries its fields and whichever caches were
+    filled.
     """
 
     src_ip: str | None = None
@@ -144,32 +142,52 @@ class FlowMatch:
     src_port: int | None = None
     dst_port: int | None = None
     src_prefix_bits: int = 32
+    #: How many of the five fields are constrained (for priority
+    #: tie-breaks).
+    specificity: int = dataclasses.field(init=False, repr=False,
+                                         compare=False)
+    #: ``(shift, network)``: a source address ``a`` lies inside the
+    #: prefix when ``a >> shift == network``.  None until first use.
+    _src_net: tuple[int, int] | None = dataclasses.field(
+        init=False, repr=False, compare=False)
+    #: :meth:`exact_key`'s flow.  None until first use, and for good on a
+    #: match that is not exact.
+    _exact_key: FiveTuple | None = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.src_prefix_bits <= 32:
             raise ValueError("src_prefix_bits must be in [0, 32]")
         if self.src_prefix_bits < 32 and self.src_ip is None:
             raise ValueError("src_prefix_bits needs src_ip")
+        fields = (self.src_ip, self.dst_ip, self.protocol, self.src_port,
+                  self.dst_port)
+        _set_match_specificity(self, 5 - fields.count(None))
+        _set_match_src_net(self, None)
+        _set_match_exact_key(self, None)
 
     @classmethod
     def exact(cls, flow: FiveTuple) -> FlowMatch:
         """An exact match for one flow.
 
-        Built per message on the churn path, so the fields are set
-        directly, in declaration order as ``__init__`` sets them (a /32
-        source needs none of ``__post_init__``'s checks), and ``flow``
-        itself becomes the cached :meth:`exact_key` when all five fields
-        are set.
+        Built per message on the churn path, so the slots are set
+        directly (a /32 source needs none of ``__post_init__``'s checks),
+        and ``flow`` itself becomes the :meth:`exact_key` when all five
+        fields are set.
         """
         match = object.__new__(cls)
-        _object_setattr(match, "src_ip", flow.src_ip)
-        _object_setattr(match, "dst_ip", flow.dst_ip)
-        _object_setattr(match, "protocol", flow.protocol)
-        _object_setattr(match, "src_port", flow.src_port)
-        _object_setattr(match, "dst_port", flow.dst_port)
-        _object_setattr(match, "src_prefix_bits", 32)
-        if match.is_exact:
-            _object_setattr(match, "_exact_key", flow)
+        fields = (flow.src_ip, flow.dst_ip, flow.protocol, flow.src_port,
+                  flow.dst_port)
+        _set_match_src_ip(match, flow.src_ip)
+        _set_match_dst_ip(match, flow.dst_ip)
+        _set_match_protocol(match, flow.protocol)
+        _set_match_src_port(match, flow.src_port)
+        _set_match_dst_port(match, flow.dst_port)
+        _set_match_src_prefix_bits(match, 32)
+        specificity = 5 - fields.count(None)
+        _set_match_specificity(match, specificity)
+        _set_match_src_net(match, None)
+        _set_match_exact_key(match, flow if specificity == 5 else None)
         return match
 
     @classmethod
@@ -179,36 +197,24 @@ class FlowMatch:
 
     @property
     def is_exact(self) -> bool:
-        return (None not in (self.src_ip, self.dst_ip, self.protocol,
-                             self.src_port, self.dst_port)
-                and self.src_prefix_bits == 32)
+        return self.specificity == 5 and self.src_prefix_bits == 32
 
-    @functools.cached_property
-    def specificity(self) -> int:
-        """How many fields are constrained (for priority tie-breaks)."""
-        fields = (self.src_ip, self.dst_ip, self.protocol,
-                  self.src_port, self.dst_port)
-        return sum(1 for field in fields if field is not None)
-
-    @functools.cached_property
-    def _src_addr(self) -> int:
-        """``src_ip`` as an int, parsed once."""
-        return ip_to_int(self.src_ip)
-
-    @functools.cached_property
-    def _src_net(self) -> tuple[int, int]:
-        """``(shift, network)``: a source address ``a`` lies inside the
-        prefix when ``a >> shift == network``.  A /0 prefix (shift 32)
-        contains every address, so its ``src_ip`` is never parsed."""
+    def _parse_src_net(self) -> tuple[int, int]:
+        """Fill the ``_src_net`` slot.  A /0 prefix (shift 32) contains
+        every address, so its ``src_ip`` is never parsed."""
         shift = 32 - self.src_prefix_bits
-        if shift == 32:
-            return shift, 0
-        return shift, self._src_addr >> shift
+        src_net = (shift, 0 if shift == 32
+                   else ip_to_int(self.src_ip) >> shift)
+        _set_match_src_net(self, src_net)
+        return src_net
 
     def matches(self, flow: FiveTuple) -> bool:
         """True when ``flow`` falls inside this match."""
         if self.src_ip is not None:
-            shift, network = self._src_net
+            src_net = self._src_net
+            if src_net is None:
+                src_net = self._parse_src_net()
+            shift, network = src_net
             if shift != 32:
                 addr = flow._src_int
                 if addr is None:
@@ -242,21 +248,26 @@ class FlowMatch:
                 return False
             if other.src_prefix_bits < self.src_prefix_bits:
                 return False
-            shift, network = self._src_net
-            if shift != 32 and other._src_addr >> shift != network:
+            shift, network = self._src_net or self._parse_src_net()
+            if shift != 32 and ip_to_int(other.src_ip) >> shift != network:
                 return False
         return True
 
     def exact_key(self) -> FiveTuple | None:
         """The FiveTuple if this match is exact, else None (for a match
         built by :meth:`exact`, the very flow it was built from)."""
-        return self._exact_key
+        key = self._exact_key
+        if key is None and self.is_exact:
+            key = FiveTuple(src_ip=self.src_ip, dst_ip=self.dst_ip,
+                            protocol=self.protocol, src_port=self.src_port,
+                            dst_port=self.dst_port)
+            _set_match_exact_key(self, key)
+        return key
 
-    @functools.cached_property
-    def _exact_key(self) -> FiveTuple | None:
-        """:meth:`exact_key`'s answer, built once per match."""
-        if not self.is_exact:
-            return None
-        return FiveTuple(src_ip=self.src_ip, dst_ip=self.dst_ip,
-                         protocol=self.protocol, src_port=self.src_port,
-                         dst_port=self.dst_port)
+
+# FlowMatch's slot setters, bound once like FiveTuple's: they write past
+# the frozen dataclass's __setattr__ guard, as its own __init__ does.
+(_set_match_src_ip, _set_match_dst_ip, _set_match_protocol,
+ _set_match_src_port, _set_match_dst_port, _set_match_src_prefix_bits,
+ _set_match_specificity, _set_match_src_net, _set_match_exact_key) = (
+    vars(FlowMatch)[name].__set__ for name in FlowMatch.__slots__)

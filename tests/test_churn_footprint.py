@@ -7,8 +7,8 @@ That state is the model; anything beyond it is waste that grows with
 the run.  This test churns 2,000 flows after a warm-up and bounds the
 traced memory each one leaves, then checks the parts that keep it
 small: the lookup-plan cache keeps only current-generation plans, a
-rule has no instance dict, rewritten rules share their actions tuple
-and the detector shares its content-type string.
+rule and its exact match have no instance dict, rewritten rules share
+their actions tuple and the detector shares its content-type string.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ WARM_UP_NS = 25 * MS
 MEASURE_NS = 100 * MS
 #: Traced bytes each churned flow may leave behind.  The exact rule,
 #: the detector's entry, the policy engine's released-flow entry and the
-#: first-contact classifier's entry come to about 770 B on CPython
+#: first-contact classifier's entry come to about 665 B on CPython
 #: 3.11.7.  The bound leaves room for interpreter differences, not for
 #: per-flow waste such as a stale lookup plan (about 190 B).
 MAX_BYTES_PER_FLOW = 1000
@@ -99,6 +99,13 @@ def test_rules_have_no_instance_dict(churned):
     host = churned[0]
     entry = host.flow_table.entries()[0]
     assert not hasattr(entry, "__dict__")
+
+
+def test_exact_matches_have_no_instance_dict(churned):
+    host = churned[0]
+    match = next(entry.match for entry in host.flow_table.entries("vd")
+                 if entry.match.is_exact)
+    assert not hasattr(match, "__dict__")
 
 
 def test_rewritten_rules_share_one_actions_tuple(churned):

@@ -290,6 +290,35 @@ class TestIntrospection:
         assert len(table.entries()) == 2
         assert len(table.entries("a")) == 1
 
+    def test_entries_and_scopes_are_scope_major(self, table, flow,
+                                                udp_flow):
+        table.install(entry(scope="a", match=FlowMatch.exact(flow)))
+        table.install(entry(scope="b", match=FlowMatch.exact(flow)))
+        table.install(entry(scope="a", match=FlowMatch.exact(udp_flow)))
+        table.install(entry(scope="c"))
+        table.install(entry(scope="a"))
+        assert list(table.scopes()) == ["a", "b", "c"]
+        assert [(rule.scope, rule.match) for rule in table.entries()] == [
+            ("a", FlowMatch.exact(flow)), ("a", FlowMatch.exact(udp_flow)),
+            ("b", FlowMatch.exact(flow)),
+            ("c", FlowMatch.any()), ("a", FlowMatch.any())]
+        assert [rule.match for rule in table.entries("a")] == [
+            FlowMatch.exact(flow), FlowMatch.exact(udp_flow),
+            FlowMatch.any()]
+
+    def test_scope_with_no_exact_rule_drops_out_and_rejoins_at_end(
+            self, table, flow):
+        table.install(entry(scope="a", match=FlowMatch.exact(flow)))
+        table.install(entry(scope="b", match=FlowMatch.exact(flow)))
+        assert table.remove("a", FlowMatch.exact(flow))
+        assert list(table.scopes()) == ["b"]
+        assert table.lookup("a", flow) is None
+        table.install(entry(scope="a", match=FlowMatch.exact(flow),
+                            actions=(ToPort("back"),)))
+        assert list(table.scopes()) == ["b", "a"]
+        assert [rule.scope for rule in table.entries()] == ["b", "a"]
+        assert len(table) == 2
+
     def test_dump_renders(self, table, flow):
         table.install(entry(scope="eth0", actions=(ToService("vd"),)))
         table.install(entry(

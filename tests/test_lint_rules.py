@@ -127,6 +127,20 @@ class TestSim003HotPathSlots:
                            "@dataclasses.dataclass(slots=True)")
         assert violations(good, "SIM003") == []
 
+    def test_flow_matches_are_hot_path(self):
+        # Each churned flow's exact rule carries its own exact match.
+        bad = """
+            import dataclasses
+
+            @dataclasses.dataclass(frozen=True)
+            class FlowMatch:
+                src_ip: str | None = None
+        """
+        found = violations(bad, "SIM003")
+        assert [v.message.split("'")[1] for v in found] == ["FlowMatch"]
+        good = bad.replace("(frozen=True)", "(frozen=True, slots=True)")
+        assert violations(good, "SIM003") == []
+
 
 class TestSim004NfHandlerPurity:
     def test_rejects_blocking_io_in_process(self):
