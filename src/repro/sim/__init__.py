@@ -6,8 +6,8 @@ specialised for this project:
 - the clock is an **integer nanosecond** counter (no float drift),
 - events fired at the same timestamp are processed in FIFO schedule order,
 - processes are plain generator functions that ``yield`` events, or
-  ``sim.sleep(...)`` and store ``get``/``put`` results, which wake them
-  directly.
+  ``sim.sleep(...)`` and store ``get`` results, which wake them directly
+  (producers never block: a store's ``try_put`` wakes a parked getter).
 
 Typical use::
 
