@@ -118,6 +118,11 @@ class FiveTuple:
     vars(FiveTuple)[name].__set__ for name in FiveTuple.__slots__)
 
 
+# How a frozen dataclass sets its own fields; FlowMatch's caches and
+# FlowMatch.exact use it too.
+_object_setattr = object.__setattr__
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class FlowMatch:
     """Wildcard-capable match over a 5-tuple.
@@ -162,9 +167,9 @@ class FlowMatch:
             raise ValueError("src_prefix_bits needs src_ip")
         fields = (self.src_ip, self.dst_ip, self.protocol, self.src_port,
                   self.dst_port)
-        _set_match_specificity(self, 5 - fields.count(None))
-        _set_match_src_net(self, None)
-        _set_match_exact_key(self, None)
+        _object_setattr(self, "specificity", 5 - fields.count(None))
+        _object_setattr(self, "_src_net", None)
+        _object_setattr(self, "_exact_key", None)
 
     @classmethod
     def exact(cls, flow: FiveTuple) -> FlowMatch:
@@ -178,16 +183,17 @@ class FlowMatch:
         match = object.__new__(cls)
         fields = (flow.src_ip, flow.dst_ip, flow.protocol, flow.src_port,
                   flow.dst_port)
-        _set_match_src_ip(match, flow.src_ip)
-        _set_match_dst_ip(match, flow.dst_ip)
-        _set_match_protocol(match, flow.protocol)
-        _set_match_src_port(match, flow.src_port)
-        _set_match_dst_port(match, flow.dst_port)
-        _set_match_src_prefix_bits(match, 32)
+        _object_setattr(match, "src_ip", flow.src_ip)
+        _object_setattr(match, "dst_ip", flow.dst_ip)
+        _object_setattr(match, "protocol", flow.protocol)
+        _object_setattr(match, "src_port", flow.src_port)
+        _object_setattr(match, "dst_port", flow.dst_port)
+        _object_setattr(match, "src_prefix_bits", 32)
         specificity = 5 - fields.count(None)
-        _set_match_specificity(match, specificity)
-        _set_match_src_net(match, None)
-        _set_match_exact_key(match, flow if specificity == 5 else None)
+        _object_setattr(match, "specificity", specificity)
+        _object_setattr(match, "_src_net", None)
+        _object_setattr(match, "_exact_key",
+                        flow if specificity == 5 else None)
         return match
 
     @classmethod
@@ -205,16 +211,13 @@ class FlowMatch:
         shift = 32 - self.src_prefix_bits
         src_net = (shift, 0 if shift == 32
                    else ip_to_int(self.src_ip) >> shift)
-        _set_match_src_net(self, src_net)
+        _object_setattr(self, "_src_net", src_net)
         return src_net
 
     def matches(self, flow: FiveTuple) -> bool:
         """True when ``flow`` falls inside this match."""
         if self.src_ip is not None:
-            src_net = self._src_net
-            if src_net is None:
-                src_net = self._parse_src_net()
-            shift, network = src_net
+            shift, network = self._src_net or self._parse_src_net()
             if shift != 32:
                 addr = flow._src_int
                 if addr is None:
@@ -261,13 +264,6 @@ class FlowMatch:
             key = FiveTuple(src_ip=self.src_ip, dst_ip=self.dst_ip,
                             protocol=self.protocol, src_port=self.src_port,
                             dst_port=self.dst_port)
-            _set_match_exact_key(self, key)
+            _object_setattr(self, "_exact_key", key)
         return key
 
-
-# FlowMatch's slot setters, bound once like FiveTuple's: they write past
-# the frozen dataclass's __setattr__ guard, as its own __init__ does.
-(_set_match_src_ip, _set_match_dst_ip, _set_match_protocol,
- _set_match_src_port, _set_match_dst_port, _set_match_src_prefix_bits,
- _set_match_specificity, _set_match_src_net, _set_match_exact_key) = (
-    vars(FlowMatch)[name].__set__ for name in FlowMatch.__slots__)
