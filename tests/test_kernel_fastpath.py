@@ -379,18 +379,37 @@ class TestLazyCancellation:
     def test_cancelled_event_discarded_unprocessed(self, sim):
         fired = []
         timeout = sim.timeout(10)
-        timeout.callbacks.append(lambda e: fired.append("fired"))
-        timeout.callbacks.clear()
-        timeout.cancel()
+
+        def waiter():
+            try:
+                yield timeout
+                fired.append("fired")
+            except Interrupt:
+                pass
+
+        process = sim.process(waiter())
+        sim.schedule(5, lambda: process.interrupt())
         sim.run()
+        # The interrupt left the timeout with no subscriber, so its heap
+        # entry was popped at 10 ns and discarded unprocessed.
         assert fired == []
         assert sim.events_cancelled == 1
+        assert not timeout.processed
 
     def test_resubscribe_uncancels(self, sim):
         fired = []
         timeout = sim.timeout(10)
-        timeout.cancel()
-        timeout.callbacks.append(lambda e: fired.append(sim.now))
+
+        def waiter():
+            try:
+                yield timeout
+            except Interrupt:
+                # Waiting on the abandoned timeout again un-cancels it.
+                yield timeout
+            fired.append(sim.now)
+
+        process = sim.process(waiter())
+        sim.schedule(5, lambda: process.interrupt())
         sim.run()
         assert fired == [10]
         assert sim.events_cancelled == 0
