@@ -439,13 +439,3 @@ class TestLazyCancellation:
         # entry is popped to advance the clock, but never dispatched).
         assert sim.events_cancelled == 200
         assert not sim._queue
-
-    def test_anyof_deadline_pruned_after_reply_wins(self, sim):
-        reply = Event(sim)
-        deadline = sim.timeout(1_000_000)
-        race = sim.any_of([reply, deadline])
-        sim.call_later(10, lambda _: reply.succeed("ok"), None)
-        assert sim.run(until=race) == {reply: "ok"}
-        sim.run()
-        # The losing deadline was detached and lazily cancelled.
-        assert sim.events_cancelled == 1

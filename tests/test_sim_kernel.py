@@ -259,42 +259,6 @@ class TestInterrupts:
         assert resumed == [15]
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self, sim):
-        t1, t2 = sim.timeout(10), sim.timeout(30)
-
-        def worker():
-            yield sim.all_of([t1, t2])
-            return sim.now
-
-        process = sim.process(worker())
-        sim.run()
-        assert process.value == 30
-
-    def test_any_of_fires_on_first(self, sim):
-        t1, t2 = sim.timeout(10), sim.timeout(30)
-
-        def worker():
-            yield sim.any_of([t1, t2])
-            return sim.now
-
-        process = sim.process(worker())
-        sim.run()
-        assert process.value == 10
-
-    def test_any_of_result_contains_fired_event(self, sim):
-        t1 = sim.timeout(10, value="first")
-        t2 = sim.timeout(30, value="second")
-
-        def worker():
-            result = yield sim.any_of([t1, t2])
-            return result
-
-        process = sim.process(worker())
-        sim.run(until=20)
-        assert process.value == {t1: "first"}
-
-
 class TestSchedule:
     def test_schedule_callback(self, sim):
         called = []
