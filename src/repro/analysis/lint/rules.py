@@ -291,8 +291,7 @@ def _args_with_defaults(node: ast.FunctionDef | ast.AsyncFunctionDef):
 #: (the ownership verifier wraps their bound methods).
 HOT_PATH_CLASSES = frozenset({
     "Packet", "PacketDescriptor", "FiveTuple", "Event", "Timeout",
-    "Process", "_Condition", "AnyOf", "AllOf", "Store", "FlowTableEntry",
-    "FlowMatch",
+    "Process", "Store", "FlowTableEntry", "FlowMatch",
 })
 
 

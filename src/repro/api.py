@@ -18,8 +18,6 @@ from repro.sim import (
     NS,
     S,
     US,
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -117,8 +115,6 @@ from repro.analysis.ownership import HostVerifier, OwnershipError, VerifyReport
 
 __all__ = [
     # kernel
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "MS",

@@ -45,6 +45,18 @@ class ControllerStats:
         return self.busy_ns / elapsed_ns if elapsed_ns else 0.0
 
 
+def _deliver(outcome: tuple[Event, typing.Any, Exception | None]) -> None:
+    """Land a reply (or a northbound failure) at the host, unless the
+    host's deadline already failed the request."""
+    reply, value, error = outcome
+    if reply.triggered:
+        return
+    if error is None:
+        reply.succeed(value)
+    else:
+        reply.fail(error)
+
+
 class _Job:
     """One unit of controller work: compute a result, then reply."""
 
@@ -169,11 +181,8 @@ class SdnController:
                 # A buggy northbound app must not kill the controller:
                 # fail that one request and keep serving.
                 self.stats.failures += 1
-                self.sim.schedule(self.propagation_ns,
-                                  lambda event=job.reply, exc=error:
-                                  event.fail(exc))
-                continue
+                outcome = (job.reply, None, error)
+            else:
+                outcome = (job.reply, result, None)
             # Reply propagation back to the host.
-            self.sim.schedule(self.propagation_ns,
-                              lambda event=job.reply, value=result:
-                              event.succeed(value))
+            self.sim.call_later(self.propagation_ns, _deliver, outcome)

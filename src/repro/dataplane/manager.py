@@ -102,6 +102,21 @@ class ControlPlanePolicy:
         return min(self.backoff_cap_ns, self.backoff_base_ns * (2 ** attempt))
 
 
+class _RequestTimeout(Exception):
+    """A flow request outlived its :class:`ControlPlanePolicy` deadline.
+
+    Private, so a northbound application that raises ``TimeoutError``
+    counts as a failed request, not as a timeout.
+    """
+
+
+def _expire(reply: Event) -> None:
+    """A flow request's deadline: fail its reply if still pending (the
+    controller then drops the late answer)."""
+    if not reply.triggered:
+        reply.fail(_RequestTimeout())
+
+
 class NicPort:
     """A NIC port: a bounded RX queue and a line-rate-limited egress.
 
@@ -375,8 +390,9 @@ class NfManager:
         self.controller = controller
         self.conflict_policy = conflict_policy
         self.lookup_cache = lookup_cache
-        # Control-plane hardening: None means wait forever (legacy
-        # behaviour); a policy adds timeout + retry + bounded budget.
+        # Control-plane hardening: None makes one flow request that waits
+        # as long as the controller takes; a policy adds a deadline per
+        # attempt, retries with backoff and a bounded attempt budget.
         self.control_policy = control_policy
         # Where flows go when the control plane cannot answer: None drops
         # them; a Destination (typically the exit port — the service
@@ -1174,43 +1190,35 @@ class NfManager:
     def _request_rules(self, scope: str, flow: FiveTuple):
         """Ask the controller for rules; None means giving up.
 
-        Without a :class:`ControlPlanePolicy` this is a single request
-        that waits as long as the controller takes.  With one, each
-        attempt is bounded by ``timeout_ns`` and retried with capped
-        exponential backoff up to ``max_attempts`` tries.
+        Without a :class:`ControlPlanePolicy` this is one request that
+        waits as long as the controller takes.  With one, a bare timer
+        fails each attempt's reply that is still pending ``timeout_ns``
+        later, and a failed attempt is retried with capped exponential
+        backoff up to ``max_attempts`` tries.
         """
         policy = self.control_policy
-        if policy is None:
-            try:
-                rules = yield self.controller.flow_request(self.name, scope,
-                                                           flow)
-            except Exception:  # noqa: BLE001 - controller fault isolation
-                return None
-            return list(rules or ())
-        for attempt in range(policy.max_attempts):
+        attempts = 1 if policy is None else policy.max_attempts
+        for attempt in range(attempts):
             reply = self.controller.flow_request(self.name, scope, flow)
-            deadline = self.sim.timeout(policy.timeout_ns)
-            failed = False
+            if policy is not None:
+                self.sim.call_later(policy.timeout_ns, _expire, reply)
             try:
-                yield self.sim.any_of([reply, deadline])
-            except Exception:  # noqa: BLE001 - controller fault isolation
-                failed = True
-            if not failed and reply.processed and reply.ok:
-                return list(reply.value or ())
-            if not (failed or reply.processed):
-                # Deadline fired first: the request timed out.  A late
-                # reply is ignored (the AnyOf defuses late failures).
+                rules = yield reply
+            except _RequestTimeout:
                 self.stats.sdn_timeouts += 1
                 if self.event_log is not None:
                     self.event_log.record("sdn_timeout", host=self.name,
                                           scope=scope, attempt=attempt)
-            if attempt + 1 < policy.max_attempts:
+            except Exception:  # noqa: BLE001 - controller fault isolation
+                pass
+            else:
+                return list(rules or ())
+            if attempt + 1 < attempts:
                 self.stats.sdn_retries += 1
                 yield self.sim.sleep(policy.backoff_ns(attempt))
-        if self.event_log is not None:
+        if policy is not None and self.event_log is not None:
             self.event_log.record("controller_unreachable", host=self.name,
-                                  scope=scope,
-                                  attempts=policy.max_attempts)
+                                  scope=scope, attempts=attempts)
         return None
 
     def _degrade_pending(self, key: tuple[str, FiveTuple]) -> None:

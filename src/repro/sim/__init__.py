@@ -24,14 +24,12 @@ Typical use::
     assert proc.value == "done"
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
+from repro.sim.events import Event, Interrupt, Process, Timeout
 from repro.sim.simulator import Simulator
 from repro.sim.store import Store
 from repro.sim.units import MS, NS, S, US, ns_to_seconds, seconds_to_ns
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "MS",

@@ -21,6 +21,12 @@ is lazily cancelled so :func:`_fire` discards it unprocessed), a parked
 getter leaves its store, and a pending wake entry is overwritten in
 place by a no-op entry with the same ``(when, seq)``.
 
+A process waits on one thing at a time; the kernel has no composite
+events.  A bounded wait yields the awaited event itself and lets a
+bare :meth:`~repro.sim.simulator.Simulator.call_later` timer fail it if
+it is still pending at the deadline, as the NF Manager does for each
+flow request under a ``ControlPlanePolicy``.
+
 Every event class carries ``__slots__`` (lint rule SIM003 checks it).
 """
 
@@ -89,7 +95,7 @@ class Event:
         # "errors should never pass silently".
         self._defused = False
         # Lazy cancellation: a triggered event nobody listens to anymore
-        # (e.g. a deadline abandoned by an interrupt) is skipped, not run.
+        # (a timeout abandoned by an interrupt) is skipped, not run.
         self._cancelled = False
 
     @property
@@ -138,16 +144,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel won't re-raise it."""
         self._defused = True
-
-    def cancel(self) -> None:
-        """Lazily cancel a triggered event.
-
-        The heap entry stays put; when popped, the scheduler discards it
-        *if no callbacks are subscribed at that point* (subscribing again
-        effectively un-cancels).  This is how abandoned deadlines avoid
-        being dispatched long after anyone cares.
-        """
-        self._cancelled = True
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
@@ -336,97 +332,3 @@ class Process(Event):
         # The generator swallowed the error and kept yielding; that is
         # a programming error we refuse to paper over.
         self.fail(error)
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events.
-
-    A constituent counts as complete once it is *processed* (callbacks
-    ran) — being merely scheduled (e.g. a fresh Timeout, which is
-    triggered at creation) does not count.
-    """
-
-    __slots__ = ("events", "_completed")
-
-    def __init__(self, sim: Simulator,
-                 events: typing.Sequence[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        for event in self.events:
-            if event.sim is not sim:
-                raise RuntimeError("condition mixes events from different "
-                                   "simulators")
-        self._completed = 0
-        for event in self.events:
-            if event.callbacks is None:
-                if event._exception is not None:
-                    if not self.triggered:
-                        self.fail(event._exception)
-                else:
-                    self._completed += 1
-            else:
-                event.callbacks.append(self._observe)
-        if not self.triggered and self._satisfied():
-            self.succeed(self._collect())
-        if self.triggered:
-            self._detach_pending_timeouts()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            if event._exception is not None:
-                event.defuse()
-            return
-        if event._exception is not None:
-            event.defuse()
-            self.fail(event._exception)
-            self._detach_pending_timeouts()
-            return
-        self._completed += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-            self._detach_pending_timeouts()
-
-    def _detach_pending_timeouts(self) -> None:
-        """Stop watching timeouts that can no longer matter.
-
-        Deadline timeouts raced against an RPC reply (the control-plane
-        ``any_of([reply, deadline])`` pattern) would otherwise sit in the
-        heap and be dispatched long after the condition fired.  Only
-        :class:`Timeout` constituents are pruned: they can never fail, so
-        dropping our subscription cannot silence an un-defused failure.
-        """
-        for event in self.events:
-            callbacks = event.callbacks
-            if callbacks is not None and isinstance(event, Timeout):
-                try:
-                    callbacks.remove(self._observe)
-                except ValueError:
-                    continue
-                if not callbacks:
-                    event._cancelled = True
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, typing.Any]:
-        """Values of constituents that have completed successfully."""
-        return {event: event._value for event in self.events
-                if event.callbacks is None and event._exception is None}
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any constituent event is processed."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._completed >= 1 or not self.events
-
-
-class AllOf(_Condition):
-    """Triggers once all constituent events are processed."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._completed >= len(self.events)

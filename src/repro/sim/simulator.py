@@ -23,8 +23,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import (DIRECT, AllOf, AnyOf, Event, Process,
-                              Timeout, _fire)
+from repro.sim.events import DIRECT, Event, Process, Timeout, _fire
 
 
 class EmptySchedule(Exception):
@@ -78,8 +77,8 @@ class Simulator:
         Pushes a bare wake entry that resumes the process directly, with
         no Event object, and returns :data:`~repro.sim.events.DIRECT`,
         which the process must yield at once.  Only a running process
-        may sleep; use :meth:`timeout` when the event object itself
-        matters (to read a value or race it in a condition).
+        may sleep; use :meth:`timeout` when the caller needs the event
+        object itself.
         """
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
@@ -95,12 +94,6 @@ class Simulator:
     def process(self, generator: typing.Generator) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        return AllOf(self, events)
 
     @property
     def events_scheduled(self) -> int:
