@@ -12,8 +12,9 @@ the data plane can walk away from a wait it started:
 - ``link_flap_egress``: the egress link goes down while frames are
   queued for the wire;
 - ``controller_outage_policy``: the controller goes dark under a
-  ``ControlPlanePolicy``, so flow requests race their deadlines in
-  ``any_of`` and retry after backoff sleeps.
+  ``ControlPlanePolicy``, so each flow request's deadline timer fails
+  its pending reply, the manager retries after backoff sleeps, and the
+  replies that arrive after the outage are dropped.
 
 Each case pins one SHA-256 over the kernel's three odometers
 (``events_scheduled``, ``timers_scheduled``, ``events_cancelled``),
