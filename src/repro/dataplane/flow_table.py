@@ -113,9 +113,9 @@ def _with_default(actions: tuple[Destination, ...],
 class FlowTable:
     """Scoped flow rules with exact-match fast path and wildcard fallback.
 
-    Exact rules are kept per scope, then per flow, and a scope's dict
-    goes when its last exact rule does; each scope's wildcard rules are a
-    list in insertion order.  Both maps keep their scopes in
+    Exact rules are kept per scope, then per flow; each scope's wildcard
+    rules are a list in insertion order.  A scope's dict or list goes
+    when its last rule is removed.  Both maps keep their scopes in
     first-insertion order, so introspection is scope-major and does not
     depend on ``PYTHONHASHSEED``.
     """
@@ -154,6 +154,8 @@ class FlowTable:
                 del self._exact[scope]
         else:
             removed = self._drop_wildcards(scope, match)
+            if removed and not self._wildcards[scope]:
+                del self._wildcards[scope]
         if removed:
             self.generation += 1
         return removed
@@ -253,8 +255,10 @@ class FlowTable:
     def scopes(self) -> typing.KeysView[str]:
         """Every scope holding a rule: exact rules' scopes, then wildcard
         rules', each in first-insertion order (a scope whose last exact
-        rule left rejoins at the end), so walking it does not depend on
-        ``PYTHONHASHSEED``.  Compares equal to a set of the names."""
+        or wildcard rule was removed rejoins at the end; replacing a
+        wildcard rule keeps its scope's place), so walking it does not
+        depend on ``PYTHONHASHSEED``.  Compares equal to a set of the
+        names."""
         scopes = dict.fromkeys(self._exact)
         scopes.update(dict.fromkeys(self._wildcards))
         return scopes.keys()

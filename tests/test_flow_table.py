@@ -319,6 +319,26 @@ class TestIntrospection:
         assert [rule.scope for rule in table.entries()] == ["b", "a"]
         assert len(table) == 2
 
+    def test_scope_with_no_wildcard_rule_drops_out(self, table):
+        table.install(entry(scope="a", match=FlowMatch(dst_port=80)))
+        assert table.remove("a", FlowMatch(dst_port=80))
+        assert len(table) == 0
+        assert list(table.scopes()) == []
+        # Expiry removes rules the same way.
+        table.install(entry(scope="b", match=FlowMatch(dst_port=80),
+                            hard_timeout_ns=10))
+        assert len(table.expire(now_ns=10)) == 1
+        assert list(table.scopes()) == []
+
+    def test_replacing_a_wildcard_keeps_its_scope_in_place(self, table):
+        table.install(entry(scope="a", match=FlowMatch(dst_port=80)))
+        table.install(entry(scope="b", match=FlowMatch(dst_port=80)))
+        table.install(entry(scope="a", match=FlowMatch(dst_port=80),
+                            actions=(ToPort("new"),)))
+        assert list(table.scopes()) == ["a", "b"]
+        assert [rule.default_action for rule in table.entries()] == [
+            ToPort("new"), ToPort("eth1")]
+
     def test_dump_renders(self, table, flow):
         table.install(entry(scope="eth0", actions=(ToService("vd"),)))
         table.install(entry(
