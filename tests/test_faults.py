@@ -340,6 +340,86 @@ class TestControlPlanePolicy:
         assert len(out) == 1                   # served through the NF
         assert host.stats.dropped_no_rule == 0
 
+    def _policy_host(self, sim, controller, timeout_ns):
+        app = SdnfvApp(sim, controller=controller)
+        host = NfvHost(
+            sim, name="h0", controller=controller,
+            control_policy=ControlPlanePolicy(
+                timeout_ns=timeout_ns, max_attempts=3,
+                backoff_base_ns=1 * MS, backoff_cap_ns=1 * MS),
+            miss_fallback=ToPort("eth1"))
+        app.register_host(host)
+        host.add_nf(NoOpNf("svc"))
+        graph = ServiceGraph("g")
+        graph.add_service("svc")
+        graph.add_edge("svc", EXIT, default=True)
+        graph.set_entry("svc")
+        app.deploy(graph, proactive=False)
+        return host
+
+    def test_slow_controller_times_out_and_drops_late_replies(self, sim,
+                                                              flow):
+        # Up but slow: every reply takes 4.1 ms against a 1 ms deadline.
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                   propagation_ns=2 * MS)
+        host = self._policy_host(sim, controller, timeout_ns=1 * MS)
+        rules_before = len(host.flow_table)
+        out = _count_egress(host)
+        host.inject("eth0", _packet(flow))
+        sim.run(until=100 * MS)
+        # Every attempt was served, and its late reply dropped without
+        # raising or installing anything.
+        shard = controller.shards[0]
+        assert shard.stats.requests == 3
+        assert shard.stats.failures == 0
+        assert host.stats.sdn_timeouts == 3
+        assert host.stats.sdn_retries == 2
+        assert host.stats.degraded_packets == 1
+        assert len(host.flow_table) == rules_before
+        assert len(out) == 1
+
+    def test_reply_before_deadline_installs_rules(self, sim, flow):
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                   propagation_ns=100 * US)
+        host = self._policy_host(sim, controller, timeout_ns=5 * MS)
+        rules_before = len(host.flow_table)
+        out = _count_egress(host)
+        host.inject("eth0", _packet(flow))
+        sim.run(until=100 * MS)
+        assert host.stats.sdn_timeouts == 0
+        assert host.stats.sdn_retries == 0
+        assert len(host.flow_table) > rules_before
+        assert len(out) == 1
+        assert host.stats.degraded_packets == 0
+        # The spent deadline timer fires as a no-op; nothing is
+        # cancelled.
+        assert sim.events_cancelled == 0
+
+    def test_failing_northbound_is_retried_not_timed_out(self, sim, flow):
+        class TimingOutApp:
+            def rules_for(self, host, scope, flow):
+                # A builtin TimeoutError from the app is a failed
+                # request, not a deadline the manager enforced.
+                raise TimeoutError("northbound gave up")
+
+        controller = ControlPlane(sim, service_time_ns=100 * US,
+                                   propagation_ns=100 * US,
+                                   northbound=TimingOutApp())
+        host = NfvHost(
+            sim, name="h0", controller=controller,
+            control_policy=ControlPlanePolicy(
+                timeout_ns=5 * MS, max_attempts=3,
+                backoff_base_ns=1 * MS, backoff_cap_ns=1 * MS),
+            miss_fallback=ToPort("eth1"))
+        out = _count_egress(host)
+        host.inject("eth0", _packet(flow))
+        sim.run(until=100 * MS)
+        assert controller.shards[0].stats.failures == 3
+        assert host.stats.sdn_retries == 2
+        assert host.stats.sdn_timeouts == 0
+        assert host.stats.degraded_packets == 1
+        assert len(out) == 1
+
     def test_outage_counted_and_recovers(self, sim):
         controller = ControlPlane(sim)
         controller.outage(5 * MS)
