@@ -78,10 +78,11 @@ class ControlPlanePolicy:
 
     §3 argues hosts must keep making local decisions when the controller
     is slow or unreachable.  With a policy attached, each flow request
-    gets a ``timeout_ns`` deadline; on timeout the manager retries with
-    capped exponential backoff up to ``max_attempts`` total tries, then
-    gives up and degrades (drop or :attr:`NfManager.miss_fallback`)
-    instead of blocking the miss queue forever.
+    gets a ``timeout_ns`` deadline (a reply arriving later is dropped);
+    after a timeout or a failed reply the manager retries with capped
+    exponential backoff up to ``max_attempts`` total tries, then gives
+    up and degrades (drop or :attr:`NfManager.miss_fallback`) instead of
+    blocking the miss queue forever.
     """
 
     timeout_ns: int = 100 * MS
