@@ -72,8 +72,8 @@ def run_fig8():
                 "flow1_us": (lat1.mean_us() if len(lat1) else None),
                 "flow2_us": (lat2.mean_us() if len(lat2) else None),
             }
-            lat1._samples.clear()
-            lat2._samples.clear()
+            lat1.clear()
+            lat2.clear()
         return take
 
     sim.schedule(PHASE1_END, snapshot("phase1 (both elephants)"))
