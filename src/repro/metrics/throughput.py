@@ -26,7 +26,11 @@ class ThroughputMeter:
         bits = (wire_bits(size_bytes) if self.count_wire_overhead
                 else size_bytes * 8) * packets
         index = now_ns // self.window_ns
-        window = self._windows.setdefault(index, [0, 0])
+        # A lookup, not setdefault: its default list would be built on
+        # every call, and PktGen records every packet twice.
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = [0, 0]
         window[0] += bits
         window[1] += packets
         self.total_packets += packets
