@@ -404,10 +404,15 @@ class ShardRuntime:
         measured = port.on_egress  # PktGen._on_return
         sink = self.deliveries[name]
         sim = self.sim
+        # One key tuple per flow, shared by all of its deliveries.
+        keys: dict[FiveTuple, tuple[str, str, int, int, int]] = {}
 
         def recording_hook(packet: Packet) -> None:
-            sink.append((sim.now, packet.created_at,
-                         _flow_key(packet.flow)))
+            flow = packet.flow
+            key = keys.get(flow)
+            if key is None:
+                key = keys[flow] = _flow_key(flow)
+            sink.append((sim.now, packet.created_at, key))
             measured(packet)
 
         port.on_egress = recording_hook
@@ -514,7 +519,7 @@ class ShardRuntime:
             hosts[name] = {
                 "summary": host.stats.summary(),
                 "deliveries": self.deliveries[name],
-                "latency_samples": list(gen.latency.samples_ns),
+                "latency_samples": gen.latency.samples_ns,
                 "sent": gen.sent,
                 "received": gen.received,
                 "rx_gbps": gen.rx_meter.mean_gbps(),
