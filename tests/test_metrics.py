@@ -1,5 +1,9 @@
 """Metrics instrumentation tests."""
 
+import gc
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,13 @@ from repro.metrics import (
 )
 from repro.net.packet import wire_bits
 from repro.sim.units import MS, S, US
+
+from tests.test_sharded_parity import sharded_run
+
+#: Traced bytes 100k recorded samples may leave per sample: 8 for the
+#: int64 slot plus the array's over-allocation (40 as one int object
+#: and one list slot each).
+MAX_BYTES_PER_SAMPLE = 10
 
 
 class TestLatencyRecorder:
@@ -57,6 +68,63 @@ class TestLatencyRecorder:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyRecorder().record(-1)
+
+    def test_non_integer_rejected(self):
+        recorder = LatencyRecorder()
+        with pytest.raises(TypeError):
+            recorder.record(1.5)
+        assert len(recorder) == 0
+
+    def test_samples_are_ints_in_order_sharing_equal_values(self):
+        recorded = [30 * US + 7, 25 * US + 3, 30 * US + 7, 0,
+                    10**12 + 1, 25 * US + 3]
+        recorder = LatencyRecorder()
+        for value in recorded:
+            recorder.record(value)
+        samples = recorder.samples_ns
+        assert type(samples) is list
+        assert all(type(sample) is int for sample in samples)
+        assert samples == recorded
+        assert samples[0] is samples[2]
+        assert samples[1] is samples[5]
+
+    def test_clear_drops_every_sample(self):
+        recorder = LatencyRecorder()
+        for value in (1, 2, 3):
+            recorder.record(value)
+        recorder.clear()
+        assert len(recorder) == 0
+        assert recorder.samples_ns == []
+        recorder.record(4)
+        assert recorder.samples_ns == [4]
+
+    def test_pickle_round_trip_keeps_samples_and_percentiles(self):
+        recorder = LatencyRecorder("rtt")
+        for i in range(1, 501):
+            recorder.record((i * 7919) % 997 * US)
+        copy = pickle.loads(pickle.dumps(recorder))
+        assert copy.name == "rtt"
+        assert copy.samples_ns == recorder.samples_ns
+        assert copy.summary() == recorder.summary()
+        assert copy.cdf_points(20) == recorder.cdf_points(20)
+
+    def test_samples_cost_at_most_10_traced_bytes_each(self):
+        count = 100_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recorder = LatencyRecorder()
+            for i in range(count):
+                # Table-2-like: integer ns in a band a few us wide.
+                recorder.record(25 * US + (i * 7919) % 5_601)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(recorder) == count
+        assert grown / count <= MAX_BYTES_PER_SAMPLE, \
+            f"{grown / count:.1f} B/sample"
 
     def test_empty_statistics_raise(self):
         with pytest.raises(ValueError):
@@ -122,6 +190,45 @@ class TestThroughputMeter:
         meter = ThroughputMeter(window_ns=MS)
         meter.record(0, 64, packets=10)
         assert meter.total_packets == 10
+
+    def test_window_totals_across_new_and_existing_windows(self):
+        meter = ThroughputMeter(window_ns=MS, count_wire_overhead=False)
+        for now, size in ((0, 100), (MS - 1, 50), (MS, 10),
+                          (3 * MS + 5, 1), (MS + 2, 20)):
+            meter.record(now, size)
+        assert meter._windows == {0: [1200, 2], 1: [240, 2], 3: [8, 1]}
+        assert meter.total_bits == 1448
+        assert meter.total_packets == 5
+
+    def test_existing_window_records_without_allocating(self):
+        meter = ThroughputMeter(window_ns=MS, count_wire_overhead=False)
+        meter.record(0, 1)
+        # 1-byte frames keep every total a cached small int, and a
+        # ready-made iterator keeps the loop itself from allocating, so
+        # any traced block is the meter's own.
+        nows = iter(range(1, 20))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for now in nows:
+                meter.record(now, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert meter.total_bits == 160
+        assert peak - before == 0
+
+
+class TestShardDeliveries:
+    def test_deliveries_of_one_flow_share_one_key(self):
+        result = sharded_run(2, workers=0)
+        by_flow: dict[tuple, set[int]] = {}
+        for name in result.hosts:
+            for _now, _created, key in result.deliveries(name):
+                by_flow.setdefault(key, set()).add(id(key))
+        assert len(by_flow) == 2
+        assert all(len(ids) == 1 for ids in by_flow.values())
 
 
 class TestTimeSeries:
