@@ -404,15 +404,16 @@ class ShardRuntime:
         measured = port.on_egress  # PktGen._on_return
         sink = self.deliveries[name]
         sim = self.sim
-        # One key tuple per flow, shared by all of its deliveries.
-        keys: dict[FiveTuple, tuple[str, str, int, int, int]] = {}
+        # One key tuple per flow, shared by all of its deliveries.  It
+        # is looked up by value: a frame from another shard carries a
+        # fresh FiveTuple, which would go through the Python-level
+        # __hash__ and __eq__.
+        keys: dict[tuple, tuple] = {}
+        share = keys.setdefault
 
         def recording_hook(packet: Packet) -> None:
-            flow = packet.flow
-            key = keys.get(flow)
-            if key is None:
-                key = keys[flow] = _flow_key(flow)
-            sink.append((sim.now, packet.created_at, key))
+            key = _flow_key(packet.flow)
+            sink.append((sim.now, packet.created_at, share(key, key)))
             measured(packet)
 
         port.on_egress = recording_hook
