@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import MS, NS, S, US
 from repro.sim.events import Interrupt
-from repro.sim.simulator import EmptySchedule
 
 
 class TestUnits:
@@ -265,7 +264,3 @@ class TestSchedule:
         sim.schedule(25, lambda: called.append(sim.now))
         sim.run()
         assert called == [25]
-
-    def test_step_empty_raises(self, sim):
-        with pytest.raises(EmptySchedule):
-            sim._step()
