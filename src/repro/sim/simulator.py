@@ -26,10 +26,6 @@ import typing
 from repro.sim.events import DIRECT, Event, Process, Timeout, _fire
 
 
-class EmptySchedule(Exception):
-    """Raised internally when the event queue runs dry."""
-
-
 def _invoke(callback: typing.Callable[[], None]) -> None:
     callback()
 
@@ -147,17 +143,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        queue = self._queue
-        if not queue:
-            raise EmptySchedule()
-        entry = heapq.heappop(queue)
-        when = entry[0]
-        if when < self.now:
-            raise AssertionError("time went backwards")
-        self.now = when
-        entry[2](entry[3])
-
     def run(self, until: int | Event | None = None) -> typing.Any:
         """Run the simulation.
 
@@ -169,24 +154,28 @@ class Simulator:
         - an :class:`Event`: run until that event has been processed and
           return its value.
         """
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                try:
-                    self._step()
-                except EmptySchedule:
-                    raise RuntimeError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered") from None
-            return sentinel.value
-        deadline = None if until is None else int(until)
-        if deadline is not None and deadline < self.now:
-            raise ValueError(f"until={deadline} is in the past "
-                             f"(now={self.now})")
-        limit = _FOREVER if deadline is None else deadline
         queue = self._queue
         pop = heapq.heappop
         now = self.now
+        if isinstance(until, Event):
+            sentinel = until
+            while not sentinel.processed:
+                if not queue:
+                    raise RuntimeError(
+                        "simulation ran out of events before the awaited "
+                        "event triggered")
+                entry = pop(queue)
+                when = entry[0]
+                if when < now:
+                    raise AssertionError("time went backwards")
+                self.now = now = when
+                entry[2](entry[3])
+            return sentinel.value
+        deadline = None if until is None else int(until)
+        if deadline is not None and deadline < now:
+            raise ValueError(f"until={deadline} is in the past "
+                             f"(now={now})")
+        limit = _FOREVER if deadline is None else deadline
         while queue:
             entry = pop(queue)
             when = entry[0]
