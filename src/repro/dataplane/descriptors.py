@@ -4,7 +4,10 @@ The paper's zero-copy design (§4.1) DMA's packets into shared huge pages and
 passes lightweight descriptors between domains.  §4.2's cache of flow
 table lookup results lives in the NF Manager, not here: a per-flow plan
 (``lookup_cache=``) keyed by the flow table generation, so dynamic rule
-updates invalidate it naturally, plus a per-burst plan in the RX thread.
+updates invalidate it naturally, plus a per-burst plan in each RX and TX
+thread.  Descriptors are not recycled: the RX thread makes one per
+packet (fan-out, merge and a lost straggler make theirs), and a retired
+one is simply dropped.  The packet buffer is what the mempool recycles.
 """
 
 from __future__ import annotations
@@ -35,15 +38,3 @@ class PacketDescriptor:
     group_index: int = 0
     vm_priority: int = 0
     ingress_at: int = 0
-
-    def reset(self, packet: Packet, scope: str,
-              ingress_at: int) -> PacketDescriptor:
-        """Rewind a retired descriptor for reuse from a free list."""
-        self.packet = packet
-        self.scope = scope
-        self.verdict = None
-        self.group_id = None
-        self.group_index = 0
-        self.vm_priority = 0
-        self.ingress_at = ingress_at
-        return self

@@ -68,9 +68,6 @@ _PLAN_CACHE_LIMIT = 65536
 # batches of up to 32 descriptors per poll.
 DEFAULT_BURST_SIZE = 32
 
-# Bound on the descriptor free list (wrappers, not packets).
-_DESC_POOL_LIMIT = 4096
-
 
 @dataclasses.dataclass(frozen=True)
 class ControlPlanePolicy:
@@ -272,8 +269,8 @@ def _write_merge_field(packet: Packet, field: str, value) -> None:
 class _ParallelGroup:
     """Bookkeeping for one packet fanned out to parallel member VMs.
 
-    Legacy groups (read-only fusion, rule-based fan-out) carry no
-    ``write_plan`` and behave exactly as before.  Profile-driven groups
+    Groups of a chain admitted on its VMs' read-only bit carry no
+    ``write_plan``: the packet is shared unchanged.  Profile-driven groups
     additionally run the *merge stage*: at fan-out the group snapshots
     every field and annotation key any member is allowed to write; as
     each member's handler returns, the VM loop calls :meth:`capture`,
@@ -405,9 +402,6 @@ class NfManager:
         # The host's rte_mempool analogue: packet generators and sinks
         # allocate/reclaim buffers through it.
         self.packet_pool = PacketPool(stats=self.stats)
-        # Free list of descriptor wrappers (the mbuf-descriptor analogue):
-        # RX allocation and TX/drop retirement recycle through it.
-        self._desc_pool: list[PacketDescriptor] = []
         self.ports: dict[str, NicPort] = {}
         # Per-manager VM id mint (see NfVm.__init__): local registration
         # order, never global creation order, names a VM.
@@ -559,24 +553,21 @@ class NfManager:
                            ) -> list[FlowTableEntry] | None:
         """Reroute traffic around a service with no live VMs.
 
-        Every rule whose *default* leads to ``service`` is rewritten to the
-        service's own default edge, so flows degrade gracefully instead of
-        blackholing while a replacement boots.  Returns the displaced
-        rules so :meth:`restore_service` can reinstate them — entries
-        pointing at the dead service are rewritten, not leaked.
+        This is ``SkipMe`` over every flow: each rule whose *default*
+        leads to ``service`` is rewritten to the service's own default
+        edge, so flows degrade gracefully instead of blackholing while a
+        replacement boots.  Returns the displaced rules so
+        :meth:`restore_service` can reinstate them — entries pointing at
+        the dead service are rewritten, not leaked.
         """
         bypass = ToService(service)
-        fallback = self._scope_default(service, FlowMatch.any())
+        flows = FlowMatch.any()
+        fallback = self._scope_default(service, flows)
         if fallback is None or fallback == bypass:
             return None
-        displaced: list[FlowTableEntry] = []
-        for scope in list(self.flow_table.scopes()):
-            if scope == service:
-                continue
-            for entry in list(self.flow_table.entries(scope)):
-                if entry.default_action == bypass:
-                    displaced.append(entry)
-                    self.install_rule(entry.with_default(fallback))
+        displaced = self._redirect(
+            service, flows, fallback,
+            lambda entry: entry.default_action == bypass)
         if self.event_log is not None:
             self.event_log.record("service_quarantined", host=self.name,
                                   service=service, rewritten=len(displaced),
@@ -761,25 +752,6 @@ class NfManager:
         return list(self.vms_by_service)
 
     # ------------------------------------------------------------------
-    # Descriptor free list
-    # ------------------------------------------------------------------
-    def _desc_alloc(self, packet: Packet, scope: str,
-                    ingress_at: int) -> PacketDescriptor:
-        """A descriptor wrapper, recycled from the free list when possible."""
-        pool = self._desc_pool
-        if pool:
-            return pool.pop().reset(packet, scope, ingress_at)
-        return PacketDescriptor(packet=packet, scope=scope,
-                                ingress_at=ingress_at)
-
-    def _desc_free(self, descriptor: PacketDescriptor) -> None:
-        """Retire a descriptor nobody references anymore."""
-        if len(self._desc_pool) < _DESC_POOL_LIMIT:
-            descriptor.packet = None  # type: ignore[assignment]
-            descriptor.verdict = None
-            self._desc_pool.append(descriptor)
-
-    # ------------------------------------------------------------------
     # RX path
     # ------------------------------------------------------------------
     def _rx_loop(self, port: NicPort):
@@ -814,7 +786,7 @@ class NfManager:
                                    FlowTableEntry | None]] = []
             for frame in frames:
                 stats.record_rx(frame.size)
-                descriptor = self._desc_alloc(frame, scope, now)
+                descriptor = PacketDescriptor(frame, scope, ingress_at=now)
                 flow = frame.flow
                 if flow in burst_plans:
                     entry = burst_plans[flow]
@@ -908,22 +880,34 @@ class NfManager:
                     return self._fan_out_members(
                         descriptor, chain,
                         plan=self._chain_merge_plans.get(service_id))
-            replicas = self.vms_by_service.get(service_id, ())
-            if not replicas:
-                self._drop(descriptor, "dropped_no_vm")
-                return 0
-            vm, scan_cost = self._balancers[service_id].choose(
-                replicas, descriptor.packet.flow)
-            self.stats.record_service(service_id)
-            if not vm.rx_ring.try_enqueue(descriptor):
-                self._drop(descriptor, "dropped_ring_full")
-            return scan_cost
+            return self._enqueue(descriptor, service_id)[1]
         if isinstance(destination, ToPort):
             self._egress(descriptor, destination.port)
             return 0
         assert isinstance(destination, Drop)
         self._drop(descriptor, "dropped_by_nf")
         return 0
+
+    def _enqueue(self, descriptor: PacketDescriptor,
+                 service_id: str) -> tuple[NfVm | None, int]:
+        """Put a descriptor on the RX ring of a replica the service's
+        balancer picks.
+
+        Returns (that VM, the balancer's scan cost); the VM is None when
+        the service has no replica or the ring is full, and the
+        descriptor was dropped.
+        """
+        replicas = self.vms_by_service.get(service_id, ())
+        if not replicas:
+            self._drop(descriptor, "dropped_no_vm")
+            return None, 0
+        vm, scan_cost = self._balancers[service_id].choose(
+            replicas, descriptor.packet.flow)
+        self.stats.record_service(service_id)
+        if not vm.rx_ring.try_enqueue(descriptor):
+            self._drop(descriptor, "dropped_ring_full")
+            return None, scan_cost
+        return vm, scan_cost
 
     def _fan_out_members(self, descriptor: PacketDescriptor,
                          members: typing.Sequence[str],
@@ -939,33 +923,17 @@ class NfManager:
         packet = descriptor.packet
         packet.add_reference(len(members) - 1)
         cost = self.costs.parallel_fanout_ns * (len(members) - 1)
-        for index, service_id in enumerate(members):
-            member = self._desc_alloc(packet, service_id,
-                                      descriptor.ingress_at)
-            member.group_id = group_id
-            member.group_index = index
-            replicas = self.vms_by_service.get(service_id, ())
-            if not replicas:
-                self.stats.dropped_no_vm += 1
-                self._release(packet)
-                self._desc_free(member)
-                group.member_lost()
-                continue
-            balancer = self._balancers[service_id]
-            vm, scan_cost = balancer.choose(replicas, packet.flow)
-            cost += scan_cost
-            self.stats.record_service(service_id)
-            if vm.rx_ring.try_enqueue(member):
-                group.tx_queue = self._vm_tx_assignment[vm.vm_id]
-            else:
-                self.stats.dropped_ring_full += 1
-                self._release(packet)
-                self._desc_free(member)
-                group.member_lost()
-        if group.expected <= 0:
-            del self._groups[group_id]
         # The template descriptor's reference now lives in the members.
-        self._desc_free(descriptor)
+        # No member has a verdict yet, so a lost one never completes the
+        # group; losing the last deletes it.
+        for index, service_id in enumerate(members):
+            member = PacketDescriptor(packet, service_id, group_id=group_id,
+                                      group_index=index,
+                                      ingress_at=descriptor.ingress_at)
+            vm, scan_cost = self._enqueue(member, service_id)
+            cost += scan_cost
+            if vm is not None:
+                group.tx_queue = self._vm_tx_assignment[vm.vm_id]
         return cost
 
     # ------------------------------------------------------------------
@@ -1053,17 +1021,12 @@ class NfManager:
         group = self._groups.get(descriptor.group_id)
         if group is None:  # group finalized by member loss accounting
             self._release(descriptor.packet)
-            self._desc_free(descriptor)
             return None
         if descriptor.verdict is not None and not group.member_done(
                 descriptor):
             self._release(descriptor.packet)
-            self._desc_free(descriptor)
             return None
-        merged = self._merge_group(group, descriptor)
-        count = len(group.verdicts)
-        self._desc_free(descriptor)
-        return merged, count
+        return self._merge_group(group, descriptor), len(group.verdicts)
 
     def _merge_group(self, group: _ParallelGroup,
                      descriptor: PacketDescriptor) -> PacketDescriptor:
@@ -1074,10 +1037,8 @@ class NfManager:
         group.apply(descriptor.packet)
         verdict = resolve_parallel_verdicts(group.verdicts,
                                             policy=self.conflict_policy)
-        merged = self._desc_alloc(descriptor.packet, group.exit_scope,
-                                  descriptor.ingress_at)
-        merged.verdict = verdict
-        return merged
+        return PacketDescriptor(descriptor.packet, group.exit_scope, verdict,
+                                ingress_at=descriptor.ingress_at)
 
     def _group_member_lost(self, descriptor: PacketDescriptor) -> bool:
         """Account for a parallel-group member dying after dispatch.
@@ -1106,15 +1067,14 @@ class NfManager:
         if group is None:
             return False
         if group.member_lost():
-            straggler = self._desc_alloc(descriptor.packet, descriptor.scope,
-                                         descriptor.ingress_at)
-            straggler.group_id = group_id
+            straggler = PacketDescriptor(descriptor.packet, descriptor.scope,
+                                         group_id=group_id,
+                                         ingress_at=descriptor.ingress_at)
             assert group.tx_queue is not None
             if group.tx_queue.try_enqueue(straggler):
                 return True
             del self._groups[group_id]
             self.stats.dropped_ring_full += 1
-            self._desc_free(straggler)
             return False
         if group.expected <= 0:
             # Every member died before any verdict: nothing to merge.
@@ -1123,16 +1083,18 @@ class NfManager:
 
     def _resolve_verdict(self, descriptor: PacketDescriptor,
                          entry: FlowTableEntry | None) -> int:
+        """Route a descriptor by its NF's verdict under ``entry``; one
+        with no verdict yet (a packet that missed on ingress) follows the
+        Default."""
         verdict = descriptor.verdict
-        assert verdict is not None
-        if verdict.kind is NfVerdict.DISCARD:
+        if verdict is not None and verdict.kind is NfVerdict.DISCARD:
             self._drop(descriptor, "dropped_by_nf")
             return 0
         if entry is None:
             # Mid-chain miss: ask the control plane like any other miss.
             self._fc_queue.try_put(descriptor)
             return 0
-        if verdict.kind is NfVerdict.SEND:
+        if verdict is not None and verdict.kind is NfVerdict.SEND:
             destination = verdict.destination
             assert destination is not None
             if not entry.allows(destination):
@@ -1186,7 +1148,7 @@ class NfManager:
             if entry is None:
                 self._drop(descriptor, "dropped_no_rule")
             else:
-                self._route(descriptor, entry.default_action)
+                self._resolve_verdict(descriptor, entry)
 
     def _request_rules(self, scope: str, flow: FiveTuple):
         """Ask the controller for rules; None means giving up.
@@ -1302,40 +1264,44 @@ class NfManager:
         bypass_default = self._scope_default(message.service, message.flows)
         if bypass_default is None:
             return  # S has no rules; nothing routes through it anyway
-        exact = message.flows.exact_key()
-        for scope in list(self.flow_table.scopes()):
-            if scope == message.service:
-                continue
-            if exact is not None:
-                entry = self.flow_table.lookup(scope, exact)
-                if entry is not None and entry.default_action == bypass:
-                    self._specialize(scope, message.flows, exact,
-                                     bypass_default)
-                continue
-            for entry in list(self.flow_table.entries(scope)):
-                if (entry.default_action == bypass
-                        and message.flows.subsumes(entry.match)):
-                    self.install_rule(entry.with_default(bypass_default))
+        self._redirect(message.service, message.flows, bypass_default,
+                       lambda entry: entry.default_action == bypass)
 
     def _apply_request_me(self, message: RequestMe) -> None:
         """Rewrite every rule (including per-flow specializations) that has
         an edge to the requesting service so it becomes the default."""
         wanted = ToService(message.service)
-        exact = message.flows.exact_key()
+        self._redirect(message.service, message.flows, wanted,
+                       lambda entry: (wanted in entry.actions
+                                      and entry.default_action != wanted))
+
+    def _redirect(self, service: str, flows: FlowMatch,
+                  new_default: Destination,
+                  selects: typing.Callable[[FlowTableEntry], bool],
+                  ) -> list[FlowTableEntry]:
+        """Make ``new_default`` the default of every rule outside
+        ``service``'s own scope that ``selects`` picks for ``flows``.
+
+        An exact ``flows`` gets a specialised rule per scope (see
+        :meth:`_specialize`); a wildcard rewrites the rules it subsumes in
+        place.  Returns the rules that were redirected, as they were.
+        """
+        exact = flows.exact_key()
+        rewritten: list[FlowTableEntry] = []
         for scope in list(self.flow_table.scopes()):
-            if scope == message.service:
+            if scope == service:
                 continue
             if exact is not None:
                 entry = self.flow_table.lookup(scope, exact)
-                if (entry is not None and wanted in entry.actions
-                        and entry.default_action != wanted):
-                    self._specialize(scope, message.flows, exact, wanted)
+                if entry is not None and selects(entry):
+                    rewritten.append(entry)
+                    self._specialize(scope, flows, exact, new_default)
                 continue
             for entry in list(self.flow_table.entries(scope)):
-                if (wanted in entry.actions
-                        and entry.default_action != wanted
-                        and message.flows.subsumes(entry.match)):
-                    self.install_rule(entry.with_default(wanted))
+                if selects(entry) and flows.subsumes(entry.match):
+                    rewritten.append(entry)
+                    self.install_rule(entry.with_default(new_default))
+        return rewritten
 
     def _scope_default(self, scope: str,
                        flows: FlowMatch) -> Destination | None:
@@ -1417,14 +1383,12 @@ class NfManager:
         # The terminal owner (pktgen's return sink, a drop path, or the
         # next host) reclaims it.
         packet.release()
-        self._desc_free(descriptor)
         port.transmit(packet)
 
     def _drop(self, descriptor: PacketDescriptor, counter: str) -> None:
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         if not self._group_member_lost(descriptor):
             self._release(descriptor.packet)
-        self._desc_free(descriptor)
 
     @staticmethod
     def _release(packet: Packet) -> None:

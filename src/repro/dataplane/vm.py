@@ -244,7 +244,6 @@ class NfVm:
             self.manager.stats.lost_in_nf += 1
             if not self.manager._group_member_lost(descriptor):
                 descriptor.packet.free()
-            self.manager._desc_free(descriptor)
 
     def __repr__(self) -> str:
         state = " FAILED" if self.failed else ""
