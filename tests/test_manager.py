@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.control import SdnController
 from repro.dataplane import (
     ChangeDefault,
     Drop,
@@ -156,6 +157,41 @@ class TestNfVerdicts:
         out = run_packets(sim, host, flow)
         assert len(out) == 3
         assert host.stats.per_service_packets.get("next", 0) == 0
+
+    def test_mid_chain_miss_keeps_send_to_verdict(self, sim, flow):
+        # Scope a has no rule, so a's Send-to(b) verdict misses and the
+        # packets wait for the controller.  Its rule lists c first, so
+        # only the verdict, not the default, takes them via b to eth1.
+        class MidChainApp:
+            def rules_for(self, host, scope, flow):
+                assert scope == "a"
+                return [FlowTableEntry(
+                    scope="a", match=FlowMatch.exact(flow),
+                    actions=(ToService("c"), ToService("b")))]
+
+        controller = SdnController(sim, northbound=MidChainApp())
+        host = NfvHost(sim, controller=controller,
+                       ports=("eth0", "eth1", "eth2"))
+        host.add_nf(SendingNf("a", Verdict.send_to_service("b")))
+        host.add_nf(NoOpNf("b"))
+        host.add_nf(NoOpNf("c"))
+        host.install_rule(FlowTableEntry(
+            scope="eth0", match=FlowMatch.any(),
+            actions=(ToService("a"),)))
+        for service, port in (("b", "eth1"), ("c", "eth2")):
+            host.install_rule(FlowTableEntry(
+                scope=service, match=FlowMatch.any(),
+                actions=(ToPort(port),)))
+        via_eth2 = []
+        host.port("eth2").on_egress = via_eth2.append
+        buffered = run_packets(sim, host, flow, count=2)
+        assert host.stats.sdn_requests == 1
+        assert len(buffered) == 2
+        later = run_packets(sim, host, flow, count=2)
+        assert len(later) == 2
+        assert not via_eth2
+        assert host.stats.per_service_packets.get("c", 0) == 0
+        assert host.stats.policy_violations == 0
 
 
 class TestParallelProcessing:

@@ -322,6 +322,28 @@ class TestGroupMemberLoss:
         assert report.audit["delivered"] == 0
         assert report.audit["dropped"] == 1
 
+    @pytest.mark.parametrize("present", [("a",), ()])
+    def test_members_lost_at_fan_out_are_no_vm_drops(self, flow, present):
+        """A member whose service has no VM is dropped at fan-out.  A
+        surviving member still carries the packet out; when every member
+        is lost the group goes with the last of them."""
+        sim = Simulator()
+        host = NfvHost(sim, name="parallel", verify=True)
+        for service in present:
+            host.add_nf(NoOpNf(service))
+        manager = host.manager
+        manager.register_parallel_chain(["a", "b"])
+        install_chain(host, ["a", "b"])
+        out = _reclaiming_sink(host)
+        host.inject("eth0", _alloc(host, flow))
+        sim.run(until=10 * MS)
+        assert host.stats.dropped_no_vm == 2 - len(present)
+        assert manager._groups == {}
+        assert len(out) == len(present)
+        report = host.verifier.assert_clean()
+        assert report.audit["delivered"] == len(present)
+        assert report.audit["dropped"] == 1 - len(present)
+
 
 # ----------------------------------------------------------------------
 # Attach/detach mechanics
