@@ -99,9 +99,6 @@ class DdosScrubber(NetworkFunction):
             ctx.send_message(RequestMe(sender_service=self.service_id,
                                        service=self.service_id))
 
-    def add_attack_match(self, match: FlowMatch) -> None:
-        self.attack_matches.append(match)
-
     def process(self, packet: Packet, ctx: NfContext) -> Verdict:
         if any(match.matches(packet.flow) for match in self.attack_matches):
             self.scrubbed += 1

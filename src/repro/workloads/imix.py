@@ -36,11 +36,6 @@ class ImixProfile:
         return sum(size * weight
                    for size, weight in self.buckets) / total_weight
 
-    def mean_wire_bits(self) -> float:
-        total_weight = sum(weight for _size, weight in self.buckets)
-        return sum(wire_bits(size) * weight
-                   for size, weight in self.buckets) / total_weight
-
     def sample(self, rng) -> int:
         sizes = [size for size, _weight in self.buckets]
         weights = [weight for _size, weight in self.buckets]
