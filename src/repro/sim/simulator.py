@@ -158,8 +158,7 @@ class Simulator:
         pop = heapq.heappop
         now = self.now
         if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
+            while not until.processed:
                 if not queue:
                     raise RuntimeError(
                         "simulation ran out of events before the awaited "
@@ -170,7 +169,7 @@ class Simulator:
                     raise AssertionError("time went backwards")
                 self.now = now = when
                 entry[2](entry[3])
-            return sentinel.value
+            return until.value
         deadline = None if until is None else int(until)
         if deadline is not None and deadline < now:
             raise ValueError(f"until={deadline} is in the past "

@@ -160,8 +160,8 @@ class TestNfVerdicts:
 
     def test_mid_chain_miss_keeps_send_to_verdict(self, sim, flow):
         # Scope a has no rule, so a's Send-to(b) verdict misses and the
-        # packets wait for the controller.  Its rule lists c first, so
-        # only the verdict, not the default, takes them via b to eth1.
+        # packets wait for the controller.  The rule it sends for a lists
+        # c first: only the verdict, not the default, takes them via b.
         class MidChainApp:
             def rules_for(self, host, scope, flow):
                 assert scope == "a"
