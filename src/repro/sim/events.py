@@ -13,7 +13,12 @@ altogether: :meth:`Simulator.sleep` and a
 ``(when, seq, process._wake, value)`` (or park the process until a
 ``try_put`` pushes it) and hand the process :data:`DIRECT` to yield,
 so the wake resumes the generator with no Event, callback list or
-dispatch in between.  Process starts,
+dispatch in between.  When that wake would be the very next pop (it is
+due strictly before every queued entry and the ``run`` horizon), no
+entry is pushed at all: the simulator holds the value, and the
+:meth:`Process._wake` or :meth:`Process._throw` that is running the
+process sends it on at once, with the process's target ``None`` and no
+wake entry for an interrupt to cancel.  Process starts,
 interrupts and resumes on already-processed events are bare entries
 too.  An interrupt detaches whatever wait it abandons: a subscribed
 event loses the process's callback (and a timeout nobody else watches
@@ -51,8 +56,8 @@ class _DirectWait:
 
 #: What :meth:`Simulator.sleep` and a store's ``get`` return
 #: for the calling process to yield at once: its wake entry is already
-#: in the heap (or it is parked in the store), so the process
-#: subscribes to nothing.
+#: in the heap, it is parked in the store, or its wake resumes in place,
+#: so the process subscribes to nothing.
 DIRECT = _DirectWait()
 
 
@@ -251,17 +256,27 @@ class Process(Event):
         return _PENDING
 
     def _wake(self, value: typing.Any) -> None:
-        """Resume the generator with ``value`` (a bare wake entry)."""
+        """Resume the generator with ``value`` (a bare wake entry), and
+        again with each value a wait it yields resumes in place."""
         sim = self.sim
         sim._active_process = self
+        send = self._generator.send
         try:
-            target = self._generator.send(value)
+            target = send(value)
+            while target is DIRECT:
+                value = sim._in_place
+                if value is _PENDING:
+                    break
+                sim._in_place = _PENDING
+                target = send(value)
         except BaseException as exc:
             sim._active_process = None
+            sim._in_place = _PENDING
             self._finish(exc)
             return
         sim._active_process = None
         if target is not DIRECT:
+            sim._in_place = _PENDING
             self._wait(target)
 
     def _throw(self, exception: BaseException) -> None:
@@ -272,10 +287,18 @@ class Process(Event):
             target = self._generator.throw(exception)
         except BaseException as exc:
             sim._active_process = None
+            sim._in_place = _PENDING
             self._finish(exc)
             return
+        if target is DIRECT:
+            value = sim._in_place
+            if value is not _PENDING:
+                sim._in_place = _PENDING
+                self._wake(value)
+                return
         sim._active_process = None
         if target is not DIRECT:
+            sim._in_place = _PENDING
             self._wait(target)
 
     def _resume(self, event: Event) -> None:

@@ -12,10 +12,19 @@ runs each as ``fn(arg)``:
   they resume.
 
 Entries never compare past the sequence number (it is unique).  Every
-push consumes the same sequence counter, so ``events_scheduled`` remains
-an honest odometer of kernel work and timestamp tie-breaks stay globally
-FIFO; ``timers_scheduled`` counts only the :meth:`Simulator.call_later`
-share.
+push consumes the same sequence counter, so timestamp tie-breaks stay
+globally FIFO; ``events_scheduled`` counts the entries pushed and
+``timers_scheduled`` only the :meth:`Simulator.call_later` share.
+
+Not every wait is an entry.  When a sleep's wake (or a store ``get``
+that finds an item, at the current time) is strictly earlier than every
+queued entry and than the ``run`` horizon, the pushed wake would be the
+very next pop, so the kernel resumes the process in place instead: it
+moves ``now`` to the wake time and sends the process its value from the
+same resume, pushing nothing.  An entry at the same nanosecond has a
+lower sequence number and still runs first, so the order of everything
+that happens is the same as with the push.  ``run(until=event)``
+resumes nothing in place, so it never runs a process past the event.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import DIRECT, Event, Process, Timeout, _fire
+from repro.sim.events import _PENDING, DIRECT, Event, Process, Timeout, _fire
 
 
 def _invoke(callback: typing.Callable[[], None]) -> None:
@@ -32,6 +41,10 @@ def _invoke(callback: typing.Callable[[], None]) -> None:
 
 #: ``run(until=None)``'s horizon: later than any simulated time.
 _FOREVER = 1 << 63
+
+#: The horizon outside ``run(until=int|None)``: no wake is earlier, so
+#: nothing resumes in place.
+_NO_HORIZON = -1
 
 
 class Simulator:
@@ -48,6 +61,11 @@ class Simulator:
         self._queue: list[tuple] = []
         self._sequence = 0
         self._active_process: Process | None = None
+        # Wakes strictly earlier than this resume in place (see the
+        # module docstring); the running process takes its value from
+        # _in_place, which holds _PENDING when there is none.
+        self._horizon = _NO_HORIZON
+        self._in_place: typing.Any = _PENDING
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
@@ -71,10 +89,11 @@ class Simulator:
         sim.sleep(delay)``.
 
         Pushes a bare wake entry that resumes the process directly, with
-        no Event object, and returns :data:`~repro.sim.events.DIRECT`,
-        which the process must yield at once.  Only a running process
-        may sleep; use :meth:`timeout` when the caller needs the event
-        object itself.
+        no Event object, or resumes it in place when the wake is due
+        before every queued entry and the ``run`` horizon.  Returns
+        :data:`~repro.sim.events.DIRECT`, which the process must yield at
+        once.  Only a running process may sleep; use :meth:`timeout`
+        when the caller needs the event object itself.
         """
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
@@ -82,9 +101,14 @@ class Simulator:
         if process is None:
             raise RuntimeError("sleep() outside a running process")
         process._target = None
-        heapq.heappush(self._queue, (self.now + int(delay), self._sequence,
-                                     process._wake, None))
-        self._sequence += 1
+        when = self.now + int(delay)
+        queue = self._queue
+        if when < self._horizon and (not queue or when < queue[0][0]):
+            self.now = when
+            self._in_place = None
+        else:
+            heapq.heappush(queue, (when, self._sequence, process._wake, None))
+            self._sequence += 1
         return DIRECT
 
     def process(self, generator: typing.Generator) -> Process:
@@ -93,11 +117,14 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total heap entries ever enqueued — the kernel-work odometer.
+        """Total heap entries ever pushed — the kernel-work odometer.
 
         Counts every entry: triggered Events, bare ``call_later`` timers
         (also broken out in :attr:`timers_scheduled`) and direct process
-        wakes.  Batching ablations divide this by
+        wakes.  A wake resumed in place is not an entry and is not
+        counted, and whether a wake can resume in place depends on the
+        ``run`` horizon, so the count depends on where a driver puts its
+        ``run(until=...)`` calls.  Batching ablations divide this by
         packets moved to get "kernel events per packet", the
         simulator-side analogue of per-packet event-dispatch overhead in
         the real NF Manager.
@@ -152,7 +179,8 @@ class Simulator:
         - an ``int``: run until the clock reaches that timestamp (events at
           exactly ``until`` do not fire; ``now`` is left at ``until``),
         - an :class:`Event`: run until that event has been processed and
-          return its value.
+          return its value.  No wake resumes in place in such a run, so
+          it returns at the event's time with every process waiting.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -175,18 +203,22 @@ class Simulator:
             raise ValueError(f"until={deadline} is in the past "
                              f"(now={now})")
         limit = _FOREVER if deadline is None else deadline
-        while queue:
-            entry = pop(queue)
-            when = entry[0]
-            if when >= limit:
-                # Past the horizon: put it back (the heap's pop order
-                # depends only on the unique (when, seq) keys).
-                heapq.heappush(queue, entry)
-                break
-            if when < now:
-                raise AssertionError("time went backwards")
-            self.now = now = when
-            entry[2](entry[3])
+        self._horizon = limit
+        try:
+            while queue:
+                entry = pop(queue)
+                when = entry[0]
+                if when >= limit:
+                    # Past the horizon: put it back (the heap's pop order
+                    # depends only on the unique (when, seq) keys).
+                    heapq.heappush(queue, entry)
+                    break
+                if when < now:
+                    raise AssertionError("time went backwards")
+                self.now = now = when
+                entry[2](entry[3])
+        finally:
+            self._horizon = _NO_HORIZON
         if deadline is not None:
             self.now = deadline
         return None

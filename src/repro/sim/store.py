@@ -5,7 +5,11 @@ SPSC ring.  Only the consumer waits: a blocking ``get`` pushes a bare
 ``(when, seq, process._wake, value)`` heap entry (or parks the calling
 process in the store) and returns :data:`~repro.sim.events.DIRECT`, and
 a ``try_put`` to a parked getter pushes its wake the same way, so moving
-an item between processes allocates no Event.
+an item between processes allocates no Event.  A ``get`` that finds an
+item while no entry is queued for the current time (and the ``run``
+horizon is later) pushes nothing: its process resumes in place with the
+item, as an early enough :meth:`~repro.sim.simulator.Simulator.sleep`
+does.
 """
 
 from __future__ import annotations
@@ -63,17 +67,25 @@ class Store:
         # Wake entries are pushed inline because get/try_put are the
         # busiest calls in the whole simulator — one per packet per
         # pipeline stage.
-        process = self.sim._active_process
+        sim = self.sim
+        process = sim._active_process
         if process is None:
             raise RuntimeError(_OUTSIDE_PROCESS)
-        process._target = self
         items = self.items
         if items:
-            sim = self.sim
-            _heappush(sim._queue, (sim.now, sim._sequence, process._wake,
-                                   items.popleft()))
-            sim._sequence += 1
+            now = sim.now
+            queue = sim._queue
+            if now < sim._horizon and (not queue or now < queue[0][0]):
+                # The hand-off would be the next pop: resume in place.
+                process._target = None
+                sim._in_place = items.popleft()
+            else:
+                process._target = self
+                _heappush(queue, (now, sim._sequence, process._wake,
+                                  items.popleft()))
+                sim._sequence += 1
         else:
+            process._target = self
             self._getters.append(process)
         return DIRECT
 

@@ -2,11 +2,11 @@
 
 These lock in the zero-allocation hot-path mechanics: ``call_later``
 timers share the heap and sequence counter with triggered events (so
-timestamp tie-breaks stay globally FIFO and ``events_scheduled`` stays
-an honest odometer), ``sleep()`` and every store hand-off resume their
-process from a bare heap entry with no Event at all, and abandoned
-timeouts are discarded unprocessed instead of being dispatched long
-after anyone cares.
+timestamp tie-breaks stay globally FIFO and ``events_scheduled`` counts
+every entry pushed), ``sleep()`` and every store hand-off resume their
+process from a bare heap entry with no Event at all, or in place when
+that entry would be the next pop, and abandoned timeouts are discarded
+unprocessed instead of being dispatched long after anyone cares.
 """
 
 import pytest
@@ -242,6 +242,118 @@ class TestDirectWakes:
         assert process.processed and process.ok
         # The abandoned entry still pops (at t=100), as a no-op.
         assert sim.now == 100
+
+
+class TestInPlaceResume:
+    """A wake due strictly before every queued entry and the ``run``
+    horizon resumes its process in place: no entry is pushed."""
+
+    def test_lone_sleeper_takes_no_entries(self, sim):
+        seen = []
+
+        def sleeper():
+            for delay in (3, 0, 7, 10):
+                yield sim.sleep(delay)
+                seen.append((sim.now, sim.events_scheduled))
+
+        sim.process(sleeper())
+        sim.run()
+        # Only the process's start entry was pushed before each wake.
+        assert seen == [(3, 1), (3, 1), (10, 1), (20, 1)]
+        # ... and its completion event after the last.
+        assert sim.events_scheduled == 2
+
+    def test_same_nanosecond_entry_runs_first(self, sim):
+        order = []
+
+        def sleeper():
+            yield sim.sleep(10)
+            order.append(("sleeper", sim.now, sim.events_scheduled))
+
+        sim.process(sleeper())
+        sim.call_later(10, order.append, ("timer", 10))
+        sim.run()
+        # The timer's lower sequence number wins the tie, so the wake was
+        # pushed behind it: start, timer and wake are three entries.
+        assert order == [("timer", 10), ("sleeper", 10, 3)]
+
+    def test_resume_never_crosses_the_run_horizon(self, sim):
+        wakes = []
+
+        def sleeper():
+            for _ in range(3):
+                yield sim.sleep(10)
+                wakes.append(sim.now)
+
+        process = sim.process(sleeper())
+        # The wake at 10 resumes in place; the one due at exactly the
+        # horizon is pushed and waits.
+        sim.run(until=20)
+        assert sim.now == 20
+        assert wakes == [10]
+        assert process.is_alive
+        assert sim.peek() == 20
+        sim.run()
+        assert wakes == [10, 20, 30]
+
+    def test_run_until_event_returns_at_the_event(self, sim):
+        done = sim.timeout(25, "done")
+        wakes = []
+
+        def waiter():
+            yield done
+            for _ in range(3):
+                yield sim.sleep(10)
+                wakes.append(sim.now)
+
+        sim.process(waiter())
+        assert sim.run(until=done) == "done"
+        # The waiter resumed with the event but slept no further.
+        assert sim.now == 25
+        assert wakes == []
+        assert sim.peek() == 35
+        sim.run()
+        assert wakes == [35, 45, 55]
+
+    def test_get_that_finds_an_item_resumes_in_place(self, sim):
+        store = Store(sim)
+        assert store.try_put("a")
+        assert store.try_put("b")
+        got = []
+
+        def consumer():
+            for _ in range(2):
+                got.append(((yield store.get()), sim.now,
+                            sim.events_scheduled))
+            got.append(process._target)
+
+        process = sim.process(consumer())
+        sim.run()
+        assert got == [("a", 0, 1), ("b", 0, 1), None]
+        assert len(store) == 0
+
+    def test_interrupt_after_in_place_resume_is_delivered_once(self, sim):
+        seen = []
+
+        def sleeper():
+            yield sim.sleep(5)
+            seen.append(("in place", sim.now, sim.events_scheduled))
+            try:
+                yield sim.sleep(100)
+                seen.append(("slept", sim.now))
+            except Interrupt as interrupt:
+                seen.append(("interrupted", sim.now, interrupt.cause))
+            yield sim.sleep(1)
+            seen.append(("after", sim.now))
+
+        process = sim.process(sleeper())
+        sim.call_later(10, lambda _: process.interrupt("x"))
+        sim.run()
+        assert seen == [("in place", 5, 2), ("interrupted", 10, "x"),
+                        ("after", 11)]
+        assert process.ok
+        # The abandoned wake at 105 still pops, as a no-op.
+        assert sim.now == 105
 
 
 def _chain_graph(services: list[str], read_only: bool) -> ServiceGraph:
