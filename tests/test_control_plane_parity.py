@@ -10,7 +10,9 @@ odometers.  ``PINNED`` holds that controller's runs as one SHA-256 each
 ``PINNED_WITHOUT_ODOMETERS`` holds the same runs without the kernel's
 entry counts.  Both were re-pinned once since, when ``HostStats`` lost
 six counters that were always 0; with those zero keys put back into
-each summary the digests are the controller's originals.
+each summary the digests are the controller's originals.  ``PINNED``
+alone was re-pinned again when the kernel began resuming a wake due
+before every queued entry in place, which moved only the entry counts.
 
 A second suite pins the hybrid pipeline's endpoints: a full proactive
 cover drives the reactive slow path to zero and reproduces its pin too.
@@ -32,8 +34,8 @@ DURATION = 120 * MS
 
 #: :func:`digest` of the single controller's run, keyed by ``proactive``.
 PINNED = {
-    False: "1225bb9cf708426562e8627393fd34cd05443df8294dca549a2345ba34a847b4",
-    True: "d58beeaebd86a44d4b576bb45415a30f99a5442b3e8e7498a04490ea3aec8991",
+    False: "4a656e6f5bde101d8989abec3e80a3bbec2cc24bd62669bfb3d0e7bd5505f19c",
+    True: "58745e347642261defe46420c0783e99021c2817582f93495e503aabf905a080",
 }
 
 #: The same runs' ``digest(..., odometers=False)``: everything but the
