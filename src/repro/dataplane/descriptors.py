@@ -29,12 +29,15 @@ class PacketDescriptor:
     Descriptors are what the burst pipeline moves in bulk — whole bursts
     of them sit in rings and in VM-held batches at once, so the class is
     slotted to keep a 64-packet burst's descriptor footprint small.
+    ``ingress_at``, which every descriptor carries, comes third so the
+    NF Manager passes it by position: the generated ``__init__`` takes
+    keyword arguments on a slower path.
     """
 
     packet: Packet
     scope: str
+    ingress_at: int = 0
     verdict: Verdict | None = None
     group_id: int | None = None
     group_index: int = 0
     vm_priority: int = 0
-    ingress_at: int = 0

@@ -786,7 +786,7 @@ class NfManager:
                                    FlowTableEntry | None]] = []
             for frame in frames:
                 stats.record_rx(frame.size)
-                descriptor = PacketDescriptor(frame, scope, ingress_at=now)
+                descriptor = PacketDescriptor(frame, scope, now)
                 flow = frame.flow
                 if flow in burst_plans:
                     entry = burst_plans[flow]
@@ -927,9 +927,9 @@ class NfManager:
         # No member has a verdict yet, so a lost one never completes the
         # group; losing the last deletes it.
         for index, service_id in enumerate(members):
-            member = PacketDescriptor(packet, service_id, group_id=group_id,
-                                      group_index=index,
-                                      ingress_at=descriptor.ingress_at)
+            member = PacketDescriptor(packet, service_id,
+                                      descriptor.ingress_at, None, group_id,
+                                      index)
             vm, scan_cost = self._enqueue(member, service_id)
             cost += scan_cost
             if vm is not None:
@@ -1037,8 +1037,8 @@ class NfManager:
         group.apply(descriptor.packet)
         verdict = resolve_parallel_verdicts(group.verdicts,
                                             policy=self.conflict_policy)
-        return PacketDescriptor(descriptor.packet, group.exit_scope, verdict,
-                                ingress_at=descriptor.ingress_at)
+        return PacketDescriptor(descriptor.packet, group.exit_scope,
+                                descriptor.ingress_at, verdict)
 
     def _group_member_lost(self, descriptor: PacketDescriptor) -> bool:
         """Account for a parallel-group member dying after dispatch.
@@ -1068,8 +1068,8 @@ class NfManager:
             return False
         if group.member_lost():
             straggler = PacketDescriptor(descriptor.packet, descriptor.scope,
-                                         group_id=group_id,
-                                         ingress_at=descriptor.ingress_at)
+                                         descriptor.ingress_at, None,
+                                         group_id)
             assert group.tx_queue is not None
             if group.tx_queue.try_enqueue(straggler):
                 return True
