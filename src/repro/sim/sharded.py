@@ -378,6 +378,10 @@ class ShardRuntime:
         # arrive as fresh copies every round, so without this the byte
         # count would depend on whether the shards share a process.
         self._strings: dict[str, str] = {}
+        # One FiveTuple per boundary flow this shard receives, so its
+        # frames share the cached hash and keys instead of building them
+        # again for every frame.
+        self._flows: dict[tuple, FiveTuple] = {}
         self.boundary_tx = 0
         self.boundary_frames_carried = 0
         self.boundary_dropped_at_rx = 0
@@ -405,9 +409,9 @@ class ShardRuntime:
         sink = self.deliveries[name]
         sim = self.sim
         # One key tuple per flow, shared by all of its deliveries.  It
-        # is looked up by value: a frame from another shard carries a
-        # fresh FiveTuple, which would go through the Python-level
-        # __hash__ and __eq__.
+        # is looked up by value: a frame from another shard carries this
+        # shard's interned FiveTuple, not the sender's, and a FiveTuple
+        # key would compare through the Python-level __eq__.
         keys: dict[tuple, tuple] = {}
         share = keys.setdefault
 
@@ -478,7 +482,10 @@ class ShardRuntime:
          src_port, dst_port_num, size, payload, created_at,
          annotations) = event
         host = self.network.hosts[dst_host]
-        flow = FiveTuple(src_ip, dst_ip, protocol, src_port, dst_port_num)
+        key = (src_ip, dst_ip, protocol, src_port, dst_port_num)
+        flow = self._flows.get(key)
+        if flow is None:
+            flow = self._flows[key] = FiveTuple(*key)
         packet = host.packet_pool.alloc(flow=flow, size=size,
                                         payload=payload,
                                         created_at=created_at)
