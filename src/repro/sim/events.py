@@ -15,10 +15,11 @@ altogether: :meth:`Simulator.sleep` and a
 so the wake resumes the generator with no Event, callback list or
 dispatch in between.  When that wake would be the very next pop (it is
 due strictly before every queued entry and the ``run`` horizon), no
-entry is pushed at all: the simulator holds the value, and the
-:meth:`Process._wake` or :meth:`Process._throw` that is running the
-process sends it on at once, with the process's target ``None`` and no
-wake entry for an interrupt to cancel.  Process starts,
+entry is pushed at all: the call holds the value on the simulator and
+returns ``_IN_PLACE`` instead, and the :meth:`Process._wake` or
+:meth:`Process._throw` that is running the process sends the value on
+as soon as the process yields it, with the process's target ``None``
+and no wake entry for an interrupt to cancel.  Process starts,
 interrupts and resumes on already-processed events are bare entries
 too.  An interrupt detaches whatever wait it abandons: a subscribed
 event loses the process's callback (and a timeout nobody else watches
@@ -56,9 +57,13 @@ class _DirectWait:
 
 #: What :meth:`Simulator.sleep` and a store's ``get`` return
 #: for the calling process to yield at once: its wake entry is already
-#: in the heap, it is parked in the store, or its wake resumes in place,
-#: so the process subscribes to nothing.
+#: in the heap (or it is parked in the store), so the process
+#: subscribes to nothing.
 DIRECT = _DirectWait()
+
+#: What they return instead when the wake resumes in place: the process
+#: that yields it is sent the simulator's ``_in_place`` at once.
+_IN_PLACE = _DirectWait()
 
 
 def _noop(_arg: typing.Any) -> None:
@@ -260,23 +265,17 @@ class Process(Event):
         again with each value a wait it yields resumes in place."""
         sim = self.sim
         sim._active_process = self
-        send = self._generator.send
+        generator = self._generator
         try:
-            target = send(value)
-            while target is DIRECT:
-                value = sim._in_place
-                if value is _PENDING:
-                    break
-                sim._in_place = _PENDING
-                target = send(value)
+            target = generator.send(value)
+            while target is _IN_PLACE:
+                target = generator.send(sim._in_place)
         except BaseException as exc:
             sim._active_process = None
-            sim._in_place = _PENDING
             self._finish(exc)
             return
         sim._active_process = None
         if target is not DIRECT:
-            sim._in_place = _PENDING
             self._wait(target)
 
     def _throw(self, exception: BaseException) -> None:
@@ -287,18 +286,13 @@ class Process(Event):
             target = self._generator.throw(exception)
         except BaseException as exc:
             sim._active_process = None
-            sim._in_place = _PENDING
             self._finish(exc)
             return
-        if target is DIRECT:
-            value = sim._in_place
-            if value is not _PENDING:
-                sim._in_place = _PENDING
-                self._wake(value)
-                return
+        if target is _IN_PLACE:
+            self._wake(sim._in_place)
+            return
         sim._active_process = None
         if target is not DIRECT:
-            sim._in_place = _PENDING
             self._wait(target)
 
     def _resume(self, event: Event) -> None:

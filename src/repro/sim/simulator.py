@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import _PENDING, DIRECT, Event, Process, Timeout, _fire
+from repro.sim.events import _IN_PLACE, DIRECT, Event, Process, Timeout, _fire
 
 
 def _invoke(callback: typing.Callable[[], None]) -> None:
@@ -62,10 +62,10 @@ class Simulator:
         self._sequence = 0
         self._active_process: Process | None = None
         # Wakes strictly earlier than this resume in place (see the
-        # module docstring); the running process takes its value from
-        # _in_place, which holds _PENDING when there is none.
+        # module docstring).  _in_place holds the value of the last one,
+        # which the running process is sent at once.
         self._horizon = _NO_HORIZON
-        self._in_place: typing.Any = _PENDING
+        self._in_place: typing.Any = None
         #: Bare timers pushed through :meth:`call_later` (subset of
         #: :attr:`events_scheduled`).
         self.timers_scheduled = 0
@@ -89,9 +89,10 @@ class Simulator:
         sim.sleep(delay)``.
 
         Pushes a bare wake entry that resumes the process directly, with
-        no Event object, or resumes it in place when the wake is due
-        before every queued entry and the ``run`` horizon.  Returns
-        :data:`~repro.sim.events.DIRECT`, which the process must yield at
+        no Event object, and returns :data:`~repro.sim.events.DIRECT`.
+        When the wake is due before every queued entry and the ``run``
+        horizon, it pushes nothing and returns a private marker that
+        resumes the process in place.  The process must yield either at
         once.  Only a running process may sleep; use :meth:`timeout`
         when the caller needs the event object itself.
         """
@@ -103,13 +104,13 @@ class Simulator:
         process._target = None
         when = self.now + int(delay)
         queue = self._queue
-        if when < self._horizon and (not queue or when < queue[0][0]):
-            self.now = when
-            self._in_place = None
-        else:
+        if queue and queue[0][0] <= when or when >= self._horizon:
             heapq.heappush(queue, (when, self._sequence, process._wake, None))
             self._sequence += 1
-        return DIRECT
+            return DIRECT
+        self.now = when
+        self._in_place = None
+        return _IN_PLACE
 
     def process(self, generator: typing.Generator) -> Process:
         """Start a new process from a generator."""

@@ -18,7 +18,7 @@ import collections
 import typing
 from heapq import heappush as _heappush
 
-from repro.sim.events import DIRECT
+from repro.sim.events import _IN_PLACE, DIRECT
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Process
@@ -72,22 +72,22 @@ class Store:
         if process is None:
             raise RuntimeError(_OUTSIDE_PROCESS)
         items = self.items
-        if items:
-            now = sim.now
-            queue = sim._queue
-            if now < sim._horizon and (not queue or now < queue[0][0]):
-                # The hand-off would be the next pop: resume in place.
-                process._target = None
-                sim._in_place = items.popleft()
-            else:
-                process._target = self
-                _heappush(queue, (now, sim._sequence, process._wake,
-                                  items.popleft()))
-                sim._sequence += 1
-        else:
+        if not items:
             process._target = self
             self._getters.append(process)
-        return DIRECT
+            return DIRECT
+        now = sim.now
+        queue = sim._queue
+        if queue and queue[0][0] <= now or now >= sim._horizon:
+            process._target = self
+            _heappush(queue, (now, sim._sequence, process._wake,
+                              items.popleft()))
+            sim._sequence += 1
+            return DIRECT
+        # The hand-off would be the next pop: resume in place.
+        process._target = None
+        sim._in_place = items.popleft()
+        return _IN_PLACE
 
     # ------------------------------------------------------------------
     # Interrupted waits
