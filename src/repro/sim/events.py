@@ -13,9 +13,10 @@ altogether: :meth:`Simulator.sleep` and a
 ``(when, seq, process._wake, value)`` (or park the process until a
 ``try_put`` pushes it) and hand the process :data:`DIRECT` to yield,
 so the wake resumes the generator with no Event, callback list or
-dispatch in between.  When that wake would be the very next pop (it is
-due strictly before every queued entry and the ``run`` horizon), no
-entry is pushed at all: the call holds the value on the simulator and
+dispatch in between.  When that wake would be the very next thing to
+run (it is due strictly before every queued entry and the ``run``
+horizon, and no other callback of the event being fired is still to
+run), no entry is pushed at all: the call holds the value on the simulator and
 returns ``_IN_PLACE`` instead, and the :meth:`Process._wake` or
 :meth:`Process._throw` that is running the process sends the value on
 as soon as the process yields it, with the process's target ``None``
@@ -66,6 +67,12 @@ DIRECT = _DirectWait()
 _IN_PLACE = _DirectWait()
 
 
+#: The simulator's ``_horizon`` outside ``run(until=int|None)``, and
+#: while :func:`_fire` runs any callback but an event's last: no wake is
+#: earlier, so nothing resumes in place.
+_NO_HORIZON = -1
+
+
 def _noop(_arg: typing.Any) -> None:
     """Stands in for a wake entry an interrupt abandoned."""
 
@@ -78,8 +85,19 @@ def _fire(event: Event) -> None:
         event.sim.events_cancelled += 1
         return
     event.callbacks = None
-    for callback in callbacks:
-        callback(event)
+    last = len(callbacks) - 1
+    if last > 0:
+        # The callbacks after this one run in the same entry, so a
+        # process resumed here must not run on in place past them.
+        sim = event.sim
+        horizon, sim._horizon = sim._horizon, _NO_HORIZON
+        try:
+            for index in range(last):
+                callbacks[index](event)
+        finally:
+            sim._horizon = horizon
+    if last >= 0:
+        callbacks[last](event)
     if event._exception is not None and not event._defused:
         raise event._exception
 

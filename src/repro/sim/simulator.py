@@ -18,13 +18,18 @@ globally FIFO; ``events_scheduled`` counts the entries pushed and
 
 Not every wait is an entry.  When a sleep's wake (or a store ``get``
 that finds an item, at the current time) is strictly earlier than every
-queued entry and than the ``run`` horizon, the pushed wake would be the
-very next pop, so the kernel resumes the process in place instead: it
+queued entry and than the ``run`` horizon, and nothing else runs in the
+current entry after the process, the pushed wake would be the very next
+thing to run, so the kernel resumes the process in place instead: it
 moves ``now`` to the wake time and sends the process its value from the
 same resume, pushing nothing.  An entry at the same nanosecond has a
 lower sequence number and still runs first, so the order of everything
-that happens is the same as with the push.  ``run(until=event)``
-resumes nothing in place, so it never runs a process past the event.
+that happens is the same as with the push.  The last condition is
+:func:`~repro.sim.events._fire`'s: it lowers the horizon while it runs
+every callback of an event but the last, so a process resumed by a
+shared event never runs on past the subscribers after it.
+``run(until=event)`` resumes nothing in place, so it never runs a
+process past the event.
 """
 
 from __future__ import annotations
@@ -32,7 +37,15 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import _IN_PLACE, DIRECT, Event, Process, Timeout, _fire
+from repro.sim.events import (
+    _IN_PLACE,
+    _NO_HORIZON,
+    DIRECT,
+    Event,
+    Process,
+    Timeout,
+    _fire,
+)
 
 
 def _invoke(callback: typing.Callable[[], None]) -> None:
@@ -41,10 +54,6 @@ def _invoke(callback: typing.Callable[[], None]) -> None:
 
 #: ``run(until=None)``'s horizon: later than any simulated time.
 _FOREVER = 1 << 63
-
-#: The horizon outside ``run(until=int|None)``: no wake is earlier, so
-#: nothing resumes in place.
-_NO_HORIZON = -1
 
 
 class Simulator:
@@ -104,6 +113,8 @@ class Simulator:
         process._target = None
         when = self.now + int(delay)
         queue = self._queue
+        # The in-place rule.  Store.get applies the same test inline
+        # (with ``when == now``) for speed: keep the two identical.
         if queue and queue[0][0] <= when or when >= self._horizon:
             heapq.heappush(queue, (when, self._sequence, process._wake, None))
             self._sequence += 1

@@ -6,8 +6,9 @@ SPSC ring.  Only the consumer waits: a blocking ``get`` pushes a bare
 process in the store) and returns :data:`~repro.sim.events.DIRECT`, and
 a ``try_put`` to a parked getter pushes its wake the same way, so moving
 an item between processes allocates no Event.  A ``get`` that finds an
-item while no entry is queued for the current time (and the ``run``
-horizon is later) pushes nothing: its process resumes in place with the
+item while no entry is queued for the current time (the ``run``
+horizon is later, and no other callback of the current entry is still
+to run) pushes nothing: its process resumes in place with the
 item, as an early enough :meth:`~repro.sim.simulator.Simulator.sleep`
 does.
 """
@@ -78,6 +79,8 @@ class Store:
             return DIRECT
         now = sim.now
         queue = sim._queue
+        # Simulator.sleep's in-place rule, inlined for speed: keep the
+        # two identical.
         if queue and queue[0][0] <= now or now >= sim._horizon:
             process._target = self
             _heappush(queue, (now, sim._sequence, process._wake,

@@ -316,6 +316,46 @@ class TestInPlaceResume:
         sim.run()
         assert wakes == [35, 45, 55]
 
+    def test_shared_event_subscribers_all_resume_at_its_time(self, sim):
+        ev = sim.event()
+        sim.call_later(1, ev.succeed, "go")
+        log = []
+
+        def first():
+            log.append(("first", (yield ev), sim.now))
+            yield sim.sleep(5)
+            log.append(("first woke", sim.now))
+
+        def second():
+            log.append(("second", (yield ev), sim.now))
+
+        sim.process(first())
+        sim.process(second())
+        # A plain callback subscribes after both processes have.
+        sim.call_later(0, lambda _: ev.callbacks.append(
+            lambda event: log.append(("callback", sim.now))))
+        sim.run()
+        # The first subscriber's sleep is pushed, not resumed in place,
+        # because the rest of the event's callbacks run in the same entry.
+        assert log == [("first", "go", 1), ("second", "go", 1),
+                       ("callback", 1), ("first woke", 6)]
+
+    def test_last_subscriber_still_resumes_in_place(self, sim):
+        ev = sim.event()
+        sim.call_later(1, ev.succeed, "go")
+        log = []
+        ev.callbacks.append(lambda event: log.append(("callback", sim.now)))
+
+        def waiter():
+            yield ev
+            entries = sim.events_scheduled
+            yield sim.sleep(5)
+            log.append(("woke", sim.now, sim.events_scheduled - entries))
+
+        sim.process(waiter())
+        sim.run()
+        assert log == [("callback", 1), ("woke", 6, 0)]
+
     def test_get_that_finds_an_item_resumes_in_place(self, sim):
         store = Store(sim)
         assert store.try_put("a")
