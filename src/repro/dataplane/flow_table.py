@@ -12,7 +12,8 @@ Rules extend OpenFlow match/action in the two ways §3.3 describes:
 
 Lookup semantics: exact-match rules (full 5-tuple) win over wildcard rules;
 among wildcard rules higher ``priority`` wins, then higher specificity,
-then most-recent insertion.  Every mutation bumps ``generation``, which is
+then the match installed last (a rule that replaces one with the same
+match takes its place).  Every mutation bumps ``generation``, which is
 what invalidates the NF Manager's cached lookup plans.
 """
 
@@ -114,8 +115,10 @@ class FlowTable:
     """Scoped flow rules with exact-match fast path and wildcard fallback.
 
     Exact rules are kept per scope, then per flow; each scope's wildcard
-    rules are a list in insertion order.  A scope's dict or list goes
-    when its last rule is removed.  Both maps keep their scopes in
+    rules are a list in the order their matches were first installed: a
+    rule that replaces one with the same match takes its place, so
+    rewriting a rule never changes which of two equal-key rules wins.  A
+    scope's dict or list goes when its last rule is removed.  Both maps keep their scopes in
     first-insertion order, so introspection is scope-major and does not
     depend on ``PYTHONHASHSEED``.
     """
@@ -131,7 +134,9 @@ class FlowTable:
     # Mutation
     # ------------------------------------------------------------------
     def install(self, entry: FlowTableEntry) -> None:
-        """Add a rule (replacing an identical-match rule in that scope)."""
+        """Add a rule.  A rule with the same match in that scope is
+        replaced where it stands, so a rewrite keeps its rule's place in
+        the scope's wildcard order."""
         exact_key = entry.match.exact_key()
         if exact_key is not None:
             rules = self._exact.get(entry.scope)
@@ -139,8 +144,13 @@ class FlowTable:
                 rules = self._exact[entry.scope] = {}
             rules[exact_key] = entry
         else:
-            self._drop_wildcards(entry.scope, entry.match)
-            self._wildcards.setdefault(entry.scope, []).append(entry)
+            rules = self._wildcards.setdefault(entry.scope, [])
+            for index, rule in enumerate(rules):
+                if rule.match == entry.match:
+                    rules[index] = entry
+                    break
+            else:
+                rules.append(entry)
         self.generation += 1
 
     def remove(self, scope: str, match: FlowMatch) -> bool:
@@ -185,9 +195,9 @@ class FlowTable:
         """Find the best rule for ``flow`` within ``scope``.
 
         ``now_ns`` (when provided) refreshes the winning rule's idle
-        timer.  A scope's wildcard list is in insertion order (an install
-        first drops the rule it replaces), so among equal ``(priority,
-        specificity)`` the last match is the newest rule.
+        timer.  A scope's wildcard list is in first-installation order of
+        its matches, so among equal ``(priority, specificity)`` the last
+        match wins.
         """
         self.lookups += 1
         rules = self._exact.get(scope)

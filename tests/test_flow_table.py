@@ -158,8 +158,9 @@ class TestMutation:
 
 
 class TestWildcardOrder:
-    """A scope's wildcard list is the insertion order that breaks full
-    ties: it holds each rule in the table once, oldest first."""
+    """A scope's wildcard list is the order that breaks full ties: it
+    holds each rule in the table once, in the order its match was first
+    installed."""
 
     def test_replaced_rules_leave_the_order_map(self, table, flow):
         for index in range(1000):
@@ -179,7 +180,7 @@ class TestWildcardOrder:
         table.clear()
         assert table.entries() == [] and len(table) == 0
 
-    def test_reinstall_moves_rule_to_newest(self, table, flow):
+    def test_reinstall_keeps_the_rule_in_place(self, table, flow):
         first = entry(match=FlowMatch(dst_port=80),
                       actions=(ToPort("first"),))
         table.install(first)
@@ -187,15 +188,16 @@ class TestWildcardOrder:
                             actions=(ToPort("second"),)))
         assert table.lookup("svc", flow).default_action == ToPort("second")
         table.install(first)
-        assert table.lookup("svc", flow).default_action == ToPort("first")
+        assert table.lookup("svc", flow).default_action == ToPort("second")
         assert [rule.default_action for rule in table.entries("svc")] == [
-            ToPort("second"), ToPort("first")]
-        table.remove("svc", FlowMatch(protocol=PROTO_TCP))
-        table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
-                            actions=(ToPort("third"),)))
-        assert table.lookup("svc", flow).default_action == ToPort("third")
+            ToPort("first"), ToPort("second")]
+        # A removed match rejoins the order as the newest.
+        table.remove("svc", FlowMatch(dst_port=80))
+        table.install(first)
+        assert table.lookup("svc", flow).default_action == ToPort("first")
 
-    def test_reinstalled_identical_match_wins_as_newest(self, table, flow):
+    def test_identical_match_replaces_the_rule_where_it_stands(
+            self, table, flow):
         table.install(entry(match=FlowMatch(dst_port=80),
                             actions=(ToPort("old"),)))
         table.install(entry(match=FlowMatch(protocol=PROTO_TCP),
@@ -203,9 +205,9 @@ class TestWildcardOrder:
         assert table.lookup("svc", flow).default_action == ToPort("other")
         table.install(entry(match=FlowMatch(dst_port=80),
                             actions=(ToPort("new"),)))
-        assert table.lookup("svc", flow).default_action == ToPort("new")
+        assert table.lookup("svc", flow).default_action == ToPort("other")
         assert [rule.default_action for rule in table.entries("svc")] == [
-            ToPort("other"), ToPort("new")]
+            ToPort("new"), ToPort("other")]
 
 
 def specialize(table: FlowTable, flow, default) -> FlowTableEntry:
