@@ -15,6 +15,7 @@ import typing
 
 from repro.control.orchestrator import NfvOrchestrator
 from repro.control.plane import ControlPlane
+from repro.dataplane.actions import Drop, ToPort
 from repro.dataplane.flow_table import FlowTableEntry
 from repro.dataplane.host import NfvHost
 from repro.dataplane.messages import (
@@ -23,6 +24,7 @@ from repro.dataplane.messages import (
     RequestMe,
     SkipMe,
     UserMessage,
+    parse_target,
 )
 from repro.net.flow import FiveTuple, FlowMatch
 from repro.core.deploy_rules import (
@@ -317,10 +319,11 @@ class SdnfvApp:
                       and (exact is None or deployment.covers(exact))]
             if not graphs:
                 return False
-            if message.target == "drop":
+            destination = parse_target(message.target)
+            if isinstance(destination, Drop):
                 return True
-            target = (EXIT if message.target.startswith("port:")
-                      else message.target)
+            target = (EXIT if isinstance(destination, ToPort)
+                      else destination.service_id)
             return all(graph.has_edge(service, target) for graph in graphs)
         if isinstance(message, (SkipMe, RequestMe)):
             return any(deployment.graph.has_service(message.service)

@@ -42,6 +42,7 @@ from repro.dataplane.messages import (
     RequestMe,
     SkipMe,
     UserMessage,
+    parse_target,
 )
 from repro.dataplane.rings import RingBuffer
 from repro.dataplane.stats import HostStats
@@ -451,9 +452,6 @@ class NfManager:
             [str, UserMessage], None] | None = None
         self.uninterpreted_messages: list[UserMessage] = []
         self.rejected_messages = 0
-        # ChangeDefault targets parsed once: the destinations are frozen,
-        # so every rule rewritten to one target shares one instance.
-        self._change_targets: dict[str, Destination] = {}
         # Optional structured observability (repro.metrics.eventlog).
         self.event_log: typing.Any | None = None
         for queue in self._tx_queues:
@@ -560,18 +558,13 @@ class NfManager:
         :meth:`restore_service` can reinstate them — entries pointing at
         the dead service are rewritten, not leaked.
         """
-        bypass = ToService(service)
-        flows = FlowMatch.any()
-        fallback = self._scope_default(service, flows)
-        if fallback is None or fallback == bypass:
-            return None
-        displaced = self._redirect(
-            service, flows, fallback,
-            lambda entry: entry.default_action == bypass)
-        if self.event_log is not None:
-            self.event_log.record("service_quarantined", host=self.name,
-                                  service=service, rewritten=len(displaced),
-                                  fallback=str(fallback))
+        displaced = self._apply_skip_me(
+            SkipMe(sender_service=service, service=service))
+        if displaced is not None and self.event_log is not None:
+            self.event_log.record(
+                "service_quarantined", host=self.name, service=service,
+                rewritten=len(displaced),
+                fallback=str(self._scope_default(service, FlowMatch.any())))
         return displaced
 
     def restore_service(self, service: str,
@@ -1251,57 +1244,34 @@ class NfManager:
             raise TypeError(f"unknown message type {type(message).__name__}")
 
     def _apply_change_default(self, message: ChangeDefault) -> None:
-        destination = self._change_targets.get(message.target)
-        if destination is None:
-            destination = _parse_target(message.target)
-            self._change_targets[message.target] = destination
-        self._rewrite_defaults(
-            scope=message.service, flows=message.flows,
-            new_default=destination)
+        self._rewrite((message.service,), message.flows,
+                      parse_target(message.target))
 
-    def _apply_skip_me(self, message: SkipMe) -> None:
+    def _apply_skip_me(self, message: SkipMe
+                       ) -> list[FlowTableEntry] | None:
+        """Rewire the rules defaulting to S to S's own default for F.
+        Returns the rules rewritten, or None when S has no default for F
+        or defaults to itself."""
         bypass = ToService(message.service)
         bypass_default = self._scope_default(message.service, message.flows)
-        if bypass_default is None:
-            return  # S has no rules; nothing routes through it anyway
-        self._redirect(message.service, message.flows, bypass_default,
-                       lambda entry: entry.default_action == bypass)
+        if bypass_default is None or bypass_default == bypass:
+            return None
+        return self._rewrite(
+            self._other_scopes(message.service), message.flows,
+            bypass_default, lambda entry: entry.default_action == bypass)
 
     def _apply_request_me(self, message: RequestMe) -> None:
         """Rewrite every rule (including per-flow specializations) that has
         an edge to the requesting service so it becomes the default."""
         wanted = ToService(message.service)
-        self._redirect(message.service, message.flows, wanted,
-                       lambda entry: (wanted in entry.actions
-                                      and entry.default_action != wanted))
+        self._rewrite(self._other_scopes(message.service), message.flows,
+                      wanted, lambda entry: (wanted in entry.actions
+                                             and entry.default_action
+                                             != wanted))
 
-    def _redirect(self, service: str, flows: FlowMatch,
-                  new_default: Destination,
-                  selects: typing.Callable[[FlowTableEntry], bool],
-                  ) -> list[FlowTableEntry]:
-        """Make ``new_default`` the default of every rule outside
-        ``service``'s own scope that ``selects`` picks for ``flows``.
-
-        An exact ``flows`` gets a specialised rule per scope (see
-        :meth:`_specialize`); a wildcard rewrites the rules it subsumes in
-        place.  Returns the rules that were redirected, as they were.
-        """
-        exact = flows.exact_key()
-        rewritten: list[FlowTableEntry] = []
-        for scope in list(self.flow_table.scopes()):
-            if scope == service:
-                continue
-            if exact is not None:
-                entry = self.flow_table.lookup(scope, exact)
-                if entry is not None and selects(entry):
-                    rewritten.append(entry)
-                    self._specialize(scope, flows, exact, new_default)
-                continue
-            for entry in list(self.flow_table.entries(scope)):
-                if selects(entry) and flows.subsumes(entry.match):
-                    rewritten.append(entry)
-                    self.install_rule(entry.with_default(new_default))
-        return rewritten
+    def _other_scopes(self, service: str) -> list[str]:
+        return [scope for scope in self.flow_table.scopes()
+                if scope != service]
 
     def _scope_default(self, scope: str,
                        flows: FlowMatch) -> Destination | None:
@@ -1320,53 +1290,56 @@ class NfManager:
         broadest = min(entries, key=lambda rule: rule.match.specificity)
         return broadest.default_action
 
-    def _rewrite_defaults(self, scope: str, flows: FlowMatch,
-                          new_default: Destination) -> None:
-        """Make ``new_default`` the default for ``flows`` within ``scope``.
+    def _rewrite(self, scopes: typing.Iterable[str], flows: FlowMatch,
+                 new_default: Destination,
+                 selects: typing.Callable[[FlowTableEntry], bool]
+                 | None = None) -> list[FlowTableEntry]:
+        """Make ``new_default`` the default of the rules in ``scopes``
+        that route ``flows`` and that ``selects`` picks (every rule when
+        None): §3.4's one operation behind ChangeDefault, SkipMe and
+        RequestMe.
 
-        Exact flows get a specialised per-flow rule (see
-        :meth:`_specialize`); wildcard flows rewrite matching rules in
-        place, or install an overriding rule at higher priority when no
-        rule has that exact match.
+        An exact ``flows`` copies the rule the flow hits in each scope,
+        when selected, into a per-flow rule.  A wildcard rewrites the
+        selected rules it subsumes where they stand in the table, then
+        carves a priority+1 override for ``flows`` out of the best
+        selected broader rule, but only when the scope selects every
+        rule that overlaps ``flows``: an override never takes a flow
+        from a rule the message leaves alone.  Every write goes through
+        :meth:`install_rule`.  Returns the rules rewritten or copied, as
+        they were.
         """
         exact = flows.exact_key()
-        if exact is not None:
-            self._specialize(scope, flows, exact, new_default)
-            return
-        entries = self.flow_table.entries(scope)
-        # Rules entirely inside F (including per-flow specializations) are
-        # rewritten in place.
-        for entry in entries:
-            if flows.subsumes(entry.match):
-                self.install_rule(entry.with_default(new_default))
-        # Broader rules that merely overlap F get a higher-priority
-        # override carved out for the F region.
-        broader = [entry for entry in entries
-                   if not flows.subsumes(entry.match)
-                   and _match_covers(entry.match, flows)]
-        if broader:
-            template = max(broader, key=lambda rule:
-                           (rule.priority, rule.match.specificity))
-            override = FlowTableEntry(
-                scope=scope, match=flows,
-                actions=template.with_default(new_default).actions,
-                priority=template.priority + 1)
-            self.install_rule(override)
-
-    def _specialize(self, scope: str, flows: FlowMatch, exact: FiveTuple,
-                    new_default: Destination) -> None:
-        """Give one flow its own rule in ``scope`` with ``new_default``
-        first.
-
-        The rule is one copy of the flow's exact rule, or of the wildcard
-        rule it hits (cloned, so the change doesn't leak to other flows),
-        installed once.  ``flows`` is the message's exact criteria and
-        ``exact`` its key.
-        """
-        template = self.flow_table.specialization_template(scope, exact)
-        if template is not None:
-            self.install_rule(template.with_default(new_default,
-                                                    match=flows))
+        rewritten: list[FlowTableEntry] = []
+        for scope in scopes:
+            if exact is not None:
+                template = self.flow_table.specialization_template(
+                    scope, exact)
+                if template is not None and (selects is None
+                                             or selects(template)):
+                    rewritten.append(template)
+                    self.install_rule(template.with_default(
+                        new_default, match=flows))
+                continue
+            overlapping = [entry for entry in self.flow_table.entries(scope)
+                           if flows.overlaps(entry.match)]
+            selected = [entry for entry in overlapping
+                        if selects is None or selects(entry)]
+            broader: list[FlowTableEntry] = []
+            for entry in selected:
+                if flows.subsumes(entry.match):
+                    rewritten.append(entry)
+                    self.install_rule(entry.with_default(new_default))
+                else:
+                    broader.append(entry)
+            if broader and len(selected) == len(overlapping):
+                template = max(broader, key=lambda rule: (
+                    rule.priority, rule.match.specificity))
+                self.install_rule(FlowTableEntry(
+                    scope=scope, match=flows,
+                    actions=template.with_default(new_default).actions,
+                    priority=template.priority + 1))
+        return rewritten
 
     # ------------------------------------------------------------------
     # Terminal actions
@@ -1396,28 +1369,3 @@ class NfManager:
         # pooled buffer goes straight back to its slab at refcount zero.
         packet.free()
 
-
-def _parse_target(target: str) -> Destination:
-    """ChangeDefault targets: "port:<name>", "drop", or a Service ID."""
-    if target == "drop":
-        return Drop()
-    if target.startswith("port:"):
-        return ToPort(target[len("port:"):])
-    return ToService(target)
-
-
-def _match_covers(rule_match: FlowMatch, flows: FlowMatch) -> bool:
-    """Whether a rule's match could apply to flows selected by ``flows``.
-
-    Conservative overlap test: exact F is checked precisely; wildcard F is
-    treated as overlapping unless both constrain the same field to
-    different values.
-    """
-    exact = flows.exact_key()
-    if exact is not None:
-        return rule_match.matches(exact)
-    for field in ("src_ip", "dst_ip", "protocol", "src_port", "dst_port"):
-        ours, theirs = getattr(rule_match, field), getattr(flows, field)
-        if ours is not None and theirs is not None and ours != theirs:
-            return False
-    return True

@@ -8,6 +8,10 @@ wildcard match):
 - ``RequestMe(F, S)`` — every rule that has an edge to S makes S its
   default.
 - ``ChangeDefault(F, S, T)`` — service S's default becomes T.
+
+The first three are one operation — make a new next hop the default of
+the rules that route the flows in ``F`` — which the NF Manager applies
+through one rule rewrite.
 - ``UserMessage(S, key, value)`` — arbitrary application data for the NF
   Manager / SDNFV Application (the paper's ``Message`` call).
 
@@ -20,8 +24,10 @@ fan them out to other hosts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
+from repro.dataplane.actions import Destination, Drop, ToPort, ToService
 from repro.net.flow import FlowMatch
 
 
@@ -62,11 +68,28 @@ class ChangeDefault(NfMessage):
 
     flows: FlowMatch = dataclasses.field(default_factory=FlowMatch.any)
     service: str = ""
-    target: str = ""  # a Service ID or a port name prefixed "port:"
+    # "drop", a port name prefixed "port:", or a Service ID; read by
+    # parse_target.
+    target: str = ""
 
     def __post_init__(self) -> None:
         if not self.service or not self.target:
             raise ValueError("ChangeDefault needs a service and a target")
+
+
+@functools.cache
+def parse_target(target: str) -> Destination:
+    """The destination a ``ChangeDefault.target`` names.
+
+    The one parser of the target syntax: the NF Manager applies what it
+    returns and the SDNFV Application validates it.  Cached, so the rules
+    rewritten to one target share one frozen destination.
+    """
+    if target == "drop":
+        return Drop()
+    if target.startswith("port:"):
+        return ToPort(target[len("port:"):])
+    return ToService(target)
 
 
 @dataclasses.dataclass(frozen=True)

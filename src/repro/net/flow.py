@@ -256,6 +256,23 @@ class FlowMatch:
                 return False
         return True
 
+    def overlaps(self, other: FlowMatch) -> bool:
+        """True when some flow is matched by both self and ``other``.
+
+        Two source prefixes overlap when they agree on the bits of the
+        shorter one, so a /16 inside a /8 overlaps it.
+        """
+        for field in ("dst_ip", "protocol", "src_port", "dst_port"):
+            mine = getattr(self, field)
+            theirs = getattr(other, field)
+            if mine is not None and theirs is not None and mine != theirs:
+                return False
+        if self.src_ip is None or other.src_ip is None:
+            return True
+        shift = 32 - min(self.src_prefix_bits, other.src_prefix_bits)
+        return (shift == 32 or ip_to_int(self.src_ip) >> shift
+                == ip_to_int(other.src_ip) >> shift)
+
     def exact_key(self) -> FiveTuple | None:
         """The FiveTuple if this match is exact, else None (for a match
         built by :meth:`exact`, the very flow it was built from)."""

@@ -110,6 +110,19 @@ def reference_subsumes(a: FlowMatch, b: FlowMatch) -> bool:
             and reference_in_prefix(a.src_ip, a.src_prefix_bits, b.src_ip))
 
 
+def reference_overlaps(a: FlowMatch, b: FlowMatch) -> bool:
+    for field in ("dst_ip", "protocol", "src_port", "dst_port"):
+        if None not in (getattr(a, field), getattr(b, field)) and (
+                getattr(a, field) != getattr(b, field)):
+            return False
+    if a.src_ip is None or b.src_ip is None:
+        return True
+    return ipaddress.ip_network(
+        f"{a.src_ip}/{a.src_prefix_bits}", strict=False).overlaps(
+        ipaddress.ip_network(f"{b.src_ip}/{b.src_prefix_bits}",
+                             strict=False))
+
+
 any_ips = st.ip_addresses(v=4).map(str)
 
 
@@ -188,6 +201,16 @@ class TestCompiledMatchingAgreesWithReference:
         expected = reference_subsumes(a, b)
         assert a.subsumes(b) is expected
         assert a.subsumes(b) is expected
+
+    @given(pair=match_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_overlaps_equals_reference(self, pair):
+        a, b = pair
+        expected = reference_overlaps(a, b)
+        assert a.overlaps(b) is expected
+        assert b.overlaps(a) is expected
+        if a.subsumes(b):
+            assert expected
 
     @given(pair=address_pairs(), bits=st.integers(0, 32))
     @settings(max_examples=300, deadline=None)
