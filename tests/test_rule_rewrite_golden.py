@@ -176,7 +176,9 @@ def skip_me(sim: Simulator) -> tuple:
     # Exact criteria: flow 1 skips b, specialised from a's * rule.
     _message(host, SkipMe(sender_service="b", service="b",
                           flows=FlowMatch.exact(tcp[0])), 2 * MS)
-    # Wildcard criteria: a's UDP rule is rewritten in place.
+    # Wildcard criteria: a's UDP rule is rewritten in place, then
+    # replaced where it stands by the priority-1 override carved out of
+    # a's * rule, which the message selects too.
     _message(host, SkipMe(sender_service="b", service="b",
                           flows=FlowMatch(protocol=PROTO_UDP)), 2 * MS)
     # Exact RequestMe: flow 2's rule in a makes c its default.
