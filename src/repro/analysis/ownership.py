@@ -243,7 +243,7 @@ class HostVerifier:
         def transmit(packet):
             ledger.on_transfer(packet.packet_id, f"wire:{port.name}",
                                sim.now)
-            inner_transmit(packet)
+            return inner_transmit(packet)
 
         self._shadow(port, "receive", receive)
         self._shadow(port, "transmit", transmit)

@@ -170,13 +170,15 @@ class NicPort:
         else:
             self._link_restored = Event(self.sim)
 
-    def transmit(self, packet: Packet) -> None:
-        """Queue a frame for transmission (called by TX threads)."""
+    def transmit(self, packet: Packet) -> bool:
+        """Queue a frame for transmission (called by TX threads).  True
+        when the port took the frame; this one's backlog is unbounded."""
         if self._tx_busy:
             self._tx_backlog.append(packet)
         else:
             self._tx_busy = True
             self._tx_start(packet)
+        return True
 
     def _tx_start(self, packet: Packet) -> None:
         """Begin serializing one frame onto the wire at the line rate."""
@@ -1350,13 +1352,17 @@ class NfManager:
             self._drop(descriptor, "dropped_no_rule")
             return
         packet = descriptor.packet
-        self.stats.record_tx(port_name, packet.size)
+        size = packet.size
         # Pure refcount drop — no pool reclaim here: the zero-ref buffer
         # is still on the wire (NIC TX FIFO, then fabric / egress sinks).
         # The terminal owner (pktgen's return sink, a drop path, or the
-        # next host) reclaims it.
+        # next host) reclaims it; a port that refuses the frame (a full
+        # bounded TX ring) is that owner.
         packet.release()
-        port.transmit(packet)
+        if port.transmit(packet):
+            self.stats.record_tx(port_name, size)
+        else:
+            self.stats.dropped_ring_full += 1
 
     def _drop(self, descriptor: PacketDescriptor, counter: str) -> None:
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)

@@ -75,19 +75,28 @@ class PriorityNicPort(NicPort):
         dscp = packet.ip.dscp if packet.ip is not None else 0
         return dscp_to_priority(dscp, self._levels)
 
-    def transmit(self, packet: Packet) -> None:
+    def transmit(self, packet: Packet) -> bool:
+        """Queue a frame at its priority level.  False when that level's
+        queue is full: the port drops the frame and returns a pooled one
+        to its pool, freeing a held reference or reclaiming the
+        zero-reference frame the NF Manager hands over."""
         queue = self._queues[self.classify(packet)]
         if len(queue) >= self._queue_frames:
             self.tx_dropped += 1
-            if packet.pool is not None:
-                packet.free()
-            return
+            pool = packet.pool
+            if pool is not None:
+                if packet.ref_count:
+                    packet.free()
+                else:
+                    pool.reclaim(packet)
+            return False
         queue.append(packet)
         if not self._tx_busy:
             self._tx_busy = True
             # Deferred by one zero-delay timer, so the most urgent frame
             # of a same-nanosecond burst goes first.
             self.sim.call_later(0, self._pick)
+        return True
 
     def _pick(self, _arg: None = None) -> None:
         """Strict priority: start the most urgent waiting frame."""

@@ -189,6 +189,40 @@ class TestPriorityPort:
         assert port.tx_packets == 2
         assert pool.in_flight == 0
 
+    def test_congested_port_behind_a_host_recycles_pooled_frames(self, sim):
+        """The NF Manager hands the port zero-reference frames: a full
+        queue returns them to the pool, and the host counts them as
+        TX-ring drops, not as sent."""
+        host = NfvHost(sim, name="qos1", ports=("eth0",))
+        port = PriorityNicPort(sim, "eth1", line_rate_gbps=0.02,
+                               queue_frames=4)
+        host.manager.ports["eth1"] = port
+        pool = host.packet_pool
+        port.on_egress = pool.reclaim
+        host.add_nf(DscpMarker("marker", rules=[
+            MarkingRule(match=FlowMatch(protocol=PROTO_UDP),
+                        dscp=DSCP_EXPEDITED)]), ring_slots=1024)
+        install_chain(host, ["marker"])
+        voip = FiveTuple("10.0.0.1", "10.0.0.2", PROTO_UDP, 1, 5060)
+        bulk = FiveTuple("10.0.0.3", "10.0.0.4", PROTO_TCP, 2, 80)
+        ring_drops = host.stats.dropped_ring_full
+
+        def traffic():
+            for _ in range(100):
+                for _burst in range(2):
+                    host.inject("eth0", pool.alloc(flow=bulk, size=1024,
+                                                   created_at=sim.now))
+                host.inject("eth0", pool.alloc(flow=voip, size=128,
+                                               created_at=sim.now))
+                yield sim.timeout(500_000)
+
+        sim.process(traffic())
+        sim.run(until=1 * S)
+        assert port.tx_dropped > 0
+        assert host.stats.dropped_ring_full - ring_drops == port.tx_dropped
+        assert host.stats.tx_packets == port.tx_packets
+        assert pool.in_flight == 0
+
     def test_end_to_end_marking_and_scheduling(self, sim):
         """Marker NF + priority egress inside a full host: latency of
         marked traffic stays low while bulk congests the link."""
