@@ -242,7 +242,7 @@ class NicPort:
         return frames
 
 
-#: Sentinel for "this field/annotation key was absent at fan-out time".
+#: Sentinel for "this annotation key was absent at fan-out time".
 _UNSET = object()
 
 #: Header fields the merge journal may snapshot and re-apply; five-tuple
@@ -254,18 +254,15 @@ _MERGEABLE_FIELDS = ("dscp", "ttl", "payload")
 def _read_merge_field(packet: Packet, field: str):
     if field == "payload":
         return packet.payload
-    ip = packet.ip
-    return _UNSET if ip is None else getattr(ip, field)
+    return getattr(packet.ip, field)
 
 
 def _write_merge_field(packet: Packet, field: str, value) -> None:
-    if value is _UNSET:
-        return
     if field == "payload":
         packet.payload = value
         return
     ip = packet.ip
-    if ip is not None and getattr(ip, field) != value:
+    if getattr(ip, field) != value:
         packet.ip = dataclasses.replace(ip, **{field: value})
 
 
