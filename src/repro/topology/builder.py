@@ -80,8 +80,9 @@ def build_network(sim: Simulator, topology: Topology,
 
     Each host gets ``ingress_port`` and ``exit_port`` plus one trunk port
     per attached link, named ``to-<neighbor>``.  Link delays carry over
-    to the fabric wires; link capacities to the trunk line rates.
-    ``burst_size`` / ``seed`` / ``verify`` pass
+    to the fabric wires.  Every port, trunks included, runs at
+    ``line_rate_gbps``: ``Link.capacity_gbps`` feeds only the placement
+    model.  ``burst_size`` / ``seed`` / ``verify`` pass
     through to every :class:`NfvHost` (same names, same defaults).
 
     ``only_hosts`` realizes a subset of the NFV hosts (one shard's
