@@ -115,10 +115,10 @@ class FlowTable:
     """Scoped flow rules with exact-match fast path and wildcard fallback.
 
     Exact rules are kept per scope, then per flow; each scope's wildcard
-    rules are a list in the order their matches were first installed: a
-    rule that replaces one with the same match takes its place, so
-    rewriting a rule never changes which of two equal-key rules wins.  A
-    scope's dict or list goes when its last rule is removed.  Both maps keep their scopes in
+    rules are a list in the order their matches were first installed (a
+    rule that replaces one with the same match takes its place, so a
+    rewrite never changes which of two equal-key rules wins).  A scope's
+    dict or list goes when its last rule is removed.  Both maps keep their scopes in
     first-insertion order, so introspection is scope-major and does not
     depend on ``PYTHONHASHSEED``.
     """
@@ -134,9 +134,8 @@ class FlowTable:
     # Mutation
     # ------------------------------------------------------------------
     def install(self, entry: FlowTableEntry) -> None:
-        """Add a rule.  A rule with the same match in that scope is
-        replaced where it stands, so a rewrite keeps its rule's place in
-        the scope's wildcard order."""
+        """Add a rule, replacing one with the same match in that scope
+        where it stands."""
         exact_key = entry.match.exact_key()
         if exact_key is not None:
             rules = self._exact.get(entry.scope)
@@ -163,8 +162,12 @@ class FlowTable:
             if removed and not rules:
                 del self._exact[scope]
         else:
-            removed = self._drop_wildcards(scope, match)
-            if removed and not self._wildcards[scope]:
+            rules = self._wildcards.get(scope, ())
+            kept = [rule for rule in rules if rule.match != match]
+            removed = len(kept) < len(rules)
+            if removed and kept:
+                self._wildcards[scope] = kept
+            elif removed:
                 del self._wildcards[scope]
         if removed:
             self.generation += 1
@@ -174,18 +177,6 @@ class FlowTable:
         self._exact.clear()
         self._wildcards.clear()
         self.generation += 1
-
-    def _drop_wildcards(self, scope: str, match: FlowMatch) -> bool:
-        """Remove ``scope``'s wildcard rules with this ``match``.  True if
-        any was removed."""
-        rules = self._wildcards.get(scope)
-        if not rules:
-            return False
-        kept = [rule for rule in rules if rule.match != match]
-        if len(kept) == len(rules):
-            return False
-        rules[:] = kept
-        return True
 
     # ------------------------------------------------------------------
     # Lookup

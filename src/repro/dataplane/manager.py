@@ -1226,7 +1226,8 @@ class NfManager:
     def apply_message(self, message: NfMessage) -> None:
         """Apply an (already validated) cross-layer message to the table."""
         if isinstance(message, ChangeDefault):
-            self._apply_change_default(message)
+            self._rewrite((message.service,), message.flows,
+                          parse_target(message.target))
         elif isinstance(message, SkipMe):
             self._apply_skip_me(message)
         elif isinstance(message, RequestMe):
@@ -1241,10 +1242,6 @@ class NfManager:
                 self.uninterpreted_messages.append(message)
         else:
             raise TypeError(f"unknown message type {type(message).__name__}")
-
-    def _apply_change_default(self, message: ChangeDefault) -> None:
-        self._rewrite((message.service,), message.flows,
-                      parse_target(message.target))
 
     def _apply_skip_me(self, message: SkipMe
                        ) -> list[FlowTableEntry] | None:

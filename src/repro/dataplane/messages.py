@@ -8,10 +8,6 @@ wildcard match):
 - ``RequestMe(F, S)`` — every rule that has an edge to S makes S its
   default.
 - ``ChangeDefault(F, S, T)`` — service S's default becomes T.
-
-The first three are one operation — make a new next hop the default of
-the rules that route the flows in ``F`` — which the NF Manager applies
-through one rule rewrite.
 - ``UserMessage(S, key, value)`` — arbitrary application data for the NF
   Manager / SDNFV Application (the paper's ``Message`` call).
 
@@ -77,13 +73,11 @@ class ChangeDefault(NfMessage):
             raise ValueError("ChangeDefault needs a service and a target")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def parse_target(target: str) -> Destination:
-    """The destination a ``ChangeDefault.target`` names.
-
-    The one parser of the target syntax: the NF Manager applies what it
-    returns and the SDNFV Application validates it.  Cached, so the rules
-    rewritten to one target share one frozen destination.
+    """The destination a ``ChangeDefault.target`` names: the one parser
+    of that syntax, for the NF Manager and the SDNFV Application.
+    Cached, so the rules rewritten to one target share one destination.
     """
     if target == "drop":
         return Drop()

@@ -257,11 +257,8 @@ class FlowMatch:
         return True
 
     def overlaps(self, other: FlowMatch) -> bool:
-        """True when some flow is matched by both self and ``other``.
-
-        Two source prefixes overlap when they agree on the bits of the
-        shorter one, so a /16 inside a /8 overlaps it.
-        """
+        """True when some flow is matched by both self and ``other``
+        (source prefixes overlap when they agree on the shorter one)."""
         for field in ("dst_ip", "protocol", "src_port", "dst_port"):
             mine = getattr(self, field)
             theirs = getattr(other, field)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.dataplane import (
     ChangeDefault,
+    Drop,
     FlowTableEntry,
     RequestMe,
     SkipMe,
@@ -115,17 +116,9 @@ class TestWildcardMessages:
         assert _default(manager, "a", WEB) == B
         assert len(manager.flow_table) == 2
 
-    def test_quarantine_is_skip_me_over_every_flow(self):
-        manager = _chain()
-        displaced = manager.quarantine_service("a")
-        assert [rule.scope for rule in displaced] == ["eth0"]
-        assert _default(manager, "eth0", WEB) == B
-        manager.restore_service("a", displaced)
-        assert _default(manager, "eth0", WEB) == A
-
 
 def test_parse_target_is_the_one_target_syntax():
-    assert parse_target("drop") == parse_target("drop")
+    assert parse_target("drop") == Drop()
     assert parse_target("port:eth1") == ToPort("eth1")
     assert parse_target("svc") == ToService("svc")
     assert parse_target("svc") is parse_target("svc")
