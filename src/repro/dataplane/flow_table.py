@@ -118,9 +118,9 @@ class FlowTable:
     rules are a list in the order their matches were first installed (a
     rule that replaces one with the same match takes its place, so a
     rewrite never changes which of two equal-key rules wins).  A scope's
-    dict or list goes when its last rule is removed.  Both maps keep their scopes in
-    first-insertion order, so introspection is scope-major and does not
-    depend on ``PYTHONHASHSEED``.
+    dict or list goes when its last rule is removed.  Both maps keep
+    their scopes in first-insertion order, so introspection is
+    scope-major and does not depend on ``PYTHONHASHSEED``.
     """
 
     def __init__(self) -> None:

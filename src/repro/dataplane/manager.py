@@ -1368,4 +1368,3 @@ class NfManager:
         # free(), not release(): drop paths are terminal owners, so a
         # pooled buffer goes straight back to its slab at refcount zero.
         packet.free()
-
